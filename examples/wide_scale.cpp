@@ -44,7 +44,9 @@ int main(int argc, char** argv) {
               timer.milliseconds(), table.distinct_keys());
 
   timer.reset();
-  const MiMatrix mi = wide_all_pairs_mi(table, threads);
+  const MiMatrix mi =
+      WideAllPairsMi(AllPairsOptions{threads, AllPairsStrategy::kFused})
+          .compute(table);
   std::printf("all-pairs MI over %zu pairs: %.1f ms\n", n * (n - 1) / 2,
               timer.milliseconds());
 

@@ -4,20 +4,31 @@
 // single-variable marginals are derived from the pair table — Eq. 1's three
 // marginalizations collapse into one, as §IV-C describes).
 //
-// Three scheduling strategies (DESIGN.md ablation ABL-MI):
-//  - kPairParallel   pairs are block-distributed over the workers; each
-//                    worker sweeps the whole table per pair (Algorithm 4's
-//                    round-robin pair scheduling).
-//  - kEntryParallel  pairs run one at a time; each marginalization is
-//                    data-parallel over table partitions (Algorithm 3 inside
-//                    Algorithm 4).
-//  - kFused          one parallel sweep of the table; each worker decodes a
-//                    key once and updates all n(n−1)/2 private pair tables,
-//                    which are then tree-merged. Fewest table passes.
+// Two strategies, both exact integer counting, so their MI matrices are
+// bitwise identical (DESIGN.md ablation ABL-MI):
+//  - kPairParallel  Algorithm 4 as published: pairs are block-distributed
+//                   over the workers; each worker sweeps the whole table per
+//                   pair. The reference the tests and bench/fig5 use.
+//  - kFused         (default) a two-pass column kernel. Pass 1 sweeps the
+//                   table once in parallel. Each entry routes itself by its
+//                   own count, with no threshold:
+//                     light (count 1)  gathered 64 at a time and transposed
+//                                      into one-hot bit planes, one plane
+//                                      per (variable, state >= 1);
+//                     heavy (count > 1) the per-entry pair update into the
+//                                      worker's private pair tables.
+//                   Pass 2 runs over the pair space: light cell (a>=1, b>=1)
+//                   is popcount(plane_i^a & plane_j^b); row/column 0 and
+//                   cell (0,0) follow from the per-plane light totals and
+//                   the light entry count; the heavy tables are added.
+//                   Cost O(E·n + Σ(r_i−1)(r_j−1)·E/64 + H·n²) for E entries
+//                   of which H are heavy — versus O(E·n²) for a per-entry
+//                   pair update. Uncompressed tables (E ≈ m, nearly all
+//                   light) gain the most; compressed ones (mostly heavy)
+//                   keep the per-entry path.
 //
-// A template over the key type; the pair-parallel strategy decodes single
-// variables through KeyTraits' VarLeg recipe, so every strategy works at
-// both key widths.
+// A template over the key type; both strategies decode single variables
+// through KeyTraits' VarLeg recipe, so they work at both key widths.
 #pragma once
 
 #include <cstdint>
@@ -56,11 +67,13 @@ class MiMatrix {
   std::vector<double> cells_;
 };
 
-enum class AllPairsStrategy { kPairParallel, kEntryParallel, kFused };
+/// Explicit values: they are printed in test names and logs, so they stay
+/// stable when strategies are added or removed.
+enum class AllPairsStrategy { kPairParallel = 0, kFused = 2 };
 
 struct AllPairsOptions {
   std::size_t threads = 1;
-  AllPairsStrategy strategy = AllPairsStrategy::kPairParallel;
+  AllPairsStrategy strategy = AllPairsStrategy::kFused;
 };
 
 struct AllPairsStats {
@@ -88,7 +101,6 @@ class BasicAllPairsMi {
 
  private:
   MiMatrix compute_pair_parallel(const Table& table, ThreadPool& pool);
-  MiMatrix compute_entry_parallel(const Table& table, ThreadPool& pool);
   MiMatrix compute_fused(const Table& table, ThreadPool& pool);
 
   AllPairsOptions options_;
@@ -100,10 +112,5 @@ extern template class BasicAllPairsMi<WideKey>;
 
 using AllPairsMi = BasicAllPairsMi<Key>;
 using WideAllPairsMi = BasicAllPairsMi<WideKey>;
-
-/// Historical free-function spelling of the wide all-pairs pass (fused
-/// single-sweep schedule, the right default for n = 100-scale tables).
-[[nodiscard]] MiMatrix wide_all_pairs_mi(const WidePotentialTable& table,
-                                         std::size_t threads = 1);
 
 }  // namespace wfbn

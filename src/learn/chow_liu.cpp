@@ -77,10 +77,7 @@ ChowLiuResult chow_liu_tree(const MiMatrix& mi, double min_mi, NodeId root) {
 template <typename K>
 ChowLiuResult chow_liu_learn(const BasicPotentialTable<K>& table,
                              ThreadPool& pool, double min_mi, NodeId root) {
-  AllPairsOptions options;
-  options.threads = pool.size();
-  options.strategy = AllPairsStrategy::kFused;
-  BasicAllPairsMi<K> all_pairs(options);
+  BasicAllPairsMi<K> all_pairs(AllPairsOptions{pool.size()});
   return chow_liu_tree(all_pairs.compute(table, pool), min_mi, root);
 }
 

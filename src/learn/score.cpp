@@ -223,10 +223,7 @@ HillClimbResult hill_climb_sparse(const Dataset& data,
   BasicWaitFreeBuilder<K> builder(builder_options);
   const BasicPotentialTable<K> table = builder.build(data);
 
-  AllPairsOptions mi_options;
-  mi_options.threads = builder_options.threads;
-  mi_options.strategy = AllPairsStrategy::kFused;
-  BasicAllPairsMi<K> all_pairs(mi_options);
+  BasicAllPairsMi<K> all_pairs(AllPairsOptions{builder_options.threads});
   const MiMatrix mi = all_pairs.compute(table);
   options.candidate_parents = sparse_candidates(mi, candidates_per_node);
   return hill_climb(table, options);

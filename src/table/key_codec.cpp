@@ -119,7 +119,7 @@ KeyProjector::KeyProjector(const KeyCodec& codec,
     WFBN_EXPECT(v < codec.variable_count(), "projection variable out of range");
     WFBN_EXPECT(seen.insert(v).second, "duplicate projection variable");
     const std::uint64_t r = codec.cardinality(v);
-    legs_.push_back(Leg{codec.stride(v), r, range_});
+    legs_.push_back(Leg{Divisor(codec.stride(v)), Divisor(r), range_});
     cardinalities_.push_back(codec.cardinality(v));
     range_ *= r;
   }

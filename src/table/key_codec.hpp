@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "table/divisor.hpp"
 #include "util/simd.hpp"
 
 namespace wfbn {
@@ -90,6 +91,8 @@ class KeyCodec {
 /// variables v_1 < ... < v_k (any order is accepted; order defines the
 /// marginal table's layout):
 ///   project(key) = sum_i decode(key, v_i) * out_stride_i
+/// Each leg's divisors are precomputed Divisor reciprocals, so projecting a
+/// key divides nowhere.
 class KeyProjector {
  public:
   /// Throws PreconditionError on duplicate or out-of-range variables.
@@ -99,7 +102,7 @@ class KeyProjector {
   [[nodiscard]] std::uint64_t project(Key key) const noexcept {
     std::uint64_t out = 0;
     for (const Leg& leg : legs_) {
-      out += ((key / leg.in_stride) % leg.cardinality) * leg.out_stride;
+      out += leg.cardinality.modulo(leg.in_stride.divide(key)) * leg.out_stride;
     }
     return out;
   }
@@ -116,8 +119,8 @@ class KeyProjector {
 
  private:
   struct Leg {
-    Key in_stride;
-    std::uint64_t cardinality;
+    Divisor in_stride;
+    Divisor cardinality;
     std::uint64_t out_stride;
   };
   std::vector<Leg> legs_;

@@ -14,7 +14,8 @@
 //   key_in_range()      validity check for PotentialTable::validate()
 //   VarLeg / leg_of()   decode-of-interest: the (stride, cardinality[, word])
 //                       recipe for extracting one variable from a key without
-//                       decoding the whole state string (Eq. 4)
+//                       decoding the whole state string (Eq. 4); both
+//                       divisors are precomputed Divisor reciprocals
 //
 // Adding a third key width means specializing this struct — nothing else.
 #pragma once
@@ -23,6 +24,7 @@
 #include <limits>
 #include <vector>
 
+#include "table/divisor.hpp"
 #include "table/key_codec.hpp"
 #include "table/wide_key_codec.hpp"
 
@@ -106,16 +108,17 @@ struct KeyTraits<Key> {
     return key < codec.state_space_size();
   }
 
-  /// Decode-of-interest recipe for one variable (Eq. 4).
+  /// Decode-of-interest recipe for one variable (Eq. 4), with both divisors
+  /// precomputed so a decode is multiply-shift work, never a `div`.
   struct VarLeg {
-    std::uint64_t stride;
-    std::uint64_t cardinality;
+    Divisor stride;
+    Divisor cardinality;
   };
   static VarLeg leg_of(const Codec& codec, std::size_t j) {
-    return VarLeg{codec.stride(j), codec.cardinality(j)};
+    return VarLeg{Divisor(codec.stride(j)), Divisor(codec.cardinality(j))};
   }
   static std::uint64_t decode_leg(const VarLeg& leg, Key key) noexcept {
-    return (key / leg.stride) % leg.cardinality;
+    return leg.cardinality.modulo(leg.stride.divide(key));
   }
 };
 
@@ -187,15 +190,16 @@ struct KeyTraits<WideKey> {
 
   struct VarLeg {
     unsigned word;  ///< 0 = lo, 1 = hi
-    std::uint64_t stride;
-    std::uint64_t cardinality;
+    Divisor stride;
+    Divisor cardinality;
   };
   static VarLeg leg_of(const Codec& codec, std::size_t j) {
-    return VarLeg{codec.word_of(j), codec.stride(j), codec.cardinality(j)};
+    return VarLeg{codec.word_of(j), Divisor(codec.stride(j)),
+                  Divisor(codec.cardinality(j))};
   }
   static std::uint64_t decode_leg(const VarLeg& leg, WideKey key) noexcept {
     const std::uint64_t word = leg.word == 0 ? key.lo : key.hi;
-    return (word / leg.stride) % leg.cardinality;
+    return leg.cardinality.modulo(leg.stride.divide(word));
   }
 };
 

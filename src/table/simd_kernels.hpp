@@ -27,14 +27,23 @@
 // integer addition is associative and commutative, so lane order cannot
 // change the sum. The BlockRoutingOracle and codec tests pin this down at
 // every dispatch level, both key widths, and remainder-strip row counts.
+//
+// The file also holds the pair-cell kernel of the column all-pairs MI pass,
+// and_popcount(): Σ popcount(a[i] & b[i]) over two bit planes. The tree is
+// built without -mpopcnt, so the scalar level's std::popcount is the
+// portable (library-call) fallback; the AVX2 level counts 256 bits per step
+// with the nibble-lookup method (vpshufb + vpsadbw) behind
+// `target("avx2,popcnt")`. Both return the same integer.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 
 #include "table/wide_key_codec.hpp"
+#include "util/simd.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define WFBN_AVX2_KERNELS 1
@@ -190,6 +199,59 @@ __attribute__((target("avx2"))) inline void encode_tile_avx2_wide(
   for (std::size_t i = 0; i < kRowTile; ++i) out[i] = WideKey{lo[i], hi[i]};
 }
 
+/// Portable AND-popcount: the scalar level.
+inline std::uint64_t and_popcount_scalar(const std::uint64_t* a,
+                                         const std::uint64_t* b,
+                                         std::size_t words) noexcept {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < words; ++i) {
+    total += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
+  }
+  return total;
+}
+
+/// AVX2 AND-popcount: per byte, two 16-entry nibble lookups give the bit
+/// count; vpsadbw folds the 32 byte counts into four 64-bit lane sums.
+__attribute__((target("avx2,popcnt"))) inline std::uint64_t and_popcount_avx2(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t words) noexcept {
+  const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3,
+                                       3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3,
+                                       2, 3, 3, 4);
+  const __m256i nibble = _mm256_set1_epi8(0x0f);
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i acc = zero;
+  std::size_t i = 0;
+  for (; i + 4 <= words; i += 4) {
+    const __m256i v = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
+    const __m256i lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(v, nibble));
+    const __m256i hi = _mm256_shuffle_epi8(
+        lut, _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble));
+    acc = _mm256_add_epi64(acc,
+                           _mm256_sad_epu8(_mm256_add_epi8(lo, hi), zero));
+  }
+  alignas(32) std::uint64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+  std::uint64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+  for (; i < words; ++i) {
+    total += static_cast<std::uint64_t>(_mm_popcnt_u64(a[i] & b[i]));
+  }
+  return total;
+}
+
 #endif  // WFBN_AVX2_KERNELS
+
+/// Σ popcount(a[i] & b[i]) for i < words, at the dispatch level `level`
+/// (from simd::resolve(), so the AVX2 kernel only runs where supported).
+inline std::uint64_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
+                                  std::size_t words, simd::Level level) noexcept {
+#ifdef WFBN_AVX2_KERNELS
+  if (level == simd::Level::kAvx2) return and_popcount_avx2(a, b, words);
+#else
+  (void)level;
+#endif
+  return and_popcount_scalar(a, b, words);
+}
 
 }  // namespace wfbn::simd_detail

@@ -132,7 +132,8 @@ WideKeyProjector::WideKeyProjector(const WideKeyCodec& codec,
     WFBN_EXPECT(v < codec.variable_count(), "projection variable out of range");
     WFBN_EXPECT(seen.insert(v).second, "duplicate projection variable");
     const std::uint64_t r = codec.cardinality(v);
-    legs_.push_back(Leg{codec.word_of(v), codec.stride(v), r, range_});
+    legs_.push_back(
+        Leg{codec.word_of(v), Divisor(codec.stride(v)), Divisor(r), range_});
     cardinalities_.push_back(codec.cardinality(v));
     range_ *= r;
     WFBN_EXPECT(range_ <= (1ULL << 30), "marginal table too large to be dense");

@@ -96,7 +96,7 @@ class WideKeyProjector {
     std::uint64_t out = 0;
     for (const Leg& leg : legs_) {
       const std::uint64_t word = leg.word == 0 ? key.lo : key.hi;
-      out += ((word / leg.in_stride) % leg.cardinality) * leg.out_stride;
+      out += leg.cardinality.modulo(leg.in_stride.divide(word)) * leg.out_stride;
     }
     return out;
   }
@@ -112,8 +112,8 @@ class WideKeyProjector {
  private:
   struct Leg {
     unsigned word;
-    std::uint64_t in_stride;
-    std::uint64_t cardinality;
+    Divisor in_stride;
+    Divisor cardinality;
     std::uint64_t out_stride;
   };
   std::vector<Leg> legs_;

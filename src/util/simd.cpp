@@ -13,7 +13,10 @@ std::atomic<int> g_forced_cap{-1};
 
 Level host_level() noexcept {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("avx2") ? Level::kAvx2 : Level::kScalar;
+  // The AVX2 level's kernels also use POPCNT (every AVX2 CPU has it).
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt")
+             ? Level::kAvx2
+             : Level::kScalar;
 #else
   return Level::kScalar;
 #endif

@@ -1,5 +1,6 @@
 // Runtime SIMD capability probe and dispatch policy for the vectorized
-// build hot path (encode / hash / probe kernels).
+// build hot path (encode / hash / probe kernels) and the all-pairs MI
+// AND-popcount kernel.
 //
 // Kernels are compiled per *level* — kScalar always, kAvx2 behind a GCC/clang
 // `target("avx2")` function attribute on x86-64 — and selected at runtime so
@@ -23,7 +24,7 @@ namespace wfbn::simd {
 /// capabilities of every lower one.
 enum class Level : int {
   kScalar = 0,  ///< portable C++, no instruction-set assumptions
-  kAvx2 = 1,    ///< x86-64 AVX2 specializations (runtime-verified)
+  kAvx2 = 1,    ///< x86-64 AVX2 + POPCNT specializations (runtime-verified)
 };
 
 /// What a caller may ask for. kAuto resolves to the best detected level.

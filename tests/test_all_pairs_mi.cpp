@@ -1,11 +1,15 @@
-// Tests for the all-pairs MI pass (Algorithm 4): all three scheduling
-// strategies must agree with each other and with per-pair reference
-// computation, for every thread count.
+// Tests for the all-pairs MI pass (Algorithm 4): both scheduling strategies
+// must agree with per-pair reference computation for every thread count,
+// and the fused column kernel must reproduce the pair-parallel sweep's MI
+// matrix bit for bit on light-only, heavy-only, mixed and wide-key tables.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "core/all_pairs_mi.hpp"
 #include "core/info_theory.hpp"
-#include "core/marginalizer.hpp"
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
 #include "util/error.hpp"
@@ -41,6 +45,48 @@ void expect_same(const MiMatrix& a, const MiMatrix& b) {
   }
 }
 
+/// Every cell equal as bits (memcmp), not merely within a tolerance.
+void expect_bitwise_same(const MiMatrix& a, const MiMatrix& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t j = 0; j < a.size(); ++j) {
+      const double x = a.at(i, j);
+      const double y = b.at(i, j);
+      EXPECT_EQ(std::memcmp(&x, &y, sizeof x), 0)
+          << i << "," << j << ": " << x << " vs " << y;
+    }
+  }
+}
+
+/// Light (count 1) and heavy (count > 1) entry populations of a table.
+template <typename Table>
+std::pair<std::size_t, std::size_t> light_heavy(const Table& table) {
+  std::size_t light = 0;
+  std::size_t heavy = 0;
+  table.for_each([&](const auto&, std::uint64_t c) { ++(c == 1 ? light : heavy); });
+  return {light, heavy};
+}
+
+/// Runs `strategy` at `threads` workers and compares it bitwise with
+/// single-threaded pair-parallel; the visited entries still sum to the
+/// table's distinct keys.
+template <typename K>
+void expect_matches_oracle(const BasicPotentialTable<K>& table,
+                           AllPairsStrategy strategy, std::size_t threads) {
+  const MiMatrix oracle =
+      BasicAllPairsMi<K>(AllPairsOptions{1, AllPairsStrategy::kPairParallel})
+          .compute(table);
+  BasicAllPairsMi<K> all_pairs(AllPairsOptions{threads, strategy});
+  expect_bitwise_same(all_pairs.compute(table), oracle);
+  if (strategy == AllPairsStrategy::kFused) {
+    std::uint64_t visited = 0;
+    for (const std::uint64_t v : all_pairs.stats().worker_entries_visited) {
+      visited += v;
+    }
+    EXPECT_EQ(visited, table.distinct_keys());
+  }
+}
+
 struct MiConfig {
   AllPairsStrategy strategy;
   std::size_t threads;
@@ -57,22 +103,58 @@ TEST_P(AllPairsStrategies, MatchesSequentialReference) {
   EXPECT_EQ(all_pairs.stats().pair_count, 9u * 8 / 2);
 }
 
+// The oracle: every configuration reproduces single-threaded pair-parallel
+// (Algorithm 4 as published) bit for bit. The tables are built with 4
+// partitions, so 16 workers leave most workers without a partition, and the
+// light counts are not multiples of 64, so partial tiles occur.
+TEST_P(AllPairsStrategies, BitwiseIdenticalToPairParallel) {
+  const auto [strategy, threads] = GetParam();
+  {
+    SCOPED_TRACE("all light: uniform n=30, r=2, m=50k");
+    const PotentialTable table = build_table(generate_uniform(50000, 30, 2, 46));
+    EXPECT_EQ(light_heavy(table).second, 0u);
+    EXPECT_NE(light_heavy(table).first % 64, 0u);
+    expect_matches_oracle(table, strategy, threads);
+  }
+  {
+    SCOPED_TRACE("all heavy: chain-correlated, 2^5 states");
+    const PotentialTable table =
+        build_table(generate_chain_correlated(20000, 5, 2, 0.7, 42));
+    EXPECT_EQ(light_heavy(table).first, 0u);
+    expect_matches_oracle(table, strategy, threads);
+  }
+  {
+    SCOPED_TRACE("mixed light/heavy, cardinalities {2,3,4,2,5} twice");
+    const PotentialTable table = build_table(generate_uniform(
+        40000, std::vector<std::uint32_t>{2, 3, 4, 2, 5, 2, 3, 4, 2, 5}, 43));
+    const auto [light, heavy] = light_heavy(table);
+    EXPECT_GT(light, 0u);
+    EXPECT_GT(heavy, 0u);
+    expect_matches_oracle(table, strategy, threads);
+  }
+  {
+    SCOPED_TRACE("wide keys: n=100 binary");
+    WideBuilderOptions options;
+    options.threads = 4;
+    const WidePotentialTable table = WideWaitFreeBuilder(options).build(
+        generate_chain_correlated(3000, 100, 2, 0.8, 44));
+    expect_matches_oracle(table, strategy, threads);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, AllPairsStrategies,
     ::testing::Values(MiConfig{AllPairsStrategy::kPairParallel, 1},
                       MiConfig{AllPairsStrategy::kPairParallel, 4},
                       MiConfig{AllPairsStrategy::kPairParallel, 16},
-                      MiConfig{AllPairsStrategy::kEntryParallel, 1},
-                      MiConfig{AllPairsStrategy::kEntryParallel, 4},
                       MiConfig{AllPairsStrategy::kFused, 1},
+                      MiConfig{AllPairsStrategy::kFused, 3},
                       MiConfig{AllPairsStrategy::kFused, 4},
                       MiConfig{AllPairsStrategy::kFused, 16}),
     [](const auto& param_info) {
       const char* name =
           param_info.param.strategy == AllPairsStrategy::kPairParallel ? "pair"
-          : param_info.param.strategy == AllPairsStrategy::kEntryParallel
-              ? "entry"
-              : "fused";
+                                                                        : "fused";
       return std::string(name) + "_" + std::to_string(param_info.param.threads) +
              "threads";
     });
@@ -86,11 +168,8 @@ TEST(AllPairsMi, MixedCardinalitiesAgreeAcrossStrategies) {
           .compute(table);
   const MiMatrix fused =
       AllPairsMi(AllPairsOptions{3, AllPairsStrategy::kFused}).compute(table);
-  const MiMatrix entry =
-      AllPairsMi(AllPairsOptions{3, AllPairsStrategy::kEntryParallel})
-          .compute(table);
-  expect_same(pair, fused);
-  expect_same(pair, entry);
+  expect_bitwise_same(pair, fused);
+  expect_same(pair, reference_mi(table));
 }
 
 TEST(AllPairsMi, IndependentDataHasNearZeroMiEverywhere) {

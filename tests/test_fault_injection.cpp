@@ -156,11 +156,10 @@ TEST(FaultInjection, AllPairsMiThrowsTypedErrorOrCompletes) {
   options.threads = 4;
   const PotentialTable table = WaitFreeBuilder(options).build(data);
 
-  for (const AllPairsStrategy strategy :
-       {AllPairsStrategy::kPairParallel, AllPairsStrategy::kFused}) {
+  {
     fault::ScopedFaultInjection injection;
     fault::arm(fault::Point::kMiSweep, 2);
-    AllPairsMi all_pairs(AllPairsOptions{4, strategy});
+    AllPairsMi all_pairs(AllPairsOptions{4, AllPairsStrategy::kPairParallel});
     try {
       const MiMatrix mi = all_pairs.compute(table);
       for (std::size_t i = 0; i < mi.size(); ++i) {
@@ -169,6 +168,29 @@ TEST(FaultInjection, AllPairsMiThrowsTypedErrorOrCompletes) {
         }
       }
     } catch (const InjectedFault&) {
+    }
+    ASSERT_TRUE(table.validate());
+  }
+
+  // The fused kernel's transpose pass hits kMiSweep once per partition:
+  // a fault at any of those hits must surface as the typed error, and one
+  // armed past the last hit must leave the result exact.
+  const MiMatrix clean =
+      AllPairsMi(AllPairsOptions{4, AllPairsStrategy::kFused}).compute(table);
+  const std::size_t hits = table.partitions().partition_count();
+  for (std::size_t fire_on = 1; fire_on <= hits + 1; ++fire_on) {
+    fault::ScopedFaultInjection injection;
+    fault::arm(fault::Point::kMiSweep, fire_on);
+    AllPairsMi all_pairs(AllPairsOptions{4, AllPairsStrategy::kFused});
+    if (fire_on <= hits) {
+      EXPECT_THROW((void)all_pairs.compute(table), InjectedFault) << fire_on;
+    } else {
+      const MiMatrix mi = all_pairs.compute(table);
+      for (std::size_t i = 0; i < mi.size(); ++i) {
+        for (std::size_t j = 0; j < mi.size(); ++j) {
+          ASSERT_EQ(mi.at(i, j), clean.at(i, j)) << i << "," << j;
+        }
+      }
     }
     ASSERT_TRUE(table.validate());
   }

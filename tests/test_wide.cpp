@@ -129,7 +129,8 @@ TEST(WideBuilder, AllPairsMiOrdersChainNeighbors) {
   WideBuilderOptions options;
   options.threads = 4;
   const WidePotentialTable table = WideWaitFreeBuilder(options).build(data);
-  const MiMatrix mi = wide_all_pairs_mi(table, 4);
+  const MiMatrix mi =
+      WideAllPairsMi(AllPairsOptions{4, AllPairsStrategy::kFused}).compute(table);
   // Adjacent pairs dominate two-hop pairs, including across the word split.
   for (const std::size_t i : {0ul, 30ul, 61ul, 62ul, 63ul, 67ul}) {
     EXPECT_GT(mi.at(i, i + 1), mi.at(i, i + 2)) << "at variable " << i;
