@@ -133,7 +133,7 @@ void run_wide_key_ablation(std::size_t samples, std::uint64_t seed) {
     (void)narrow.build(data);
     out.add_row({"64-bit", std::to_string(p),
                  TablePrinter::fmt(timer.milliseconds(), 3)});
-    WideBuilderOptions wide_options;
+    WaitFreeBuilderOptions wide_options;
     wide_options.threads = p;
     WideWaitFreeBuilder wide(wide_options);
     timer.reset();

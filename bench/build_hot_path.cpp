@@ -1,41 +1,38 @@
-// Hot-path sweep of the two-stage construction kernel: stage-1 + stage-2
-// throughput as a function of the write-combining buffer (route_buffer_keys),
-// the stage-2 prefetch lookahead (prefetch_distance), the encode/probe
-// kernel dispatch (--simd: scalar reference loops vs. runtime-resolved AVX2
-// SoA tiles), the stage-2 probe parallelism (--cursors: 0 = in-order drain,
-// >= 2 = multi-cursor batched probing), huge-page table backing
-// (--huge-pages), and the workload cardinality (--cardinality, a sweep list —
-// r shifts the distinct-key population and therefore the table/TLB pressure).
+// Hot-path bench of the two-stage construction kernel: wall clock and
+// critical path of WaitFreeBuilder::build over the settings that exist —
+// the encode dispatch level (--simd: scalar forces the scalar reference
+// kernels with simd::ScopedForceLevel, auto runs whatever the host
+// resolves), the workload cardinality (--cardinality, a sweep list: r
+// shifts the distinct-key population and with it the table size) and the
+// variant (--pipelined 0,1) — at P = --threads workers.
 //
-// Every swept configuration is verified to produce a table identical to the
-// scalar baseline (route_buffer_keys = 1, prefetch_distance = 0,
-// encode_block_rows = 1, simd = scalar, cursors = 0, normal pages) on the
-// same workload — same distinct keys, same total count, same
-// order-independent content checksum — before its timing is reported; a
-// faster build of a different table would be worthless.
+// Every build, warm-up included, is checked against brute-force counts of
+// the same workload (codec.encode per raw row into a hash map, no builder
+// code involved); the bench exits non-zero on any divergence, so a faster
+// build of a different table can never be reported.
 //
-// Reported per configuration: best-of-reps wall clock, the critical path
-// max_p(stage1_p) + max_p(stage2_p) (the makespan a P-core machine would
-// observe; on hosts with fewer cores than P the wall clock serializes the
-// workers and stops being informative — the JSON records host_cores), rows/s
-// on the critical path, speedup vs the scalar baseline, the effective SIMD
-// level, and the huge-page backing outcome.
+// Reported per configuration over --reps repetitions: the median, min and
+// max of the wall clock and of the critical path max_p(stage1_p) +
+// max_p(stage2_p), rows/s at the median critical path, the effective SIMD
+// level, and the ratio of the scalar leg's median critical path to this
+// one's. Repetitions run round-robin over the configurations, so drift of a
+// shared host spreads over all of them alike. The JSON is stamped with the
+// host block (nproc, CPU model, SIMD level, THP mode); path via --json-out,
+// empty string disables the file.
 //
-// Machine-readable output: a BENCH_build_hot_path.json datapoint with one
-// "sweeps" entry per cardinality (path configurable with --json-out, empty
-// string disables), plus the same JSON on stdout.
-//
-//   ./build_hot_path --samples 1000000 --variables 30 --threads 8
-//       --cardinality 2,4,8 --simd scalar,auto --cursors 0,16 --huge-pages 0,1
+//   ./build_hot_path --samples 2000000 --variables 30 --threads 4
+//       --cardinality 2,4 --simd scalar,auto --pipelined 0,1 --reps 5
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
-#include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "../pipeline_e2e/bench_schema.hpp"
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
-#include "table/key_traits.hpp"
 #include "util/cli.hpp"
 #include "util/simd.hpp"
 #include "util/table_printer.hpp"
@@ -43,278 +40,213 @@
 namespace {
 
 using namespace wfbn;
+using bench::HostInfo;
+using bench::JsonWriter;
+using bench::Samples;
 
-struct SweepConfig {
-  std::size_t samples = 0;
-  std::size_t variables = 0;
-  std::size_t threads = 8;
-  std::size_t reps = 2;
-  bool pipelined = false;
-  std::uint64_t seed = 42;
-};
+using Counts = std::unordered_map<Key, std::uint64_t>;
 
-struct TableDigest {
-  std::uint64_t distinct = 0;
-  std::uint64_t total = 0;
-  std::uint64_t checksum = 0;  // order-independent content hash
+Counts brute_force_counts(const Dataset& data) {
+  const KeyCodec codec = data.codec();
+  Counts counts;
+  counts.reserve(data.sample_count());
+  for (std::size_t i = 0; i < data.sample_count(); ++i) {
+    ++counts[codec.encode(data.row(i))];
+  }
+  return counts;
+}
 
-  [[nodiscard]] bool operator==(const TableDigest&) const = default;
-};
-
-TableDigest digest_of(const PotentialTable& table) {
-  TableDigest digest;
+bool matches(const PotentialTable& table, const Counts& reference) {
+  if (table.distinct_keys() != reference.size()) return false;
+  bool all_match = true;
   table.partitions().for_each([&](Key key, std::uint64_t c) {
-    ++digest.distinct;
-    digest.total += c;
-    // Commutative fold: summing per-entry mixes is insensitive to the sweep
-    // order, which differs across partition geometries.
-    std::uint64_t h = key * 0x9E3779B97F4A7C15ULL;
-    h ^= h >> 29;
-    h *= 0xBF58476D1CE4E5B9ULL;
-    digest.checksum += h ^ (c * 0x94D049BB133111EBULL);
+    const auto it = reference.find(key);
+    if (it == reference.end() || it->second != c) all_match = false;
   });
-  return digest;
+  return all_match;
 }
 
-struct Knobs {
-  std::size_t buffer = 1;
-  std::size_t prefetch = 0;
-  std::size_t strip = 1;
-  simd::Policy simd = simd::Policy::kScalar;
-  std::size_t cursors = 0;
-  bool huge_pages = false;
+struct Config {
+  bool scalar = false;  ///< force the scalar reference kernels
+  bool pipelined = false;
+  simd::Level level = simd::Level::kScalar;  ///< effective, from BuildStats
+  Samples wall;
+  Samples critical;
+  bool correct = true;
 };
 
-struct ConfigResult {
-  Knobs knobs;
-  simd::Level level = simd::Level::kScalar;  // effective, from BuildStats
-  std::size_t huge_tables = 0;
-  std::size_t huge_fallbacks = 0;
-  double wall_seconds = 0.0;
-  double critical_seconds = 0.0;
-  bool identical = false;
-
-  [[nodiscard]] double rows_per_sec(std::size_t m) const {
-    return critical_seconds == 0.0
-               ? 0.0
-               : static_cast<double>(m) / critical_seconds;
-  }
-};
-
-WaitFreeBuilderOptions options_for(const SweepConfig& config,
-                                   const Knobs& knobs) {
+/// One checked build; appends its timings to `config` unless `warm_up`.
+void run_once(const Dataset& data, std::size_t threads, const Counts& reference,
+              Config& config, bool warm_up) {
+  std::optional<simd::ScopedForceLevel> force;
+  if (config.scalar) force.emplace(simd::Level::kScalar);
   WaitFreeBuilderOptions options;
-  options.threads = config.threads;
+  options.threads = threads;
   options.pipelined = config.pipelined;
-  options.route_buffer_keys = knobs.buffer;
-  options.prefetch_distance = knobs.prefetch;
-  options.encode_block_rows = knobs.strip;
-  options.simd = knobs.simd;
-  options.probe_cursors = knobs.cursors;
-  options.huge_pages = knobs.huge_pages;
-  return options;
+  WaitFreeBuilder builder(options);
+  const PotentialTable table = builder.build(data);
+  config.correct = config.correct && matches(table, reference);
+  config.level = builder.stats().simd_level;
+  if (warm_up) return;
+  config.wall.add(builder.stats().total_seconds);
+  config.critical.add(builder.stats().critical_path_seconds());
 }
 
-ConfigResult run_config(const Dataset& data, const SweepConfig& config,
-                        const Knobs& knobs, const TableDigest& reference) {
-  ConfigResult result;
-  result.knobs = knobs;
-  result.wall_seconds = 1e300;
-  result.critical_seconds = 1e300;
-  WaitFreeBuilder builder(options_for(config, knobs));
-  for (std::size_t rep = 0; rep < config.reps; ++rep) {
-    const PotentialTable table = builder.build(data);
-    const BuildStats& stats = builder.stats();
-    result.wall_seconds = std::min(result.wall_seconds, stats.total_seconds);
-    result.critical_seconds =
-        std::min(result.critical_seconds, stats.critical_path_seconds());
-    result.level = stats.simd_level;
-    result.huge_tables = stats.huge_page_tables;
-    result.huge_fallbacks = stats.huge_page_fallbacks;
-    if (rep == 0) result.identical = digest_of(table) == reference;
-  }
-  return result;
+void spread(JsonWriter& json, const std::string& name, const Samples& s) {
+  json.begin_object("measured_" + name);
+  json.number("median", s.median());
+  json.number("min", s.quantile(0.0));
+  json.number("max", s.quantile(1.0));
+  json.integer("n", s.n());
+  json.end_object();
 }
 
-std::vector<simd::Policy> parse_simd_list(const std::string& text) {
-  std::vector<simd::Policy> out;
+std::string range_ms(const Samples& s) {
+  return TablePrinter::fmt(s.median() * 1e3, 1) + " [" +
+         TablePrinter::fmt(s.quantile(0.0) * 1e3, 1) + "-" +
+         TablePrinter::fmt(s.quantile(1.0) * 1e3, 1) + "]";
+}
+
+std::vector<bool> parse_simd_list(const std::string& text) {
+  std::vector<bool> scalar;
   std::size_t at = 0;
   while (at <= text.size()) {
     const std::size_t comma = std::min(text.find(',', at), text.size());
     const std::string token = text.substr(at, comma - at);
-    simd::Policy policy;
-    if (!token.empty() && simd::parse_policy(token.c_str(), policy)) {
-      out.push_back(policy);
-    } else {
-      std::printf("unknown --simd value '%s' (want auto|scalar|avx2)\n",
+    if (token != "scalar" && token != "auto") {
+      std::printf("unknown --simd value '%s' (want scalar|auto)\n",
                   token.c_str());
       std::exit(1);
     }
+    scalar.push_back(token == "scalar");
     at = comma + 1;
   }
-  return out;
+  return scalar;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli(
-      "build_hot_path — kernel-dispatch / write-combining / probe sweep of "
-      "the two-stage construction kernel");
-  cli.add_option("samples", "1000000", "Training rows m");
+      "build_hot_path — encode level x cardinality x variant sweep of the "
+      "two-stage construction kernel");
+  cli.add_option("samples", "2000000", "Training rows m");
   cli.add_option("variables", "30", "Variables n");
-  cli.add_option("cardinality", "2",
-                 "States per variable r — a sweep list (e.g. 2,4,8)");
-  cli.add_option("threads", "8", "Workers (= partitions) P");
-  cli.add_option("buffers", "1,64",
-                 "route_buffer_keys values to sweep (1 = scalar routing)");
-  cli.add_option("prefetch", "0,4", "prefetch_distance values to sweep");
-  cli.add_option("encode-rows", "32",
-                 "encode_block_rows for swept configs (baseline always 1)");
+  cli.add_option("cardinality", "2,4",
+                 "States per variable r — a sweep list (e.g. 2,4)");
+  cli.add_option("threads", "4", "Workers (= partitions) P");
   cli.add_option("simd", "scalar,auto",
-                 "Kernel dispatch policies to sweep: auto|scalar|avx2");
-  cli.add_option("cursors", "0,16",
-                 "probe_cursors values to sweep (0 = in-order drain)");
-  cli.add_option("huge-pages", "0",
-                 "Huge-page table backing values to sweep (0 and/or 1)");
-  cli.add_option("reps", "2", "Repetitions per configuration (best-of)");
+                 "Encode levels to sweep: scalar (forced) and/or auto");
+  cli.add_option("pipelined", "0,1",
+                 "Variants to sweep: 0 = phased, 1 = pipelined");
+  cli.add_option("reps", "5", "Timed repetitions per configuration");
   cli.add_option("seed", "42", "Workload seed");
-  cli.add_flag("pipelined", "Sweep the barrier-free pipelined variant");
   cli.add_option("json-out", "BENCH_build_hot_path.json",
                  "JSON datapoint path (empty disables the file)");
   if (!cli.parse(argc, argv)) return 0;
 
-  SweepConfig config;
-  config.samples = static_cast<std::size_t>(cli.get_int("samples"));
-  config.variables = static_cast<std::size_t>(cli.get_int("variables"));
-  config.threads = static_cast<std::size_t>(cli.get_int("threads"));
-  config.reps = static_cast<std::size_t>(cli.get_int("reps"));
-  config.pipelined = cli.get_bool("pipelined");
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto strip = static_cast<std::size_t>(cli.get_int("encode-rows"));
+  const auto samples = static_cast<std::size_t>(cli.get_int("samples"));
+  const auto variables = static_cast<std::size_t>(cli.get_int("variables"));
+  const auto threads = static_cast<std::size_t>(cli.get_int("threads"));
+  const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
+  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const std::string json_out = cli.get("json-out");
-  const std::vector<std::int64_t> cardinalities =
-      cli.get_int_list("cardinality");
-  const std::vector<simd::Policy> policies = parse_simd_list(cli.get("simd"));
-  const std::vector<std::int64_t> cursor_list = cli.get_int_list("cursors");
-  const std::vector<std::int64_t> huge_list = cli.get_int_list("huge-pages");
+  const std::vector<bool> simd_legs = parse_simd_list(cli.get("simd"));
+  const std::vector<std::int64_t> variants = cli.get_int_list("pipelined");
 
-  std::printf("host simd level: %s\n", simd::level_name(simd::detected()));
+  const HostInfo host = HostInfo::probe();
+  std::printf("host: %u cores, %s, simd=%s, thp=%s\n", host.nproc,
+              host.cpu_model.c_str(), host.simd_level.c_str(),
+              host.thp_mode.c_str());
 
-  std::string json = "{\n  \"bench\": \"build_hot_path\",\n";
-  json += "  \"host_cores\": " +
-          std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  json += "  \"host_simd\": \"" +
-          std::string(simd::level_name(simd::detected())) + "\",\n";
-  json += "  \"config\": {\"samples\": " + std::to_string(config.samples) +
-          ", \"variables\": " + std::to_string(config.variables) +
-          ", \"threads\": " + std::to_string(config.threads) +
-          ", \"encode_block_rows\": " + std::to_string(strip) +
-          ", \"pipelined\": " + (config.pipelined ? "true" : "false") +
-          ", \"reps\": " + std::to_string(config.reps) +
-          ", \"seed\": " + std::to_string(config.seed) + "},\n";
-  json += "  \"sweeps\": [\n";
+  JsonWriter json;
+  json.begin_object();
+  json.string("bench", "build_hot_path");
+  json.host(host);
+  json.integer("host_cores", host.nproc);
+  json.begin_object("config");
+  json.integer("samples", samples);
+  json.integer("variables", variables);
+  json.integer("threads", threads);
+  json.integer("reps", reps);
+  json.integer("seed", seed);
+  json.end_object();
+  json.begin_array("sweeps");
 
-  bool all_identical = true;
-  for (std::size_t ci = 0; ci < cardinalities.size(); ++ci) {
-    const auto r = static_cast<std::uint32_t>(cardinalities[ci]);
-    std::printf("generating %zu x %zu (r=%u) workload...\n", config.samples,
-                config.variables, r);
-    const Dataset data =
-        generate_uniform(config.samples, config.variables, r, config.seed);
+  bool all_correct = true;
+  for (const std::int64_t r : cli.get_int_list("cardinality")) {
+    std::printf("generating %zu x %zu (r=%lld) workload...\n", samples,
+                variables, static_cast<long long>(r));
+    const Dataset data = generate_uniform(
+        samples, variables, static_cast<std::uint32_t>(r), seed);
+    const Counts reference = brute_force_counts(data);
 
-    // Scalar baseline: block size 1 at every layer, reference kernels,
-    // in-order probing, normal pages.
-    WaitFreeBuilder scalar(options_for(config, Knobs{}));
-    TableDigest reference;
-    double scalar_wall = 1e300;
-    double scalar_critical = 1e300;
-    for (std::size_t rep = 0; rep < config.reps; ++rep) {
-      const PotentialTable table = scalar.build(data);
-      if (rep == 0) reference = digest_of(table);
-      scalar_wall = std::min(scalar_wall, scalar.stats().total_seconds);
-      scalar_critical =
-          std::min(scalar_critical, scalar.stats().critical_path_seconds());
+    std::vector<Config> configs;
+    for (const std::int64_t pipelined : variants) {
+      for (const bool scalar : simd_legs) {
+        Config config;
+        config.scalar = scalar;
+        config.pipelined = pipelined != 0;
+        configs.push_back(std::move(config));
+      }
     }
-    std::printf("r=%u scalar baseline: wall %.3fs, critical path %.3fs\n", r,
-                scalar_wall, scalar_critical);
-
-    std::vector<ConfigResult> results;
-    for (const simd::Policy policy : policies) {
-      for (const std::int64_t cursors : cursor_list) {
-        for (const std::int64_t huge : huge_list) {
-          for (const std::int64_t buffer : cli.get_int_list("buffers")) {
-            for (const std::int64_t prefetch : cli.get_int_list("prefetch")) {
-              Knobs knobs;
-              knobs.buffer = static_cast<std::size_t>(buffer);
-              knobs.prefetch = static_cast<std::size_t>(prefetch);
-              knobs.strip = strip;
-              knobs.simd = policy;
-              knobs.cursors = static_cast<std::size_t>(cursors);
-              knobs.huge_pages = huge != 0;
-              results.push_back(run_config(data, config, knobs, reference));
-            }
-          }
-        }
+    for (Config& config : configs) run_once(data, threads, reference, config, true);
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      for (Config& config : configs) {
+        run_once(data, threads, reference, config, false);
       }
     }
 
-    TablePrinter table({"simd", "cursors", "huge", "buffer", "prefetch",
-                        "wall s", "critical s", "rows/s", "speedup",
-                        "identical"});
-    for (const ConfigResult& res : results) {
-      table.add_row(
-          {simd::level_name(res.level), std::to_string(res.knobs.cursors),
-           res.knobs.huge_pages ? "on" : "off",
-           std::to_string(res.knobs.buffer), std::to_string(res.knobs.prefetch),
-           TablePrinter::fmt(res.wall_seconds, 3),
-           TablePrinter::fmt(res.critical_seconds, 3),
-           TablePrinter::fmt(res.rows_per_sec(config.samples), 0),
-           TablePrinter::fmt(scalar_critical / res.critical_seconds, 2),
-           res.identical ? "yes" : "NO"});
+    TablePrinter table({"simd", "level", "variant", "wall ms [min-max]",
+                        "critical ms [min-max]", "rows/s", "vs scalar",
+                        "brute-force"});
+    json.begin_object();
+    json.integer("cardinality", static_cast<std::uint64_t>(r));
+    json.integer("distinct_keys", reference.size());
+    json.begin_array("results");
+    for (const Config& config : configs) {
+      const double critical = config.critical.median();
+      const double rows_per_sec =
+          critical > 0.0 ? static_cast<double>(samples) / critical : 0.0;
+      std::optional<double> vs_scalar;
+      for (const Config& other : configs) {
+        if (other.scalar && other.pipelined == config.pipelined &&
+            critical > 0.0) {
+          vs_scalar = other.critical.median() / critical;
+        }
+      }
+      table.add_row({config.scalar ? "scalar" : "auto",
+                     simd::level_name(config.level),
+                     config.pipelined ? "pipelined" : "phased",
+                     range_ms(config.wall), range_ms(config.critical),
+                     TablePrinter::fmt(rows_per_sec, 0),
+                     vs_scalar ? TablePrinter::fmt(*vs_scalar, 2) : "-",
+                     config.correct ? "match" : "DIVERGED"});
+      json.begin_object();
+      json.string("simd", config.scalar ? "scalar" : "auto");
+      json.string("simd_level", simd::level_name(config.level));
+      json.boolean("pipelined", config.pipelined);
+      spread(json, "wall_seconds", config.wall);
+      spread(json, "critical_path_seconds", config.critical);
+      json.measured("rows_per_sec", rows_per_sec);
+      if (vs_scalar) json.measured("speedup_vs_scalar", *vs_scalar);
+      json.boolean("matches_brute_force", config.correct);
+      json.end_object();
+      all_correct = all_correct && config.correct;
     }
-    table.print("build_hot_path — r=" + std::to_string(r) + " sweep (P=" +
-                std::to_string(config.threads) + ")");
-
-    json += "    {\"cardinality\": " + std::to_string(r) + ",\n";
-    char baseline[160];
-    std::snprintf(baseline, sizeof baseline,
-                  "     \"scalar_baseline\": {\"wall_seconds\": %.6f, "
-                  "\"critical_path_seconds\": %.6f},\n",
-                  scalar_wall, scalar_critical);
-    json += baseline;
-    json += "     \"results\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const ConfigResult& res = results[i];
-      char row[512];
-      std::snprintf(
-          row, sizeof row,
-          "      {\"route_buffer_keys\": %zu, \"prefetch_distance\": %zu, "
-          "\"simd\": \"%s\", \"simd_level\": \"%s\", \"probe_cursors\": %zu, "
-          "\"huge_pages\": %s, \"huge_page_tables\": %zu, "
-          "\"huge_page_fallbacks\": %zu, \"wall_seconds\": %.6f, "
-          "\"critical_path_seconds\": %.6f, \"rows_per_sec\": %.1f, "
-          "\"speedup_vs_scalar\": %.3f, \"identical_to_scalar\": %s}%s\n",
-          res.knobs.buffer, res.knobs.prefetch,
-          simd::policy_name(res.knobs.simd), simd::level_name(res.level),
-          res.knobs.cursors, res.knobs.huge_pages ? "true" : "false",
-          res.huge_tables, res.huge_fallbacks, res.wall_seconds,
-          res.critical_seconds, res.rows_per_sec(config.samples),
-          scalar_critical / res.critical_seconds,
-          res.identical ? "true" : "false",
-          i + 1 == results.size() ? "" : ",");
-      json += row;
-      all_identical &= res.identical;
-    }
-    json += "     ]}";
-    json += (ci + 1 == cardinalities.size()) ? "\n" : ",\n";
+    json.end_array();
+    json.end_object();
+    table.print("build_hot_path — r=" + std::to_string(r) + " (P=" +
+                std::to_string(threads) + ", " + std::to_string(reps) +
+                " reps)");
   }
-  json += "  ]\n}\n";
+  json.end_array();
+  json.end_object();
 
-  std::printf("\n-- JSON --\n%s", json.c_str());
+  std::printf("\n-- JSON --\n%s\n", json.str().c_str());
   if (!json_out.empty()) {
     if (std::FILE* f = std::fopen(json_out.c_str(), "w")) {
-      std::fputs(json.c_str(), f);
+      std::fprintf(f, "%s\n", json.str().c_str());
       std::fclose(f);
       std::printf("wrote %s\n", json_out.c_str());
     } else {
@@ -322,9 +254,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!all_identical) {
-    std::printf("ERROR: a swept configuration diverged from the scalar "
-                "baseline table\n");
+  if (!all_correct) {
+    std::printf("ERROR: a build diverged from the brute-force counts\n");
     return 1;
   }
   return 0;

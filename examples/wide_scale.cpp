@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.get_int("seed")));
 
   Timer timer;
-  WideBuilderOptions options;
+  WaitFreeBuilderOptions options;
   options.threads = threads;
   WideWaitFreeBuilder builder(options);
   const WidePotentialTable table = builder.build(data);

@@ -28,8 +28,7 @@ std::string_view builder_kind_name(BuilderKind kind) {
 
 namespace {
 
-std::size_t expected_keys(const Dataset& data, const BuilderOptions& options) {
-  if (options.expected_distinct_keys != 0) return options.expected_distinct_keys;
+std::size_t expected_keys(const Dataset& data) {
   return static_cast<std::size_t>(std::min<std::uint64_t>(
       data.sample_count(), data.codec().state_space_size()));
 }
@@ -47,14 +46,12 @@ PotentialTable wrap_as_potential(const Map& map, const KeyCodec& codec,
 
 class SequentialBuilder final : public ITableBuilder {
  public:
-  explicit SequentialBuilder(BuilderOptions options) : options_(options) {}
-
   PotentialTable build(const Dataset& data) override {
     stats_ = BuilderRunStats{};
     stats_.worker_seconds.assign(1, 0.0);
     const KeyCodec codec = data.codec();
     PartitionedTable table(1, codec.state_space_size(), PartitionScheme::kModulo,
-                           expected_keys(data, options_));
+                           expected_keys(data));
     OpenHashTable& map = table.partition(0);
     Timer timer;
     for (std::size_t i = 0; i < data.sample_count(); ++i) {
@@ -72,7 +69,6 @@ class SequentialBuilder final : public ITableBuilder {
   BuilderKind kind() const noexcept override { return BuilderKind::kSequential; }
 
  private:
-  BuilderOptions options_;
   BuilderRunStats stats_;
 };
 
@@ -102,7 +98,7 @@ class GlobalLockBuilder final : public ITableBuilder {
   PotentialTable build(const Dataset& data) override {
     stats_ = BuilderRunStats{};
     const KeyCodec codec = data.codec();
-    OpenHashTable map(expected_keys(data, options_));
+    OpenHashTable map(expected_keys(data));
     std::mutex mutex;
     ThreadPool pool(options_.threads);
     Timer timer;
@@ -135,7 +131,7 @@ class StripedBuilder final : public ITableBuilder {
   PotentialTable build(const Dataset& data) override {
     stats_ = BuilderRunStats{};
     const KeyCodec codec = data.codec();
-    StripedHashMap map(expected_keys(data, options_), options_.stripes);
+    StripedHashMap map(expected_keys(data), options_.stripes);
     ThreadPool pool(options_.threads);
     Timer timer;
     scan_rows(data, codec, pool, options_.pin_threads, stats_.worker_seconds,
@@ -164,7 +160,7 @@ class AtomicBuilder final : public ITableBuilder {
   PotentialTable build(const Dataset& data) override {
     stats_ = BuilderRunStats{};
     const KeyCodec codec = data.codec();
-    AtomicHashMap map(expected_keys(data, options_));
+    AtomicHashMap map(expected_keys(data));
     ThreadPool pool(options_.threads);
     Timer timer;
     scan_rows(data, codec, pool, options_.pin_threads, stats_.worker_seconds,
@@ -193,7 +189,6 @@ class WaitFreeAdapter final : public ITableBuilder {
     wf.threads = options.threads;
     wf.pipelined = pipelined;
     wf.pin_threads = options.pin_threads;
-    wf.expected_distinct_keys = options.expected_distinct_keys;
     builder_ = std::make_unique<WaitFreeBuilder>(wf);
   }
 
@@ -231,7 +226,7 @@ std::unique_ptr<ITableBuilder> make_builder(BuilderKind kind,
   WFBN_EXPECT(options.threads >= 1, "builder needs at least one thread");
   switch (kind) {
     case BuilderKind::kSequential:
-      return std::make_unique<SequentialBuilder>(options);
+      return std::make_unique<SequentialBuilder>();
     case BuilderKind::kGlobalLock:
       return std::make_unique<GlobalLockBuilder>(options);
     case BuilderKind::kStriped:

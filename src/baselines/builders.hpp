@@ -38,8 +38,6 @@ struct BuilderOptions {
   /// Lock stripes for kStriped (TBB uses per-bucket locks; more stripes =
   /// finer locking).
   std::size_t stripes = 256;
-  /// Expected distinct keys; 0 derives min(m, state space).
-  std::size_t expected_distinct_keys = 0;
   bool pin_threads = false;
 };
 

@@ -43,44 +43,6 @@ struct WaitFreeBuilderOptions {
   /// (unpinned worker, counted in BuildStats::pin_failures) instead of
   /// failing the build.
   bool pin_threads = false;
-  /// Pre-size per-partition hashtables; 0 derives an estimate from m.
-  std::size_t expected_distinct_keys = 0;
-  /// Rows a pipelined producer processes between drain attempts.
-  std::size_t pipeline_batch = 4096;
-  /// Stage-1 write-combining: keys staged per destination worker before the
-  /// router flushes them into the SPSC fabric with one bulk publish
-  /// (SpscQueue::push_block). 1 reproduces the pre-block behavior of one
-  /// release store per key. Buffers are always flushed at stage/batch
-  /// boundaries — see docs/ALGORITHMS.md ("Block routing fast path").
-  std::size_t route_buffer_keys = 64;
-  /// Stage-2 drain lookahead: while resolving a drained key, software-
-  /// prefetch the probe slot of the key this many positions ahead in the
-  /// consumed chunk span. 0 disables the hint.
-  std::size_t prefetch_distance = 4;
-  /// Rows encoded per strip in stage 1 before any routing, so the codec's
-  /// mixed-radix multiply chain pipelines instead of alternating with
-  /// table/queue traffic. 1 reproduces the row-at-a-time behavior.
-  std::size_t encode_block_rows = 32;
-  /// Kernel dispatch for the stage-1 encode strips: kAuto resolves to the
-  /// best level the host supports (util/simd.hpp — AVX2 SoA tiles on capable
-  /// x86, the scalar reference loop otherwise); kScalar forces the reference
-  /// loop; kAvx2 asks for the vector tiles and silently degrades when the
-  /// host lacks them. Every level is bit-identical (oracle-gated). The
-  /// effective level of the last build is reported in BuildStats::simd_level.
-  simd::Policy simd = simd::Policy::kAuto;
-  /// Stage-2 probe parallelism: with >= 2, drained spans are folded with
-  /// OpenHashTable::increment_block_batched using this many concurrent probe
-  /// cursors (hash a group, prefetch every home slot, advance round-robin),
-  /// overlapping the probe cache misses. 0 or 1 keeps the in-order drain —
-  /// increment_block behind a DrainStream, whose prefetch window (of
-  /// prefetch_distance) now carries across consume spans. Either path
-  /// produces identical tables; fault-injection runs always drain scalar.
-  std::size_t probe_cursors = 16;
-  /// Back each partition's entry array with transparent 2 MB pages once it
-  /// reaches one huge page (fewer TLB walks on larger-than-cache tables).
-  /// Best-effort: refusal degrades to normal pages and is reported in
-  /// BuildStats::huge_page_fallbacks, never an error.
-  bool huge_pages = false;
   /// Stall watchdog for the pipelined variant: if no worker makes progress
   /// (rows scanned + keys drained) for this long while the drain phase is
   /// still waiting on producers, the build aborts with a StallError carrying
@@ -117,15 +79,9 @@ struct BuildStats {
   std::size_t effective_workers = 0;
   std::size_t pin_failures = 0;
 
-  /// Effective encode dispatch level of the build (options.simd resolved
-  /// against the host; forced and env downgrades included).
+  /// Encode dispatch level of the build: the best level the host supports,
+  /// after the WFBN_SIMD ceiling and any ScopedForceLevel (util/simd.hpp).
   simd::Level simd_level = simd::Level::kScalar;
-  /// Partition tables whose entry array ended huge-page-advised vs. those
-  /// that requested huge backing for an eligible allocation and were refused
-  /// (kernel refusal or the table.huge_page fault point). Partitions smaller
-  /// than one huge page count in neither.
-  std::size_t huge_page_tables = 0;
-  std::size_t huge_page_fallbacks = 0;
 
   [[nodiscard]] bool degraded() const noexcept {
     return effective_workers < requested_workers || pin_failures > 0;
@@ -201,8 +157,6 @@ class BasicWaitFreeBuilder {
   /// one-writer-per-partition invariant at reduced parallelism.
   void run_phased(const Dataset& data, const Codec& codec,
                   BasicPartitionedTable<K>& table, ThreadPool& pool);
-  [[nodiscard]] std::size_t expected_entries_per_partition(
-      const Dataset& data, const Codec& codec, std::size_t threads) const;
 
   WaitFreeBuilderOptions options_;
   BuildStats stats_;
@@ -213,9 +167,5 @@ extern template class BasicWaitFreeBuilder<WideKey>;
 
 using WaitFreeBuilder = BasicWaitFreeBuilder<Key>;
 using WideWaitFreeBuilder = BasicWaitFreeBuilder<WideKey>;
-
-/// The wide builder historically had its own slimmer options struct; it now
-/// accepts the full option set (pipelining, pinning, watchdog, ...).
-using WideBuilderOptions = WaitFreeBuilderOptions;
 
 }  // namespace wfbn

@@ -9,7 +9,7 @@ namespace wfbn {
 template <typename K>
 BasicPartitionedTable<K>::BasicPartitionedTable(
     std::size_t partitions, std::uint64_t state_space, PartitionScheme scheme,
-    std::size_t expected_entries_per_partition, bool huge_pages)
+    std::size_t expected_entries_per_partition)
     : state_space_(state_space), scheme_(scheme) {
   WFBN_EXPECT(partitions >= 1, "need at least one partition");
   WFBN_EXPECT(state_space >= 1, "empty state space");
@@ -17,7 +17,7 @@ BasicPartitionedTable<K>::BasicPartitionedTable(
               "partition scheme unsupported for this key width");
   tables_.reserve(partitions);
   for (std::size_t p = 0; p < partitions; ++p) {
-    tables_.emplace_back(expected_entries_per_partition, huge_pages);
+    tables_.emplace_back(expected_entries_per_partition);
   }
 }
 

@@ -30,14 +30,11 @@ class BasicPartitionedTable {
   /// `partitions` = P. `state_space` is the codec's joint state-space size
   /// (needed for range partitioning; saturated for wide keys — see
   /// KeyTraits::state_space_bound). `expected_entries_per_partition`
-  /// pre-sizes each hashtable; with `huge_pages` each hashtable requests
-  /// 2 MB transparent backing for its entry array (best-effort — see
-  /// BasicOpenHashTable::backing()). Throws PreconditionError when the key
-  /// width does not support `scheme`.
+  /// pre-sizes each hashtable. Throws PreconditionError when the key width
+  /// does not support `scheme`.
   BasicPartitionedTable(std::size_t partitions, std::uint64_t state_space,
                         PartitionScheme scheme = PartitionScheme::kModulo,
-                        std::size_t expected_entries_per_partition = 16,
-                        bool huge_pages = false);
+                        std::size_t expected_entries_per_partition = 16);
 
   [[nodiscard]] std::size_t partition_count() const noexcept {
     return tables_.size();

@@ -66,7 +66,6 @@ const char* point_name(Point point) noexcept {
     case Point::kAdmissionReject: return "admission.reject";
     case Point::kLearnCiTest: return "learn.ci_test";
     case Point::kLearnSchedule: return "learn.schedule";
-    case Point::kTableHugePage: return "table.huge_page";
   }
   return "unknown";
 }
@@ -116,10 +115,9 @@ std::uint64_t hits(Point point) noexcept {
 }
 
 std::string arm_random_schedule(std::uint64_t seed) {
-  // Only throwing points participate: spawn/pin/cache-insert/recover-checksum/
-  // table.huge_page arming changes behavior via degradation instead of an
-  // error, which the fuzz sweeps exercise separately from their
-  // match-or-typed-error oracle.
+  // Only throwing points participate: spawn/pin/cache-insert/recover-checksum
+  // arming changes behavior via degradation instead of an error, which the
+  // fuzz sweeps exercise separately from their match-or-typed-error oracle.
   //
   // Every point here is width-generic: the builder, marginalizer, MI, and
   // serve kernels are one key-trait-templated implementation, so a schedule

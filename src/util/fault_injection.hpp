@@ -72,12 +72,8 @@ enum class Point : int {
                       ///< round completes; the learner's graphs are only
                       ///< mutated after a successful batch, so no torn state)
   kLearnSchedule,     ///< CI scheduler, before dispatching each work item
-  kTableHugePage,     ///< hashtable backing allocation, at the huge-page
-                      ///< mmap/madvise request (degrades: the table falls
-                      ///< back to normal pages, reported in BuildStats —
-                      ///< never an error)
 };
-inline constexpr int kPointCount = static_cast<int>(Point::kTableHugePage) + 1;
+inline constexpr int kPointCount = static_cast<int>(Point::kLearnSchedule) + 1;
 
 [[nodiscard]] const char* point_name(Point point) noexcept;
 

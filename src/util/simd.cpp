@@ -46,29 +46,6 @@ const char* level_name(Level level) noexcept {
   return "?";
 }
 
-const char* policy_name(Policy policy) noexcept {
-  switch (policy) {
-    case Policy::kAuto: return "auto";
-    case Policy::kScalar: return "scalar";
-    case Policy::kAvx2: return "avx2";
-  }
-  return "?";
-}
-
-bool parse_policy(const char* text, Policy& out) noexcept {
-  if (text == nullptr) return false;
-  if (std::strcmp(text, "auto") == 0) {
-    out = Policy::kAuto;
-  } else if (std::strcmp(text, "scalar") == 0) {
-    out = Policy::kScalar;
-  } else if (std::strcmp(text, "avx2") == 0) {
-    out = Policy::kAvx2;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 Level detected() noexcept {
   Level level = host_level();
   if (env_ceiling() < level) level = env_ceiling();

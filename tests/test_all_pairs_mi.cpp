@@ -134,7 +134,7 @@ TEST_P(AllPairsStrategies, BitwiseIdenticalToPairParallel) {
   }
   {
     SCOPED_TRACE("wide keys: n=100 binary");
-    WideBuilderOptions options;
+    WaitFreeBuilderOptions options;
     options.threads = 4;
     const WidePotentialTable table = WideWaitFreeBuilder(options).build(
         generate_chain_correlated(3000, 100, 2, 0.8, 44));

@@ -9,6 +9,7 @@
 #include <cctype>
 #include <filesystem>
 #include <map>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -257,35 +258,44 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------- block-routing flush points
 
-// The write-combining router introduced new flush sites: a full per-
-// destination buffer mid-scan, the stage-1-end flush_all before the barrier,
-// and the per-batch flush of the pipelined variant. All of them funnel into
-// SpscQueue::push_block, whose chunk allocations fire kSpscChunkAlloc — so
-// arming that point with routing enabled throws in the middle of a bulk
-// flush. A buffer larger than the queue's chunk capacity makes a single
-// flush straddle a chunk boundary, forcing the allocation mid-block.
+// The write-combining router has three flush sites: a full 64-key
+// per-destination buffer mid-scan, the stage-1-end flush_all before the
+// barrier, and the per-batch flush of the pipelined variant. All of them
+// funnel into SpscQueue::push_block, whose chunk allocations fire
+// kSpscChunkAlloc — so arming that point throws in the middle of a bulk
+// flush. In the pipelined variant the partial flush at each batch boundary
+// shifts the later 64-key flushes off the 2048-item chunk boundaries, so the
+// later allocations (hits 2 and 3) land inside a block. A throw inside one
+// push_block is pinned down directly by
+// SpscQueueBulk.ThrowMidBlockKeepsThePublishedPrefix.
 struct FlushConfig {
-  std::size_t route_buffer_keys;
   bool pipelined;
   std::uint64_t fire_on;
 };
+
+// Printed instead of the raw bytes, whose padding would make the listed test
+// names differ from run to run.
+void PrintTo(const FlushConfig& config, std::ostream* os) {
+  *os << (config.pipelined ? "pipelined" : "phased") << " hit "
+      << config.fire_on;
+}
 
 class FlushPointSweep : public ::testing::TestWithParam<FlushConfig> {};
 
 TEST_P(FlushPointSweep, ThrowMidFlushYieldsTypedErrorOrExactBuild) {
   const FlushConfig config = GetParam();
-  const Dataset data = generate_uniform(12000, 10, 2, 42);
+  const Dataset data = generate_uniform(24000, 10, 2, 42);
   const auto reference = reference_counts(data);
 
   fault::ScopedFaultInjection injection;
   fault::arm(fault::Point::kSpscChunkAlloc, config.fire_on);
 
   WaitFreeBuilderOptions options;
-  // Two workers concentrate ~3000 foreign keys into each of the two live
-  // queues, so chunk allocation (one per 2048 pushes) is actually reached.
+  // Two workers concentrate ~6000 foreign keys into each of the two live
+  // queues, so chunk allocation (one per 2048 pushes) is reached twice per
+  // queue.
   options.threads = 2;
   options.pipelined = config.pipelined;
-  options.route_buffer_keys = config.route_buffer_keys;
   options.stall_timeout_seconds = 5.0;
   WaitFreeBuilder builder(options);
   try {
@@ -300,24 +310,22 @@ TEST_P(FlushPointSweep, ThrowMidFlushYieldsTypedErrorOrExactBuild) {
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, FlushPointSweep,
-    ::testing::Values(FlushConfig{64, false, 1}, FlushConfig{64, true, 1},
-                      FlushConfig{4096, false, 1}, FlushConfig{4096, true, 1},
-                      FlushConfig{4096, false, 2}, FlushConfig{4096, true, 3}),
+    ::testing::Values(FlushConfig{false, 1}, FlushConfig{true, 1},
+                      FlushConfig{true, 2}, FlushConfig{true, 3}),
     [](const auto& p) {
-      return "Buffer" + std::to_string(p.param.route_buffer_keys) +
+      return std::string("Buffer64") +
              (p.param.pipelined ? "Pipelined" : "Phased") + "Hit" +
              std::to_string(p.param.fire_on);
     });
 
 TEST(FaultInjection, ThrowMidFlushKeepsAppendStrongGuarantee) {
   // append() stages into scratch partitions, so a bulk flush that throws
-  // halfway through push_block (prefix published, remainder dropped) only
-  // ever corrupts the scratch — the live table must stay bit-identical.
+  // (keys already published stay queued, the rest of the block is dropped)
+  // only ever corrupts the scratch — the live table must stay bit-identical.
   const Dataset base = generate_uniform(6000, 10, 2, 24);
   const Dataset batch = generate_uniform(12000, 10, 2, 25);
   WaitFreeBuilderOptions options;
   options.threads = 2;
-  options.route_buffer_keys = 4096;  // one flush spans > one 2048-item chunk
   WaitFreeBuilder builder(options);
   PotentialTable table = builder.build(base);
   const auto before = snapshot(table);
@@ -502,7 +510,7 @@ wide_snapshot(const WidePotentialTable& table) {
 
 TEST(WideFaultInjection, RandomSchedulesThrowTypedErrorsOrStayExact) {
   const Dataset data = generate_chain_correlated(6000, 100, 2, 0.8, 61);
-  WideBuilderOptions options;
+  WaitFreeBuilderOptions options;
   options.threads = 4;
   options.stall_timeout_seconds = 5.0;
   const auto reference = wide_snapshot(WideWaitFreeBuilder(options).build(data));
@@ -511,7 +519,7 @@ TEST(WideFaultInjection, RandomSchedulesThrowTypedErrorsOrStayExact) {
     fault::ScopedFaultInjection injection;
     const std::string schedule = fault::arm_random_schedule(seed);
     for (const bool pipelined : {false, true}) {
-      WideBuilderOptions faulted = options;
+      WaitFreeBuilderOptions faulted = options;
       faulted.pipelined = pipelined;
       WideWaitFreeBuilder builder(faulted);
       try {
@@ -528,7 +536,7 @@ TEST(WideFaultInjection, RandomSchedulesThrowTypedErrorsOrStayExact) {
 TEST(WideFaultInjection, MidAppendThrowLeavesWideTableBitIdentical) {
   const Dataset base = generate_chain_correlated(4000, 100, 2, 0.8, 62);
   const Dataset batch = generate_chain_correlated(8000, 100, 2, 0.8, 63);
-  WideBuilderOptions options;
+  WaitFreeBuilderOptions options;
   options.threads = 2;
   WideWaitFreeBuilder builder(options);
 
@@ -574,7 +582,7 @@ TEST(WideFaultInjection, MidAppendThrowLeavesWideTableBitIdentical) {
 
 TEST(WideFaultInjection, SpawnFailureDegradesWideBuildToFewerWorkers) {
   const Dataset data = generate_chain_correlated(5000, 80, 2, 0.8, 64);
-  WideBuilderOptions options;
+  WaitFreeBuilderOptions options;
   options.threads = 6;
   const auto reference = wide_snapshot(WideWaitFreeBuilder(options).build(data));
 

@@ -67,7 +67,7 @@ PotentialTable build(const Dataset& data, std::size_t threads = 4) {
 }
 
 WidePotentialTable wide_build(const Dataset& data, std::size_t threads = 4) {
-  WideBuilderOptions options;
+  WaitFreeBuilderOptions options;
   options.threads = threads;
   return WideWaitFreeBuilder(options).build(data);
 }

@@ -2,12 +2,10 @@
 // count table.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
 #include "table/open_hash_table.hpp"
-#include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 
 namespace wfbn {
@@ -131,8 +129,7 @@ TEST(OpenHashTable, SupportsLargePaperScaleKeys) {
   EXPECT_EQ(table.count(0), 1u);
 }
 
-// ---- multi-cursor batched probing, prefetch-carrying drain stream, and
-// huge-page backing (the stage-2 hot-path rework).
+// ---- multi-cursor block probing (the stage-2 drain kernel).
 
 std::vector<Key> duplicate_heavy_keys(std::uint64_t seed, std::size_t count) {
   Xoshiro256 rng(seed);
@@ -151,117 +148,32 @@ std::unordered_map<Key, std::uint64_t> contents_of(const OpenHashTable& table) {
   return map;
 }
 
-TEST(OpenHashTable, BatchedIncrementMatchesSequentialAtEveryCursorCount) {
-  for (const std::size_t count : {0u, 1u, 15u, 16u, 17u, 63u, 64u, 65u, 40000u}) {
+TEST(OpenHashTable, BlockIncrementMatchesPerKeyIncrementAtEveryLength) {
+  // Lengths around one and two 16-key probe groups (empty, partial, exact,
+  // one over) plus a long block. A 4-slot starting table forces grows in the
+  // middle of a group.
+  for (const std::size_t count :
+       {0u, 1u, 15u, 16u, 17u, 31u, 32u, 33u, 40000u}) {
     const std::vector<Key> keys = duplicate_heavy_keys(count + 5, count);
     OpenHashTable reference;
-    reference.increment_block(keys.data(), keys.size());
-    // Cursor counts below 2 fall back to the in-order path; above
-    // kMaxProbeCursors they are clamped. A tiny initial capacity forces
-    // mid-group grows.
-    for (const std::size_t cursors : {0u, 1u, 2u, 7u, 16u, 64u, 200u}) {
-      OpenHashTable table(4);
-      table.increment_block_batched(keys.data(), keys.size(), cursors);
-      EXPECT_EQ(contents_of(table), contents_of(reference))
-          << "count=" << count << " cursors=" << cursors;
-      EXPECT_EQ(table.size(), reference.size());
-      EXPECT_EQ(table.total_count(), reference.total_count());
-    }
-  }
-}
-
-TEST(OpenHashTable, BatchedIncrementHandlesDuplicatesWithinOneGroup) {
-  // A whole group of one key: the first cursor to resolve inserts, every
-  // other cursor must find that entry on its own walk.
-  std::vector<Key> keys(64, 42);
-  OpenHashTable table;
-  table.increment_block_batched(keys.data(), keys.size(), 64);
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.count(42), 64u);
-  EXPECT_EQ(table.total_count(), 64u);
-}
-
-TEST(OpenHashTable, IncrementBlockPrefetchesEveryKeyIncludingTheTail) {
-  // Distances beyond the block length prime the whole block up front; the
-  // result must stay exact at every (count, distance) shape.
-  for (const std::size_t count : {1u, 3u, 31u, 33u, 1000u}) {
-    const std::vector<Key> keys = duplicate_heavy_keys(count, count);
-    OpenHashTable reference;
-    reference.increment_block(keys.data(), keys.size());
-    for (const std::size_t distance : {1u, 4u, 16u, 2000u}) {
-      OpenHashTable table;
-      table.increment_block(keys.data(), keys.size(), distance);
-      EXPECT_EQ(contents_of(table), contents_of(reference))
-          << "count=" << count << " distance=" << distance;
-    }
-  }
-}
-
-TEST(OpenHashTable, DrainStreamMatchesInOrderIncrementsAcrossSpans) {
-  const std::vector<Key> keys = duplicate_heavy_keys(77, 20000);
-  OpenHashTable reference;
-  reference.increment_block(keys.data(), keys.size());
-  for (const std::size_t distance : {0u, 1u, 4u, 9u, 64u}) {
-    OpenHashTable table;
-    OpenHashTable::DrainStream stream(table, distance);
-    // Uneven span lengths, including spans shorter than the carry window —
-    // exactly the shape where the old per-block prefetch fence went dark.
-    std::size_t at = 0;
-    std::size_t span = 1;
-    while (at < keys.size()) {
-      const std::size_t n = std::min(span, keys.size() - at);
-      stream.feed(keys.data() + at, n);
-      EXPECT_LE(stream.carried(), distance);
-      at += n;
-      span = span * 3 % 17 + 1;
-    }
-    stream.finish();
-    EXPECT_EQ(stream.carried(), 0u);
-    EXPECT_EQ(contents_of(table), contents_of(reference))
-        << "distance=" << distance;
+    for (const Key key : keys) reference.increment(key);
+    OpenHashTable table(4);
+    table.increment_block(keys.data(), keys.size());
+    EXPECT_EQ(contents_of(table), contents_of(reference)) << "count=" << count;
+    EXPECT_EQ(table.size(), reference.size());
     EXPECT_EQ(table.total_count(), reference.total_count());
   }
 }
 
-TEST(OpenHashTable, HugePageBackingStates) {
-  // Small tables never take huge backing (a 2 MB page per 16-slot table
-  // would be absurd); large requested tables either get the advice or fall
-  // back — never plain kHeap.
-  OpenHashTable small(16, /*huge_pages=*/true);
-  EXPECT_EQ(small.backing(), PageBacking::kHeap);
-  EXPECT_TRUE(small.huge_pages_requested());
-
-  OpenHashTable plain(1 << 20, /*huge_pages=*/false);
-  EXPECT_EQ(plain.backing(), PageBacking::kHeap);
-  EXPECT_FALSE(plain.huge_pages_requested());
-
-  OpenHashTable big(1 << 20, /*huge_pages=*/true);
-  EXPECT_NE(big.backing(), PageBacking::kHeap);
-  // Whatever the backing, the table must behave identically.
-  for (Key key = 0; key < 50000; ++key) big.increment(key * 977);
-  for (Key key = 0; key < 50000; ++key) ASSERT_EQ(big.count(key * 977), 1u);
-}
-
-TEST(OpenHashTable, HugePageRequestSurvivesGrowAndCopy) {
-  OpenHashTable table(16, /*huge_pages=*/true);
-  EXPECT_EQ(table.backing(), PageBacking::kHeap);  // too small so far
-  // Grow it past one huge page (16-byte entries, 2 MB = 131072 slots).
-  for (Key key = 0; key < 200000; ++key) table.increment(key * 31 + 7);
-  EXPECT_NE(table.backing(), PageBacking::kHeap);
-  OpenHashTable copy = table;
-  EXPECT_EQ(copy.backing(), table.backing());
-  EXPECT_EQ(contents_of(copy), contents_of(table));
-}
-
-TEST(OpenHashTable, HugePageFaultPointDegradesToFallback) {
-  fault::ScopedFaultInjection injection;
-  fault::arm(fault::Point::kTableHugePage, 1);
-  OpenHashTable table(1 << 20, /*huge_pages=*/true);
-  // The injected refusal must degrade (normal pages), never throw.
-  EXPECT_EQ(table.backing(), PageBacking::kHugeFallback);
-  EXPECT_GE(fault::hits(fault::Point::kTableHugePage), 1u);
-  table.increment(9, 3);
-  EXPECT_EQ(table.count(9), 3u);
+TEST(OpenHashTable, BatchedIncrementHandlesDuplicatesWithinOneGroup) {
+  // Whole groups of one key: the first cursor to resolve inserts, every
+  // other cursor must find that entry on its own walk.
+  std::vector<Key> keys(64, 42);
+  OpenHashTable table;
+  table.increment_block(keys.data(), keys.size());
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.count(42), 64u);
+  EXPECT_EQ(table.total_count(), 64u);
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ struct WidthOps<Key> {
 template <>
 struct WidthOps<WideKey> {
   using Builder = WideWaitFreeBuilder;
-  using Options = WideBuilderOptions;
+  using Options = WaitFreeBuilderOptions;
   static Dataset make_data(std::size_t rows, std::uint64_t seed) {
     // 100 binary variables: past the 64-bit key limit by 37 bits.
     return generate_chain_correlated(rows, 100, 2, 0.8, seed);

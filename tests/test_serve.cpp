@@ -408,7 +408,7 @@ TEST(ServeFaults, RandomFaultSchedulesThroughIngestPublishPath) {
 // (joint state space 2^100), where narrow keys cannot even encode a row.
 
 WidePotentialTable wide_build(const Dataset& data, std::size_t threads = 4) {
-  WideBuilderOptions options;
+  WaitFreeBuilderOptions options;
   options.threads = threads;
   return WideWaitFreeBuilder(options).build(data);
 }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "concurrent/spsc_queue.hpp"
+#include "util/fault_injection.hpp"
 
 namespace wfbn {
 namespace {
@@ -201,6 +202,38 @@ TEST(SpscQueueBulk, ThrowingConsumerRedeliversTheSpan) {
   });
   ASSERT_EQ(seen.size(), 5u);
   for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(seen[i], i);
+}
+
+TEST(SpscQueueBulk, ThrowMidBlockKeepsThePublishedPrefix) {
+  SpscQueue<std::uint64_t, 8> queue;
+  std::vector<std::uint64_t> items(20);
+  for (std::uint64_t i = 0; i < items.size(); ++i) items[i] = i;
+  queue.push_block(items.data(), 5);
+
+  fault::ScopedFaultInjection injection;
+  fault::arm(fault::Point::kSpscChunkAlloc, 1);
+  // Items 5..7 fill the first chunk; item 8 needs a fresh chunk, whose
+  // allocation throws with 7 items of the block still unpublished.
+  EXPECT_THROW(queue.push_block(items.data() + 5, 10), InjectedFault);
+  EXPECT_EQ(fault::hits(fault::Point::kSpscChunkAlloc), 1u);
+  EXPECT_EQ(queue.pushed(), 8u);
+  std::vector<std::uint64_t> seen;
+  queue.consume([&](const std::uint64_t* span, std::size_t count) {
+    seen.insert(seen.end(), span, span + count);
+  });
+  EXPECT_EQ(seen, std::vector<std::uint64_t>(items.begin(), items.begin() + 8));
+  EXPECT_TRUE(queue.empty());
+
+  // Both ends stay valid: the queue keeps working once the fault is gone.
+  fault::reset();
+  queue.push_block(items.data() + 8, 12);
+  seen.clear();
+  queue.consume([&](const std::uint64_t* span, std::size_t count) {
+    seen.insert(seen.end(), span, span + count);
+  });
+  EXPECT_EQ(seen, std::vector<std::uint64_t>(items.begin() + 8, items.end()));
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.pushed(), 20u);
 }
 
 TEST(SpscQueueBulk, ConcurrentBulkProducerAndConsumerDeliverEverythingInOrder) {

@@ -4,7 +4,9 @@
 // shape, and the pipelined variant.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
+#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -270,49 +272,57 @@ TEST(WaitFreeBuilder, InvalidOptionsRejected) {
   WaitFreeBuilderOptions zero_threads;
   zero_threads.threads = 0;
   EXPECT_THROW(WaitFreeBuilder{zero_threads}, PreconditionError);
-  WaitFreeBuilderOptions zero_batch;
-  zero_batch.pipeline_batch = 0;
-  EXPECT_THROW(WaitFreeBuilder{zero_batch}, PreconditionError);
-  WaitFreeBuilderOptions zero_buffer;
-  zero_buffer.route_buffer_keys = 0;
-  EXPECT_THROW(WaitFreeBuilder{zero_buffer}, PreconditionError);
-  WaitFreeBuilderOptions zero_strip;
-  zero_strip.encode_block_rows = 0;
-  EXPECT_THROW(WaitFreeBuilder{zero_strip}, PreconditionError);
+  WaitFreeBuilderOptions negative_timeout;
+  negative_timeout.stall_timeout_seconds = -1.0;
+  EXPECT_THROW(WaitFreeBuilder{negative_timeout}, PreconditionError);
 }
 
 // ---------------------------------------------------------------------------
-// Block routing fast path: the batched configuration (write-combining router,
-// strip encoding, prefetched bulk drains) must produce a table byte-for-byte
-// identical to the scalar configuration (block size 1 everywhere), for both
-// key widths, both variants, and for append as well as build.
+// Block routing fast path: strip encoding, the write-combining router, bulk
+// drains and the multi-cursor probe must produce exactly the counts of a
+// brute-force scan — codec.encode(row) per raw row into a std::map — for
+// both key widths, both variants, both dispatch levels, and for append as
+// well as build. The reference shares no code with the kernel beyond the
+// per-row encode.
 
-/// Key-width-agnostic full table snapshot; two tables are byte-identical in
-/// the sense that matters iff their snapshots are equal.
+/// Key-width-agnostic (lo, hi) -> count map; a table matches its reference
+/// iff the two maps are equal.
+using CountMap = std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>;
+
 template <typename K>
-std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> snapshot_of(
-    const BasicPotentialTable<K>& table) {
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> counts;
-  table.partitions().for_each([&](K key, std::uint64_t c) {
-    if constexpr (std::is_same_v<K, WideKey>) {
-      counts[{key.lo, key.hi}] = c;
-    } else {
-      counts[{key, 0}] = c;
-    }
-  });
+std::pair<std::uint64_t, std::uint64_t> words_of(K key) {
+  if constexpr (std::is_same_v<K, WideKey>) {
+    return {key.lo, key.hi};
+  } else {
+    return {key, 0};
+  }
+}
+
+template <typename K>
+CountMap snapshot_of(const BasicPotentialTable<K>& table) {
+  CountMap counts;
+  table.partitions().for_each(
+      [&](K key, std::uint64_t c) { counts[words_of(key)] = c; });
   return counts;
 }
 
-WaitFreeBuilderOptions scalar_options(std::size_t threads, bool pipelined) {
+/// Brute-force counts of `datasets`' rows, encoded row by row.
+template <typename K>
+CountMap brute_force_counts(std::initializer_list<const Dataset*> datasets) {
+  CountMap counts;
+  for (const Dataset* data : datasets) {
+    const auto codec = KeyTraits<K>::make_codec(data->cardinalities());
+    for (std::size_t i = 0; i < data->sample_count(); ++i) {
+      ++counts[words_of<K>(codec.encode(data->row(i)))];
+    }
+  }
+  return counts;
+}
+
+WaitFreeBuilderOptions four_workers(bool pipelined) {
   WaitFreeBuilderOptions options;
-  options.threads = threads;
+  options.threads = 4;
   options.pipelined = pipelined;
-  options.route_buffer_keys = 1;
-  options.prefetch_distance = 0;
-  options.encode_block_rows = 1;
-  options.simd = simd::Policy::kScalar;
-  options.probe_cursors = 0;
-  options.huge_pages = false;
   return options;
 }
 
@@ -324,137 +334,75 @@ TYPED_TEST_SUITE(BlockRoutingOracle, OracleKeyTypes);
 
 TYPED_TEST(BlockRoutingOracle, BatchedBuildIsByteIdenticalToScalarBuild) {
   const Dataset data = generate_uniform(30000, 12, 3, 21);
+  const CountMap reference = brute_force_counts<TypeParam>({&data});
   for (const bool pipelined : {false, true}) {
-    BasicWaitFreeBuilder<TypeParam> scalar(scalar_options(4, pipelined));
-    const auto scalar_table = scalar.build(data);
-    // With a one-key buffer every route is its own flush and every drained
-    // span is at most one key ahead of the scalar cadence.
-    EXPECT_EQ(scalar.stats().total_route_flushes(),
-              scalar.stats().total_foreign_pushes());
+    BasicWaitFreeBuilder<TypeParam> builder(four_workers(pipelined));
+    const auto table = builder.build(data);
+    EXPECT_EQ(snapshot_of(table), reference) << "pipelined=" << pipelined;
+    EXPECT_EQ(table.sample_count(), 30000u);
 
-    // Sweep block geometries including sizes coprime with the row count and
-    // chunk capacity, so partial-buffer flushes and chunk-straddling blocks
-    // are all exercised.
-    for (const std::size_t buffer : {2u, 7u, 64u, 5000u}) {
-      WaitFreeBuilderOptions options = scalar_options(4, pipelined);
-      options.route_buffer_keys = buffer;
-      options.prefetch_distance = 4;
-      options.encode_block_rows = 32;
-      BasicWaitFreeBuilder<TypeParam> batched(options);
-      const auto batched_table = batched.build(data);
-      EXPECT_EQ(snapshot_of(batched_table), snapshot_of(scalar_table))
-          << "buffer=" << buffer << " pipelined=" << pipelined;
-      EXPECT_EQ(batched_table.sample_count(), scalar_table.sample_count());
-
-      const BuildStats& stats = batched.stats();
-      EXPECT_EQ(stats.total_foreign_pushes(),
-                scalar.stats().total_foreign_pushes());
-      // Buffering compresses flushes: strictly fewer than one per key.
-      EXPECT_LT(stats.total_route_flushes(), stats.total_foreign_pushes());
-      EXPECT_GT(stats.total_route_flushes(), 0u);
-      EXPECT_GT(stats.total_bulk_pops(), 0u);
-      // Every routed key is still drained exactly once, in bulk spans.
-      std::uint64_t pops = 0;
-      for (const WorkerStats& w : stats.workers) pops += w.stage2_pops;
-      EXPECT_EQ(pops, stats.total_foreign_pushes());
-      EXPECT_LE(stats.total_bulk_pops(), pops);
-    }
+    const BuildStats& stats = builder.stats();
+    // Buffering compresses flushes: strictly fewer than one per key.
+    EXPECT_LT(stats.total_route_flushes(), stats.total_foreign_pushes());
+    EXPECT_GT(stats.total_route_flushes(), 0u);
+    EXPECT_GT(stats.total_bulk_pops(), 0u);
+    // Every routed key is still drained exactly once, in bulk spans.
+    std::uint64_t pops = 0;
+    for (const WorkerStats& w : stats.workers) pops += w.stage2_pops;
+    EXPECT_EQ(pops, stats.total_foreign_pushes());
+    EXPECT_LE(stats.total_bulk_pops(), pops);
   }
 }
 
-TYPED_TEST(BlockRoutingOracle, SimdProbeHugePageSweepIsByteIdenticalToScalar) {
-  const Dataset data = generate_uniform(30000, 12, 3, 25);
-  for (const bool pipelined : {false, true}) {
-    BasicWaitFreeBuilder<TypeParam> scalar(scalar_options(4, pipelined));
-    const auto scalar_table = scalar.build(data);
-
-    // Every dispatch policy (kAvx2 degrades gracefully on hosts without it)
-    // crossed with in-order vs. multi-cursor draining and both page
-    // backings. 31 rows per strip keeps a remainder sub-tile in play on
-    // every strip.
-    for (const simd::Policy policy :
-         {simd::Policy::kScalar, simd::Policy::kAuto, simd::Policy::kAvx2}) {
-      for (const std::size_t cursors : {0u, 16u}) {
-        for (const bool huge : {false, true}) {
-          WaitFreeBuilderOptions options = scalar_options(4, pipelined);
-          options.route_buffer_keys = 64;
-          options.prefetch_distance = 4;
-          options.encode_block_rows = 31;
-          options.simd = policy;
-          options.probe_cursors = cursors;
-          options.huge_pages = huge;
-          BasicWaitFreeBuilder<TypeParam> swept(options);
-          const auto swept_table = swept.build(data);
-          EXPECT_EQ(snapshot_of(swept_table), snapshot_of(scalar_table))
-              << "policy=" << simd::policy_name(policy)
-              << " cursors=" << cursors << " huge=" << huge
-              << " pipelined=" << pipelined;
-          EXPECT_LE(static_cast<int>(swept.stats().simd_level),
-                    static_cast<int>(simd::detected()));
-        }
-      }
+TYPED_TEST(BlockRoutingOracle, SimdSweepMatchesBruteForceCounts) {
+  const Dataset base = generate_uniform(30000, 12, 3, 25);
+  const Dataset batch = generate_uniform(7001, 12, 3, 28);
+  const CountMap built = brute_force_counts<TypeParam>({&base});
+  const CountMap appended = brute_force_counts<TypeParam>({&base, &batch});
+  // The forced leg runs the scalar encode reference even on an AVX2 host;
+  // the native leg runs whatever the host resolves to. 7001 rows leave a
+  // remainder sub-tile in the last strip of every worker's block.
+  for (const bool forced : {true, false}) {
+    std::optional<simd::ScopedForceLevel> force;
+    if (forced) force.emplace(simd::Level::kScalar);
+    const simd::Level expected_level =
+        forced ? simd::Level::kScalar : simd::detected();
+    for (const bool pipelined : {false, true}) {
+      BasicWaitFreeBuilder<TypeParam> builder(four_workers(pipelined));
+      auto table = builder.build(base);
+      EXPECT_EQ(snapshot_of(table), built)
+          << "forced=" << forced << " pipelined=" << pipelined;
+      EXPECT_EQ(builder.stats().simd_level, expected_level);
+      builder.append(batch, table);
+      EXPECT_EQ(snapshot_of(table), appended)
+          << "append forced=" << forced << " pipelined=" << pipelined;
+      EXPECT_EQ(table.sample_count(), 37001u);
+      EXPECT_EQ(builder.stats().simd_level, expected_level);
     }
   }
 }
 
 TYPED_TEST(BlockRoutingOracle, ForcedSimdDowngradeBuildsIdenticalTables) {
   const Dataset data = generate_uniform(20000, 10, 3, 26);
-  WaitFreeBuilderOptions options = scalar_options(4, false);
-  options.encode_block_rows = 32;
-  options.simd = simd::Policy::kAvx2;
-
-  BasicWaitFreeBuilder<TypeParam> native(options);
+  BasicWaitFreeBuilder<TypeParam> native(four_workers(false));
   const auto native_table = native.build(data);
 
   simd::ScopedForceLevel force(simd::Level::kScalar);
-  BasicWaitFreeBuilder<TypeParam> forced(options);
+  BasicWaitFreeBuilder<TypeParam> forced(four_workers(false));
   const auto forced_table = forced.build(data);
   // The downgrade is silent, reported, and bit-exact.
   EXPECT_EQ(forced.stats().simd_level, simd::Level::kScalar);
   EXPECT_EQ(snapshot_of(forced_table), snapshot_of(native_table));
 }
 
-TEST(WaitFreeBuilder, HugePageOutcomesAreReportedInBuildStats) {
-  const Dataset data = generate_uniform(10000, 12, 2, 27);
-  WaitFreeBuilderOptions options;
-  options.threads = 2;
-  // Pre-size each partition past one huge page (16-byte entries) so the
-  // request is eligible everywhere.
-  options.expected_distinct_keys = 400000;
-
-  options.huge_pages = false;
-  WaitFreeBuilder plain(options);
-  (void)plain.build(data);
-  EXPECT_EQ(plain.stats().huge_page_tables, 0u);
-  EXPECT_EQ(plain.stats().huge_page_fallbacks, 0u);
-
-  options.huge_pages = true;
-  WaitFreeBuilder huge(options);
-  (void)huge.build(data);
-  // Advice accepted or refused is host policy; either way every eligible
-  // partition must be accounted for and nothing may throw.
-  EXPECT_EQ(huge.stats().huge_page_tables + huge.stats().huge_page_fallbacks,
-            2u);
-}
-
 TYPED_TEST(BlockRoutingOracle, BatchedAppendIsByteIdenticalToScalarAppend) {
   const Dataset base = generate_uniform(8000, 10, 2, 22);
   const Dataset batch = generate_uniform(6000, 10, 2, 23);
-
-  BasicWaitFreeBuilder<TypeParam> scalar(scalar_options(4, false));
-  auto scalar_table = scalar.build(base);
-  scalar.append(batch, scalar_table);
-
-  WaitFreeBuilderOptions options = scalar_options(4, false);
-  options.route_buffer_keys = 48;
-  options.prefetch_distance = 8;
-  options.encode_block_rows = 16;
-  BasicWaitFreeBuilder<TypeParam> batched(options);
-  auto batched_table = batched.build(base);
-  batched.append(batch, batched_table);
-
-  EXPECT_EQ(snapshot_of(batched_table), snapshot_of(scalar_table));
-  EXPECT_EQ(batched_table.sample_count(), scalar_table.sample_count());
+  BasicWaitFreeBuilder<TypeParam> builder(four_workers(false));
+  auto table = builder.build(base);
+  builder.append(batch, table);
+  EXPECT_EQ(snapshot_of(table), brute_force_counts<TypeParam>({&base, &batch}));
+  EXPECT_EQ(table.sample_count(), 14000u);
 }
 
 TEST(WaitFreeBuilder, TotalHelpersSumPerWorkerRoutingCounters) {

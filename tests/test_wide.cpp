@@ -86,7 +86,7 @@ TEST(WideOpenHashTable, CountsAndGrows) {
 TEST(WideBuilder, MatchesNarrowBuilderWhereBothApply) {
   // On a dataset the 64-bit path can handle, both builders must agree.
   const Dataset data = generate_chain_correlated(20000, 12, 2, 0.7, 304);
-  WideBuilderOptions wide_options;
+  WaitFreeBuilderOptions wide_options;
   wide_options.threads = 4;
   const WidePotentialTable wide = WideWaitFreeBuilder(wide_options).build(data);
 
@@ -109,7 +109,7 @@ TEST(WideBuilder, MatchesNarrowBuilderWhereBothApply) {
 TEST(WideBuilder, HandlesHundredVariableNetworks) {
   // The headline capability: phase 1 on n = 100 binary variables.
   const Dataset data = generate_chain_correlated(20000, 100, 2, 0.8, 305);
-  WideBuilderOptions options;
+  WaitFreeBuilderOptions options;
   options.threads = 4;
   const WidePotentialTable table = WideWaitFreeBuilder(options).build(data);
   EXPECT_EQ(table.sample_count(), 20000u);
@@ -126,7 +126,7 @@ TEST(WideBuilder, HandlesHundredVariableNetworks) {
 
 TEST(WideBuilder, AllPairsMiOrdersChainNeighbors) {
   const Dataset data = generate_chain_correlated(15000, 70, 2, 0.85, 306);
-  WideBuilderOptions options;
+  WaitFreeBuilderOptions options;
   options.threads = 4;
   const WidePotentialTable table = WideWaitFreeBuilder(options).build(data);
   const MiMatrix mi =
@@ -139,9 +139,9 @@ TEST(WideBuilder, AllPairsMiOrdersChainNeighbors) {
 
 TEST(WideBuilder, ThreadCountInvariant) {
   const Dataset data = generate_uniform(10000, 80, 2, 307);
-  WideBuilderOptions one;
+  WaitFreeBuilderOptions one;
   one.threads = 1;
-  WideBuilderOptions eight;
+  WaitFreeBuilderOptions eight;
   eight.threads = 8;
   const WidePotentialTable a = WideWaitFreeBuilder(one).build(data);
   const WidePotentialTable b = WideWaitFreeBuilder(eight).build(data);
@@ -157,7 +157,7 @@ TEST(WideBuilder, ThreadCountInvariant) {
 }
 
 TEST(WideBuilder, RejectsBadArguments) {
-  WideBuilderOptions zero;
+  WaitFreeBuilderOptions zero;
   zero.threads = 0;
   EXPECT_THROW(WideWaitFreeBuilder{zero}, PreconditionError);
   const Dataset empty(0, {2, 2});
