@@ -158,7 +158,7 @@ MiMatrix BasicAllPairsMi<K>::compute_fused(const Table& table,
   const auto pairs = enumerate_pairs(n);
   const std::size_t parts = partitions.partition_count();
   const std::size_t workers = pool.size();
-  const simd::Level level = simd::resolve(simd::Policy::kAuto);
+  const simd::Level level = simd::detected();
 
   // Heavy entries' pair tables, back to back in one flat per-worker buffer
   // (allocated on a worker's first heavy entry).

@@ -64,7 +64,7 @@ void KeyCodec::encode_block(const State* rows, std::size_t row_count, Key* out,
     }
     return;
   }
-  // Vectorized path (level from simd::resolve(), so the AVX2 tiles only run
+  // Vectorized path (level from simd::detected(), so the AVX2 tiles only run
   // on hosts that support them): full SoA tiles, portable-lane remainder.
   const std::uint64_t* strides = strides_.data();
   std::size_t i = 0;

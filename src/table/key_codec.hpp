@@ -64,7 +64,7 @@ class KeyCodec {
   /// and runs the mixed-radix multiply-add across 4 rows per vector (with a
   /// portable lane-structured fallback on non-x86 builds). Every level
   /// computes bit-identical keys — callers resolve the level once per build
-  /// via simd::resolve() and sweeps are oracle-gated against kScalar.
+  /// via simd::detected() and sweeps are oracle-gated against kScalar.
   void encode_block(const State* rows, std::size_t row_count, Key* out,
                     simd::Level level = simd::Level::kScalar) const noexcept;
 

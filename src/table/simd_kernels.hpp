@@ -12,7 +12,7 @@
 // Neighboring rows are independent, so the lane loop has no carried
 // dependency and vectorizes: the portable kernels are written so the
 // compiler's auto-vectorizer can take them, and the AVX2 specializations
-// (runtime-dispatched via simd::resolve(), compiled behind a function-level
+// (runtime-dispatched via simd::detected(), compiled behind a function-level
 // `target("avx2")` attribute so the rest of the binary stays baseline-ISA)
 // process 4 rows per 256-bit vector.
 //
@@ -243,7 +243,7 @@ __attribute__((target("avx2,popcnt"))) inline std::uint64_t and_popcount_avx2(
 #endif  // WFBN_AVX2_KERNELS
 
 /// Σ popcount(a[i] & b[i]) for i < words, at the dispatch level `level`
-/// (from simd::resolve(), so the AVX2 kernel only runs where supported).
+/// (from simd::detected(), so the AVX2 kernel only runs where supported).
 inline std::uint64_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
                                   std::size_t words, simd::Level level) noexcept {
 #ifdef WFBN_AVX2_KERNELS
