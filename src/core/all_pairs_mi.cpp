@@ -28,9 +28,6 @@ std::vector<MiMatrix::ScoredPair> MiMatrix::pairs_above(double threshold) const 
 
 namespace {
 
-/// Light entries per transpose tile: one tile fills one word of every plane.
-constexpr std::size_t kTileKeys = 64;
-
 /// Unordered pairs (i, j), i < j, in a flat deterministic order.
 std::vector<std::pair<std::size_t, std::size_t>> enumerate_pairs(std::size_t n) {
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
@@ -92,25 +89,31 @@ MiMatrix BasicAllPairsMi<K>::compute(const Table& table) {
 
 template <typename K>
 MiMatrix BasicAllPairsMi<K>::compute(const Table& table, ThreadPool& pool) {
-  const std::size_t n = table.codec().variable_count();
+  Timer timer;
+  MiMatrix out = options_.strategy == AllPairsStrategy::kFused
+                     ? compute_fused(Planes(table, pool), pool)
+                     : compute_pair_parallel(table, pool);
+  stats_.total_seconds = timer.seconds();
+  return out;
+}
+
+template <typename K>
+MiMatrix BasicAllPairsMi<K>::compute(const Planes& planes, ThreadPool& pool) {
+  Timer timer;
+  MiMatrix out = options_.strategy == AllPairsStrategy::kFused
+                     ? compute_fused(planes, pool)
+                     : compute_pair_parallel(planes.table(), pool);
+  stats_.total_seconds = timer.seconds();
+  return out;
+}
+
+template <typename K>
+void BasicAllPairsMi<K>::reset_stats(std::size_t n, std::size_t workers) {
   WFBN_EXPECT(n >= 2, "all-pairs MI needs at least two variables");
   stats_ = AllPairsStats{};
   stats_.pair_count = n * (n - 1) / 2;
-  stats_.worker_seconds.assign(pool.size(), 0.0);
-  stats_.worker_entries_visited.assign(pool.size(), 0);
-
-  Timer timer;
-  MiMatrix out(n);
-  switch (options_.strategy) {
-    case AllPairsStrategy::kPairParallel:
-      out = compute_pair_parallel(table, pool);
-      break;
-    case AllPairsStrategy::kFused:
-      out = compute_fused(table, pool);
-      break;
-  }
-  stats_.total_seconds = timer.seconds();
-  return out;
+  stats_.worker_seconds.assign(workers, 0.0);
+  stats_.worker_entries_visited.assign(workers, 0);
 }
 
 template <typename K>
@@ -118,6 +121,7 @@ MiMatrix BasicAllPairsMi<K>::compute_pair_parallel(const Table& table,
                                                    ThreadPool& pool) {
   const typename Traits::Codec& codec = table.codec();
   const std::size_t n = codec.variable_count();
+  reset_stats(n, pool.size());
   const auto pairs = enumerate_pairs(n);
   MiMatrix out(n);
 
@@ -150,108 +154,46 @@ MiMatrix BasicAllPairsMi<K>::compute_pair_parallel(const Table& table,
 }
 
 template <typename K>
-MiMatrix BasicAllPairsMi<K>::compute_fused(const Table& table,
+MiMatrix BasicAllPairsMi<K>::compute_fused(const Planes& planes,
                                            ThreadPool& pool) {
-  const typename Traits::Codec& codec = table.codec();
-  const auto& partitions = table.partitions();
+  const typename Traits::Codec& codec = planes.table().codec();
   const std::size_t n = codec.variable_count();
-  const auto pairs = enumerate_pairs(n);
-  const std::size_t parts = partitions.partition_count();
   const std::size_t workers = pool.size();
+  reset_stats(n, std::max(workers, planes.worker_seconds().size()));
+  // Pass 1 is the plane build; its busy time and sweep are this run's too.
+  std::copy(planes.worker_seconds().begin(), planes.worker_seconds().end(),
+            stats_.worker_seconds.begin());
+  std::copy(planes.worker_entries().begin(), planes.worker_entries().end(),
+            stats_.worker_entries_visited.begin());
+  const auto pairs = enumerate_pairs(n);
   const simd::Level level = simd::detected();
 
-  // Heavy entries' pair tables, back to back in one flat per-worker buffer
-  // (allocated on a worker's first heavy entry).
+  // Pass 2, heavy entries: the per-entry update of every pair table, the
+  // heavy list block-distributed over the workers. Each worker's pair tables
+  // lie back to back in one private flat buffer.
   std::vector<std::size_t> offsets(pairs.size() + 1, 0);
   for (std::size_t k = 0; k < pairs.size(); ++k) {
     const auto [i, j] = pairs[k];
     offsets[k + 1] = offsets[k] + static_cast<std::size_t>(codec.cardinality(i)) *
                                       codec.cardinality(j);
   }
+  const auto heavy_entries = planes.heavy();
   std::vector<std::vector<std::uint64_t>> heavy(workers);
-
-  // One bit plane per (variable v, state a >= 1): bit e of plane (v, a) is
-  // set when light entry e has x_v = a. Planes are stored back to back,
-  // `words` words each; worker w owns words [word_lo[w], word_lo[w + 1]) of
-  // every plane — sized from its partitions' populations and 64-bit aligned,
-  // so no two workers ever write the same word.
-  std::vector<std::size_t> plane_of(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    plane_of[v + 1] = plane_of[v] + codec.cardinality(v) - 1;
-  }
-  const std::size_t planes = plane_of[n];
-  const auto plane = [&](std::size_t v, std::uint32_t a) {
-    return plane_of[v] + a - 1;  // plane index of (variable v, state a >= 1)
-  };
-  std::vector<std::size_t> word_lo(workers + 1, 0);
-  for (std::size_t w = 0; w < workers; ++w) {
-    const auto [lo, hi] = ThreadPool::block_range(parts, workers, w);
-    std::size_t entries = 0;
-    for (std::size_t p = lo; p < hi; ++p) entries += partitions.partition(p).size();
-    word_lo[w + 1] = word_lo[w] + (entries + kTileKeys - 1) / kTileKeys;
-  }
-  const std::size_t words = word_lo[workers];
-  std::vector<std::uint64_t> bits(planes * words, 0);
-  // Per-worker light marginals: entry [plane] = light entries with x_v = a;
-  // the final slot counts all light entries (the light total).
-  std::vector<std::vector<std::uint64_t>> light(
-      workers, std::vector<std::uint64_t>(planes + 1, 0));
-
-  // Decode-of-interest recipes (Eq. 4) for every variable, hoisted out of
-  // the sweep. decode_leg extracts each variable independently of the others
-  // with precomputed reciprocals, so the extractions pipeline instead of
-  // forming decode_all's chain of dependent divisions.
-  std::vector<typename Traits::VarLeg> legs;
-  legs.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) legs.push_back(Traits::leg_of(codec, v));
-
-  // Pass 1 — transpose. Light entries (count 1) gather into 64-key tiles
-  // that become one word per plane; heavy entries (count > 1) take the
-  // per-entry pair update into the worker's private pair tables.
-  pool.run([&](std::size_t w) {
-    Timer timer;
-    std::uint64_t visited = 0;
-    std::uint64_t* plane_totals = light[w].data();
-    std::size_t word = word_lo[w];
-    K tile[kTileKeys];
-    std::size_t fill = 0;
-    State lane[kTileKeys];
-    std::vector<State> states(n);
-
-    const auto flush_tile = [&] {
-      for (std::size_t v = 0; v < n; ++v) {
-        const typename Traits::VarLeg& leg = legs[v];
-        for (std::size_t e = 0; e < fill; ++e) {
-          lane[e] = static_cast<State>(Traits::decode_leg(leg, tile[e]));
-        }
-        const std::uint32_t r = codec.cardinality(v);
-        for (std::uint32_t a = 1; a < r; ++a) {
-          std::uint64_t plane_word = 0;
-          for (std::size_t e = 0; e < fill; ++e) {
-            plane_word |= static_cast<std::uint64_t>(lane[e] == a) << e;
-          }
-          bits[plane(v, a) * words + word] = plane_word;
-          plane_totals[plane(v, a)] +=
-              static_cast<std::uint64_t>(std::popcount(plane_word));
-        }
-      }
-      plane_totals[planes] += fill;
-      ++word;
-      fill = 0;
-    };
-
-    const auto [lo, hi] = ThreadPool::block_range(parts, workers, w);
-    for (std::size_t p = lo; p < hi; ++p) {
-      WFBN_FAULT_POINT(fault::Point::kMiSweep);
-      partitions.partition(p).for_each([&](K key, std::uint64_t c) {
-        ++visited;
-        if (c == 1) {
-          tile[fill++] = key;
-          if (fill == kTileKeys) flush_tile();
-          return;
-        }
-        std::vector<std::uint64_t>& counts = heavy[w];
-        if (counts.empty()) counts.assign(offsets.back(), 0);
+  if (!heavy_entries.empty()) {
+    std::vector<typename Traits::VarLeg> legs;
+    legs.reserve(n);
+    for (std::size_t v = 0; v < n; ++v) legs.push_back(Traits::leg_of(codec, v));
+    pool.run([&](std::size_t w) {
+      Timer timer;
+      const auto [lo, hi] =
+          ThreadPool::block_range(heavy_entries.size(), workers, w);
+      if (lo == hi) return;
+      std::vector<std::uint64_t>& counts = heavy[w];
+      counts.assign(offsets.back(), 0);
+      std::vector<State> states(n);
+      for (std::size_t h = lo; h < hi; ++h) {
+        const K key = heavy_entries[h].key;
+        const std::uint64_t c = heavy_entries[h].count;
         for (std::size_t v = 0; v < n; ++v) {
           states[v] = static_cast<State>(Traits::decode_leg(legs[v], key));
         }
@@ -260,23 +202,17 @@ MiMatrix BasicAllPairsMi<K>::compute_fused(const Table& table,
           counts[offsets[k] + states[i] +
                  static_cast<std::size_t>(codec.cardinality(i)) * states[j]] += c;
         }
-      });
-    }
-    if (fill > 0) flush_tile();
-    stats_.worker_seconds[w] = timer.seconds();
-    stats_.worker_entries_visited[w] = visited;
-  });
-
-  std::vector<std::uint64_t> marginals(planes + 1, 0);
-  for (const std::vector<std::uint64_t>& part : light) {
-    for (std::size_t c = 0; c <= planes; ++c) marginals[c] += part[c];
+      }
+      stats_.worker_seconds[w] += timer.seconds();
+    });
   }
-  const std::uint64_t light_total = marginals[planes];
 
-  // Pass 2 — pair cells. Cell (a >= 1, b >= 1) is an AND-popcount of two
-  // planes; row and column 0 follow from the light marginals and the light
-  // total; then the heavy tables are added. Every count is an exact
+  // Pass 2, pair cells. Cell (a >= 1, b >= 1) is an AND-popcount of two
+  // planes; row and column 0 follow from the plane totals and the light
+  // count; then the heavy tables are added. Every count is an exact
   // integer, so the MI equals the per-pair sweep's bit for bit.
+  const std::size_t words = planes.words();
+  const std::span<const std::uint64_t> totals = planes.plane_totals();
   MiMatrix out(n);
   pool.parallel_for(0, pairs.size(), [&](std::size_t w, std::size_t lo,
                                          std::size_t hi) {
@@ -287,18 +223,18 @@ MiMatrix BasicAllPairsMi<K>::compute_fused(const Table& table,
       const std::uint32_t r_i = codec.cardinality(i);
       const std::uint32_t r_j = codec.cardinality(j);
       cells.assign(static_cast<std::size_t>(r_i) * r_j, 0);
-      std::uint64_t zero_i = light_total;  // light entries with x_i = 0
+      std::uint64_t zero_i = planes.light_count();  // light entries with x_i = 0
       for (std::uint32_t a = 1; a < r_i; ++a) {
-        zero_i -= marginals[plane(i, a)];
-        cells[a] = marginals[plane(i, a)];
+        zero_i -= totals[planes.plane_index(i, a)];
+        cells[a] = totals[planes.plane_index(i, a)];
       }
       for (std::uint32_t b = 1; b < r_j; ++b) {
         std::uint64_t* row = cells.data() + static_cast<std::size_t>(r_i) * b;
-        row[0] = marginals[plane(j, b)];
-        const std::uint64_t* plane_b = bits.data() + plane(j, b) * words;
+        row[0] = totals[planes.plane_index(j, b)];
+        const std::uint64_t* plane_b = planes.plane(j, b);
         for (std::uint32_t a = 1; a < r_i; ++a) {
           const std::uint64_t both = simd_detail::and_popcount(
-              bits.data() + plane(i, a) * words, plane_b, words, level);
+              planes.plane(i, a), plane_b, words, level);
           row[a] = both;
           row[0] -= both;
           cells[a] -= both;

@@ -9,23 +9,24 @@
 //  - kPairParallel  Algorithm 4 as published: pairs are block-distributed
 //                   over the workers; each worker sweeps the whole table per
 //                   pair. The reference the tests and bench/fig5 use.
-//  - kFused         (default) a two-pass column kernel. Pass 1 sweeps the
-//                   table once in parallel. Each entry routes itself by its
-//                   own count, with no threshold:
-//                     light (count 1)  gathered 64 at a time and transposed
-//                                      into one-hot bit planes, one plane
-//                                      per (variable, state >= 1);
-//                     heavy (count > 1) the per-entry pair update into the
-//                                      worker's private pair tables.
-//                   Pass 2 runs over the pair space: light cell (a>=1, b>=1)
-//                   is popcount(plane_i^a & plane_j^b); row/column 0 and
-//                   cell (0,0) follow from the per-plane light totals and
-//                   the light entry count; the heavy tables are added.
+//  - kFused         (default) a two-pass column kernel. Pass 1 is
+//                   BasicEntryPlanes (core/entry_planes.hpp): one parallel
+//                   sweep transposes the count-1 (light) entries into
+//                   one-hot bit planes, one per (variable, state >= 1), and
+//                   lists the count > 1 (heavy) entries. Pass 2 runs in
+//                   parallel: the heavy list takes the per-entry pair update
+//                   into worker-private pair tables; then, over the pair
+//                   space, light cell (a>=1, b>=1) is
+//                   popcount(plane_i^a & plane_j^b), row/column 0 and cell
+//                   (0,0) follow from the per-plane light totals and the
+//                   light entry count, and the heavy tables are added.
 //                   Cost O(E·n + Σ(r_i−1)(r_j−1)·E/64 + H·n²) for E entries
 //                   of which H are heavy — versus O(E·n²) for a per-entry
 //                   pair update. Uncompressed tables (E ≈ m, nearly all
 //                   light) gain the most; compressed ones (mostly heavy)
-//                   keep the per-entry path.
+//                   keep the per-entry path. A caller that has the planes
+//                   already (Cheng's learner, whose CI tests count from
+//                   them) passes them in, and pass 1 is not repeated.
 //
 // A template over the key type; both strategies decode single variables
 // through KeyTraits' VarLeg recipe, so they work at both key widths.
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "concurrent/thread_pool.hpp"
+#include "core/entry_planes.hpp"
 #include "table/potential_table.hpp"
 
 namespace wfbn {
@@ -80,7 +82,9 @@ struct AllPairsStats {
   double total_seconds = 0.0;
   std::uint64_t pair_count = 0;
   /// Per-worker busy time; max over workers is the simulated-makespan input.
+  /// kFused counts pass 1 (the plane build) and pass 2.
   std::vector<double> worker_seconds;
+  /// Table entries each worker swept (kFused: in the plane build).
   std::vector<std::uint64_t> worker_entries_visited;
 };
 
@@ -89,6 +93,7 @@ class BasicAllPairsMi {
  public:
   using Traits = KeyTraits<K>;
   using Table = BasicPotentialTable<K>;
+  using Planes = BasicEntryPlanes<K>;
 
   explicit BasicAllPairsMi(AllPairsOptions options = {});
 
@@ -96,12 +101,16 @@ class BasicAllPairsMi {
   [[nodiscard]] MiMatrix compute(const Table& table);
   [[nodiscard]] MiMatrix compute(const Table& table, ThreadPool& pool);
 
+  /// Same, for the table `planes` were built from; kFused starts at pass 2.
+  [[nodiscard]] MiMatrix compute(const Planes& planes, ThreadPool& pool);
+
   [[nodiscard]] const AllPairsStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const AllPairsOptions& options() const noexcept { return options_; }
 
  private:
+  void reset_stats(std::size_t n, std::size_t workers);
   MiMatrix compute_pair_parallel(const Table& table, ThreadPool& pool);
-  MiMatrix compute_fused(const Table& table, ThreadPool& pool);
+  MiMatrix compute_fused(const Planes& planes, ThreadPool& pool);
 
   AllPairsOptions options_;
   AllPairsStats stats_;

@@ -1,0 +1,162 @@
+#include "core/entry_planes.hpp"
+
+#include <algorithm>
+#include <bit>
+
+#include "util/fault_injection.hpp"
+#include "util/timer.hpp"
+
+namespace wfbn {
+
+template <typename K>
+BasicEntryPlanes<K>::BasicEntryPlanes(const Table& table, ThreadPool& pool)
+    : table_(table) {
+  const typename Traits::Codec& codec = table.codec();
+  const auto& partitions = table.partitions();
+  const std::size_t n = codec.variable_count();
+  const std::size_t parts = partitions.partition_count();
+  const std::size_t workers = pool.size();
+
+  plane_of_.assign(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    plane_of_[v + 1] = plane_of_[v] + codec.cardinality(v) - 1;
+  }
+  const std::size_t planes = plane_of_[n];
+  // Worker w owns words [word_lo[w], word_lo[w + 1]) of every plane, enough
+  // for all of its partitions' entries to be light.
+  std::vector<std::size_t> word_lo(workers + 1, 0);
+  for (std::size_t w = 0; w < workers; ++w) {
+    const auto [lo, hi] = ThreadPool::block_range(parts, workers, w);
+    std::size_t entries = 0;
+    for (std::size_t p = lo; p < hi; ++p) entries += partitions.partition(p).size();
+    word_lo[w + 1] = word_lo[w] + (entries + kWordEntries - 1) / kWordEntries;
+  }
+  words_ = word_lo[workers];
+  bits_.assign(planes * words_, 0);
+  valid_.assign(words_, 0);
+  worker_seconds_.assign(workers, 0.0);
+  worker_entries_.assign(workers, 0);
+  // Per-worker plane totals; the final slot counts the worker's light entries.
+  std::vector<std::vector<std::uint64_t>> totals(
+      workers, std::vector<std::uint64_t>(planes + 1, 0));
+  std::vector<std::vector<HeavyEntry>> heavy(workers);
+
+  // Decode-of-interest recipes (Eq. 4) for every variable, hoisted out of
+  // the sweep. decode_leg extracts each variable independently of the others
+  // with precomputed reciprocals, so the extractions pipeline instead of
+  // forming decode_all's chain of dependent divisions.
+  std::vector<typename Traits::VarLeg> legs;
+  legs.reserve(n);
+  for (std::size_t v = 0; v < n; ++v) legs.push_back(Traits::leg_of(codec, v));
+
+  pool.run([&](std::size_t w) {
+    Timer timer;
+    std::uint64_t visited = 0;
+    std::uint64_t* const plane_totals = totals[w].data();
+    std::uint64_t* const bits = bits_.data();
+    const std::size_t words = words_;
+    std::size_t word = word_lo[w];
+    K tile[kWordEntries];
+    std::size_t fill = 0;
+    State lane[kWordEntries];
+
+    const auto flush_tile = [&] {
+      std::size_t p = 0;  // plane index of (v, a)
+      for (std::size_t v = 0; v < n; ++v) {
+        const typename Traits::VarLeg& leg = legs[v];
+        for (std::size_t e = 0; e < fill; ++e) {
+          lane[e] = static_cast<State>(Traits::decode_leg(leg, tile[e]));
+        }
+        const std::uint32_t r = codec.cardinality(v);
+        for (std::uint32_t a = 1; a < r; ++a, ++p) {
+          std::uint64_t plane_word = 0;
+          for (std::size_t e = 0; e < fill; ++e) {
+            plane_word |= static_cast<std::uint64_t>(lane[e] == a) << e;
+          }
+          bits[p * words + word] = plane_word;
+          plane_totals[p] += static_cast<std::uint64_t>(std::popcount(plane_word));
+        }
+      }
+      valid_[word] = static_cast<std::uint8_t>(fill);
+      plane_totals[planes] += fill;
+      ++word;
+      fill = 0;
+    };
+
+    const auto [lo, hi] = ThreadPool::block_range(parts, workers, w);
+    for (std::size_t p = lo; p < hi; ++p) {
+      WFBN_FAULT_POINT(fault::Point::kMiSweep);
+      partitions.partition(p).for_each([&](K key, std::uint64_t c) {
+        ++visited;
+        if (c == 1) {
+          tile[fill++] = key;
+          if (fill == kWordEntries) flush_tile();
+        } else {
+          heavy[w].push_back(HeavyEntry{key, c});
+        }
+      });
+    }
+    if (fill > 0) flush_tile();
+    worker_seconds_[w] = timer.seconds();
+    worker_entries_[w] = visited;
+  });
+
+  plane_totals_.assign(planes, 0);
+  for (const std::vector<std::uint64_t>& part : totals) {
+    for (std::size_t c = 0; c < planes; ++c) plane_totals_[c] += part[c];
+    light_count_ += part[planes];
+  }
+  std::size_t heavy_count = 0;
+  for (const std::vector<HeavyEntry>& part : heavy) heavy_count += part.size();
+  heavy_.reserve(heavy_count);
+  for (const std::vector<HeavyEntry>& part : heavy) {
+    heavy_.insert(heavy_.end(), part.begin(), part.end());
+  }
+}
+
+template <typename K>
+MarginalTable BasicEntryPlanes<K>::marginalize(
+    std::span<const std::size_t> variables) const {
+  const typename Traits::Projector projector(table_.codec(), variables);
+  MarginalTable out(projector.variables(), projector.cardinalities());
+
+  // One leg per (variable, state a >= 1): its plane and the cell offset a
+  // light entry in that state contributes, a · stride in the projector's
+  // layout (first variable fastest).
+  struct Leg {
+    const std::uint64_t* plane;
+    std::size_t step;
+  };
+  std::vector<Leg> legs;
+  std::size_t stride = 1;
+  for (std::size_t k = 0; k < variables.size(); ++k) {
+    const std::uint32_t r = projector.cardinalities()[k];
+    for (std::uint32_t a = 1; a < r; ++a) {
+      legs.push_back(Leg{plane(variables[k], a), a * stride});
+    }
+    stride *= r;
+  }
+
+  std::size_t cell[kWordEntries];
+  for (std::size_t w = 0; w < words_; ++w) {
+    const std::size_t valid = valid_[w];
+    if (valid == 0) continue;
+    std::fill_n(cell, kWordEntries, std::size_t{0});
+    for (const Leg& leg : legs) {
+      for (std::uint64_t bits = leg.plane[w]; bits != 0; bits &= bits - 1) {
+        cell[std::countr_zero(bits)] += leg.step;
+      }
+    }
+    // Lanes past `valid` hold no entry; their cell 0 must not be counted.
+    for (std::size_t e = 0; e < valid; ++e) out.add(cell[e], 1);
+  }
+  for (const HeavyEntry& entry : heavy_) {
+    out.add(projector.project(entry.key), entry.count);
+  }
+  return out;
+}
+
+template class BasicEntryPlanes<Key>;
+template class BasicEntryPlanes<WideKey>;
+
+}  // namespace wfbn

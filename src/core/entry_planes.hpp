@@ -1,0 +1,120 @@
+// The potential table decoded once into a column layout: pass 1 of the
+// column all-pairs MI kernel (paper Algorithm 4, docs/ALGORITHMS.md), kept
+// as a structure of its own so that the CI tests of a learn count from it
+// too instead of sweeping the hash table once per marginal (Algorithm 3).
+//
+// One parallel sweep over the partitions routes every entry by its count:
+//   light (count 1)   gathered 64 at a time and transposed into one-hot bit
+//                     planes, one plane per (variable v, state a >= 1): bit e
+//                     of word w of plane (v, a) is set when light entry
+//                     64·w + e has x_v = a. State 0 gets no plane;
+//   heavy (count > 1) appended to a compact (key, count) list.
+// Worker w owns a 64-bit-aligned word range of every plane, sized from its
+// partitions' populations, so workers write disjoint words of one shared
+// array. The valid count of word w is the number of light entries in it: 64
+// for a full word, fewer for the last word a worker filled, 0 for the unused
+// tail of a worker's range. Bits at or past it are zero in every plane, so
+// an entry whose states are all 0 is told apart from an empty lane only by
+// the valid count.
+//
+// marginalize() counts any variable subset from this layout — per plane
+// word, the set bits add a·stride into 64 per-entry cell indices; only the
+// word's valid entries are scattered into the marginal; the heavy list goes
+// through the key projector — at O(E·Σ_{v∈S} P(x_v ≠ 0) + E + H·|S|) for E
+// light and H heavy entries, exact integer counts equal to a table sweep.
+//
+// Read-only after construction: marginalize() may run concurrently from any
+// number of threads.
+#pragma once
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "concurrent/thread_pool.hpp"
+#include "table/marginal_table.hpp"
+#include "table/potential_table.hpp"
+
+namespace wfbn {
+
+template <typename K>
+class BasicEntryPlanes {
+ public:
+  using Traits = KeyTraits<K>;
+  using Table = BasicPotentialTable<K>;
+
+  struct HeavyEntry {
+    K key;
+    std::uint64_t count;
+  };
+
+  /// Builds the planes in one sweep across `pool`; kMiSweep fires once per
+  /// partition. `table` must outlive the planes.
+  BasicEntryPlanes(const Table& table, ThreadPool& pool);
+
+  [[nodiscard]] const Table& table() const noexcept { return table_; }
+
+  /// Words per plane (every plane has the same length).
+  [[nodiscard]] std::size_t words() const noexcept { return words_; }
+
+  /// Index of the plane of (variable v, state a >= 1).
+  [[nodiscard]] std::size_t plane_index(std::size_t v, std::uint32_t a) const {
+    return plane_of_[v] + a - 1;
+  }
+
+  /// The `words()` words of plane (v, a >= 1).
+  [[nodiscard]] const std::uint64_t* plane(std::size_t v, std::uint32_t a) const {
+    return bits_.data() + plane_index(v, a) * words_;
+  }
+
+  /// Light entries with x_v = a, indexed by plane_index(v, a).
+  [[nodiscard]] std::span<const std::uint64_t> plane_totals() const noexcept {
+    return plane_totals_;
+  }
+
+  /// Number of light (count-1) entries.
+  [[nodiscard]] std::uint64_t light_count() const noexcept {
+    return light_count_;
+  }
+
+  /// The count > 1 entries, in no particular order.
+  [[nodiscard]] std::span<const HeavyEntry> heavy() const noexcept {
+    return heavy_;
+  }
+
+  /// Exact marginal counts of `variables` (their order is the layout, as for
+  /// KeyProjector); equal to sweeping the table. Runs on the calling thread.
+  [[nodiscard]] MarginalTable marginalize(
+      std::span<const std::size_t> variables) const;
+
+  /// Per build worker: busy seconds and table entries visited.
+  [[nodiscard]] const std::vector<double>& worker_seconds() const noexcept {
+    return worker_seconds_;
+  }
+  [[nodiscard]] const std::vector<std::uint64_t>& worker_entries() const noexcept {
+    return worker_entries_;
+  }
+
+ private:
+  /// Entries per plane word.
+  static constexpr std::size_t kWordEntries = 64;
+
+  const Table& table_;
+  std::vector<std::size_t> plane_of_;  ///< first plane of each variable
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> bits_;    ///< Σ_v (r_v − 1) planes × words_
+  std::vector<std::uint8_t> valid_;    ///< light entries in each word, 0..64
+  std::vector<std::uint64_t> plane_totals_;
+  std::uint64_t light_count_ = 0;
+  std::vector<HeavyEntry> heavy_;
+  std::vector<double> worker_seconds_;
+  std::vector<std::uint64_t> worker_entries_;
+};
+
+extern template class BasicEntryPlanes<Key>;
+extern template class BasicEntryPlanes<WideKey>;
+
+using EntryPlanes = BasicEntryPlanes<Key>;
+using WideEntryPlanes = BasicEntryPlanes<WideKey>;
+
+}  // namespace wfbn

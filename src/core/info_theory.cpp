@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <math.h>  // lgamma_r
 #include <vector>
 
 #include "util/error.hpp"
@@ -93,6 +94,14 @@ GTestResult g_test(const MarginalTable& joint, std::size_t x, std::size_t y) {
 
 namespace {
 
+// log Γ(a) without touching glibc's global `signgam`, which std::lgamma
+// writes: CI tests evaluate p-values on several pool workers at once.
+// lgamma_r computes the same value with the same routine.
+double log_gamma(double a) {
+  int sign = 0;
+  return ::lgamma_r(a, &sign);
+}
+
 // Regularized lower incomplete gamma by its power series; converges fast for
 // x < a + 1.
 double gamma_p_series(double a, double x) {
@@ -105,7 +114,7 @@ double gamma_p_series(double a, double x) {
     sum += term;
     if (std::fabs(term) < std::fabs(sum) * 1e-15) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 // Regularized upper incomplete gamma by Lentz's continued fraction; converges
@@ -128,7 +137,7 @@ double gamma_q_cf(double a, double x) {
     h *= delta;
     if (std::fabs(delta - 1.0) < 1e-15) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 }  // namespace

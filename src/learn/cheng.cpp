@@ -123,23 +123,18 @@ ChengResult BasicChengLearner<K>::learn_with_pool(const Table& table,
   const std::size_t n = table.codec().variable_count();
   ChengResult result{UndirectedGraph(n), Dag(n), MiMatrix(n), 0, 0, 0,
                      0, PhaseTimings{}, {}, CiScheduleStats{}};
-  // The tester is shared by every scheduler worker, so it must take the
-  // thread-safe sweep path: reuse cache on → sequential per-call sweeps
-  // through the cache; cache off → threads forced to 1 so each test
-  // marginalizes sequentially on its worker. Either way no pool is nested
-  // inside a work item, and the statistics are bit-identical.
-  CiOptions ci = options_.ci;
-  ci.threads = 1;
-  const BasicCiTester<K> tester(table, ci);
   BasicCiScheduler<K> scheduler(pool);
 
   // ---------- Phase 1: drafting ----------
+  // The table is decoded once, into the planes of the column MI kernel's
+  // pass 1; the drafting MI and every later CI test count from them.
   Timer phase_timer;
+  const BasicEntryPlanes<K> planes(table, pool);
   AllPairsOptions ap;
   ap.threads = options_.ci.threads;
   ap.strategy = options_.all_pairs_strategy;
   BasicAllPairsMi<K> all_pairs(ap);
-  result.mi = all_pairs.compute(table, pool);
+  result.mi = all_pairs.compute(planes, pool);
 
   const double epsilon = options_.ci.method == CiMethod::kMiThreshold
                              ? options_.ci.mi_threshold
@@ -169,8 +164,10 @@ ChengResult BasicChengLearner<K>::learn_with_pool(const Table& table,
   // Every deferred pair is re-examined against the *frozen* post-draft graph
   // (cut-sets included), then the additions are applied in descending-MI
   // order — the canonical order `deferred` already carries. Workers only
-  // read `graph` and write their own outcome slot.
+  // read `graph` and write their own outcome slot; the tester is shared by
+  // all of them.
   phase_timer.reset();
+  const BasicCiTester<K> tester(planes, options_.ci);
   std::vector<PairOutcome> thicken(deferred.size());
   scheduler.for_each(deferred.size(), [&](std::size_t i) {
     const auto& pair = deferred[i];

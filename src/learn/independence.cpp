@@ -94,39 +94,43 @@ CiDecision decide_from_joint(const MarginalTable& joint, std::size_t x,
 // ---------------------------------------------------------------------------
 // BasicCiTester
 
+namespace {
+
+template <typename K>
+std::unique_ptr<const BasicEntryPlanes<K>> build_planes(
+    const BasicPotentialTable<K>& table, const CiOptions& options) {
+  WFBN_EXPECT(options.threads >= 1, "need at least one thread");
+  ThreadPool pool(options.threads);
+  return std::make_unique<const BasicEntryPlanes<K>>(table, pool);
+}
+
+/// Validates the test thresholds; the reuse cache, or null when it is off.
+std::shared_ptr<MarginalReuseCache> checked_cache(const CiOptions& options) {
+  WFBN_EXPECT(options.mi_threshold >= 0.0, "MI threshold must be >= 0");
+  WFBN_EXPECT(options.alpha > 0.0 && options.alpha < 1.0, "alpha in (0,1)");
+  if (!options.reuse_marginals) return nullptr;
+  return std::make_shared<MarginalReuseCache>(options.cache_shards);
+}
+
+}  // namespace
+
 template <typename K>
 BasicCiTester<K>::BasicCiTester(const Table& table, CiOptions options)
-    : table_(table), options_(options), marginalizer_(options.threads) {
-  WFBN_EXPECT(options_.threads >= 1, "need at least one thread");
-  WFBN_EXPECT(options_.mi_threshold >= 0.0, "MI threshold must be >= 0");
-  WFBN_EXPECT(options_.alpha > 0.0 && options_.alpha < 1.0, "alpha in (0,1)");
-  if (options_.reuse_marginals) {
-    cache_ = std::make_shared<MarginalReuseCache>(options_.cache_shards);
-  }
-}
+    : owned_planes_(build_planes(table, options)),
+      planes_(*owned_planes_),
+      options_(options),
+      cache_(checked_cache(options)) {}
 
 template <typename K>
-BasicCiTester<K>::BasicCiTester(const Table& table, CiOptions options,
-                                ThreadPool& pool)
-    : BasicCiTester(table, options) {
-  pool_ = &pool;
-}
+BasicCiTester<K>::BasicCiTester(const Planes& planes, CiOptions options)
+    : planes_(planes), options_(options), cache_(checked_cache(options)) {}
 
 template <typename K>
-MarginalTable BasicCiTester<K>::sweep_marginal(
+MarginalTable BasicCiTester<K>::count_marginal(
     std::span<const std::size_t> vars) const {
-  if (cache_) {
-    // Cache-on path: always sweep sequentially on the calling thread, so the
-    // tester is safe under concurrent test() calls (the per-instance
-    // Marginalizer's worker_stats_ buffer is not) and scheduler workers never
-    // nest thread pools. Parallelism comes from tests in flight.
-    if (auto hit = cache_->find(vars, cache_version_)) return *hit;
-    return *cache_->insert(vars, cache_version_,
-                           table_.marginalize_sequential(vars));
-  }
-  if (pool_ != nullptr) return marginalizer_.marginalize(table_, vars, *pool_);
-  if (options_.threads > 1) return marginalizer_.marginalize(table_, vars);
-  return table_.marginalize_sequential(vars);
+  if (!cache_) return planes_.marginalize(vars);
+  if (auto hit = cache_->find(vars, cache_version_)) return *hit;
+  return *cache_->insert(vars, cache_version_, planes_.marginalize(vars));
 }
 
 template <typename K>
@@ -154,7 +158,7 @@ CiDecision BasicCiTester<K>::test(std::size_t x, std::size_t y,
   joint_vars.insert(joint_vars.end(), z.begin(), z.end());
   std::sort(joint_vars.begin(), joint_vars.end());
 
-  const MarginalTable joint = sweep_marginal(joint_vars);
+  const MarginalTable joint = count_marginal(joint_vars);
   return decide_from_joint(joint, x, y, options_);
 }
 
@@ -165,7 +169,7 @@ double BasicCiTester<K>::pair_mi(std::size_t x, std::size_t y) const {
     throw OperationCancelled("structure learning cancelled during MI scoring");
   }
   const std::size_t vars[] = {std::min(x, y), std::max(x, y)};
-  return mutual_information(sweep_marginal(vars));
+  return mutual_information(count_marginal(vars));
 }
 
 template class BasicCiTester<Key>;

@@ -1,27 +1,33 @@
 // Conditional-independence testing on a potential table — the statistics
 // tests of Cheng et al.'s algorithm (paper §II-C), templated over KeyTraits
 // so the same tester runs at both key widths (state spaces to 2^126). A test
-// marginalizes the potential table to the *canonical* (sorted) variable set
-// {x, y} ∪ Z and then decides (in)dependence either by thresholding
-// conditional mutual information (Cheng's criterion) or by a G-test p-value.
+// counts the marginal of the *canonical* (sorted) variable set {x, y} ∪ Z and
+// then decides (in)dependence either by thresholding conditional mutual
+// information (Cheng's criterion) or by a G-test p-value.
+//
+// Counting: the tester never sweeps the hash table. It counts from the
+// table's BasicEntryPlanes (core/entry_planes.hpp) — the one-hot bit planes
+// of the count-1 entries plus the list of count > 1 entries, built once per
+// learn (Cheng's drafting builds them for all-pairs MI and hands them over;
+// PC-stable builds them at learn start). Per plane word the set bits add
+// a·stride into 64 per-entry cell indices, only the word's valid entries
+// are scattered into the marginal, and only the heavy list goes through the
+// key projector.
 //
 // Marginal reuse (Jiang et al., "Fast Parallel Bayesian Network Structure
 // Learning"): within one learner level many tests share the same {x,y} ∪ Z
 // set — both orientations of a pair, and the minimization probes of a
 // cut-set. The tester therefore consults a sharded, version-keyed
 // MarginalReuseCache keyed by the canonical variable set, so each distinct
-// marginalization is swept once per level no matter how many tests (or
-// worker threads) ask for it. Because marginal tables hold exact integer
-// counts and the variable order is canonical, every path — cached or not,
-// sequential or scheduled across a pool — produces bit-identical statistics.
+// marginal is counted once per level no matter how many tests (or worker
+// threads) ask for it. Because marginal tables hold exact integer counts and
+// the variable order is canonical, every path — cached or not, on any
+// number of scheduler workers — produces bit-identical statistics.
 //
-// Thread safety: with the cache enabled (the default) test() marginalizes
-// sequentially on the calling thread and is safe to call concurrently from
-// any number of scheduler workers — parallelism comes from many tests in
-// flight, not from inside one test. With the cache disabled the tester falls
-// back to the legacy per-test parallel marginalization (borrowed pool if one
-// was provided, else an internal Marginalizer with the deprecated `threads`
-// knob) and must then be driven from one thread at a time.
+// Thread safety: the planes are read-only and the cache is sharded, so
+// test() counts on the calling thread and may be called concurrently from
+// any number of scheduler workers, cache on or off — parallelism comes from
+// many tests in flight, not from inside one test.
 #pragma once
 
 #include <atomic>
@@ -32,9 +38,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "concurrent/thread_pool.hpp"
+#include "core/entry_planes.hpp"
 #include "core/info_theory.hpp"
-#include "core/marginalizer.hpp"
 #include "table/potential_table.hpp"
 
 namespace wfbn {
@@ -49,9 +54,9 @@ struct CiOptions {
   double mi_threshold = 0.01;  ///< ε (nats) for kMiThreshold
   double alpha = 0.01;         ///< significance level for kGTest
   /// DEPRECATED alias: worker count for the learner-owned pool when no
-  /// ThreadPool is borrowed (and for legacy per-test marginalization when
-  /// reuse_marginals is off). New code should hand the learner a ThreadPool&
-  /// instead — one pool per learn call, tests scheduled across it.
+  /// ThreadPool is borrowed, and for the plane build of a tester constructed
+  /// from a table. New code should hand the learner a ThreadPool& instead —
+  /// one pool per learn call, tests scheduled across it.
   std::size_t threads = 1;
   /// Share {x,y} ∪ Z marginalizations across tests through the sharded
   /// reuse cache. On/off is bit-identical; off only exists for measurement.
@@ -130,20 +135,22 @@ class MarginalReuseCache {
                                            std::size_t x, std::size_t y,
                                            const CiOptions& options);
 
-/// Stateless apart from configuration + the table it tests against; safe to
-/// share across phases and (with the reuse cache enabled) across scheduler
-/// workers. Counts tests for complexity reporting.
+/// Stateless apart from configuration + the planes it counts from; safe to
+/// share across phases and across scheduler workers. Counts tests for
+/// complexity reporting.
 template <typename K>
 class BasicCiTester {
  public:
   using Table = BasicPotentialTable<K>;
+  using Planes = BasicEntryPlanes<K>;
 
+  /// Builds and owns the planes of `table`, on a pool of options.threads
+  /// workers. `table` must outlive the tester.
   BasicCiTester(const Table& table, CiOptions options);
 
-  /// Borrowed-pool constructor (the BasicQueryEngine pattern): with the
-  /// reuse cache off, per-test marginalizations run across `pool` instead of
-  /// spawning threads per test. The pool must outlive the tester.
-  BasicCiTester(const Table& table, CiOptions options, ThreadPool& pool);
+  /// Counts from planes built elsewhere (once per learn), which must outlive
+  /// the tester.
+  BasicCiTester(const Planes& planes, CiOptions options);
 
   /// Tests X ⟂ Y | Z. Z may be empty (marginal independence, Eq. 1).
   [[nodiscard]] CiDecision test(std::size_t x, std::size_t y,
@@ -156,7 +163,7 @@ class BasicCiTester {
     return tests_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] const CiOptions& options() const noexcept { return options_; }
-  [[nodiscard]] const Table& table() const noexcept { return table_; }
+  [[nodiscard]] const Table& table() const noexcept { return planes_.table(); }
 
   /// The reuse cache (null when options.reuse_marginals is off).
   [[nodiscard]] const MarginalReuseCache* cache() const noexcept {
@@ -170,15 +177,12 @@ class BasicCiTester {
   }
 
  private:
-  [[nodiscard]] MarginalTable sweep_marginal(
+  [[nodiscard]] MarginalTable count_marginal(
       std::span<const std::size_t> vars) const;
-  [[nodiscard]] CiDecision decide_canonical(std::size_t x, std::size_t y,
-                                            std::span<const std::size_t> z) const;
 
-  const Table& table_;
+  std::unique_ptr<const Planes> owned_planes_;  ///< null when borrowed
+  const Planes& planes_;
   CiOptions options_;
-  BasicMarginalizer<K> marginalizer_;
-  ThreadPool* pool_ = nullptr;  ///< borrowed; only the cache-off path uses it
   std::shared_ptr<MarginalReuseCache> cache_;
   std::uint64_t cache_version_ = 0;
   mutable std::atomic<std::uint64_t> tests_{0};

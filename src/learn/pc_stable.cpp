@@ -86,11 +86,10 @@ PcStableResult BasicPcStableLearner<K>::learn_with_pool(const Table& table,
                                                         ThreadPool& pool) const {
   const std::size_t n = table.codec().variable_count();
   PcStableResult result{UndirectedGraph(n), Dag(n), {}, 0, 0, CiScheduleStats{}};
-  // Thread-safe tester configuration — see BasicChengLearner: sweeps stay
-  // sequential per test, parallelism comes from pairs in flight.
-  CiOptions ci = options_.ci;
-  ci.threads = 1;
-  const BasicCiTester<K> tester(table, ci);
+  // The table is decoded once into planes that every CI test counts from;
+  // tests count on their worker, parallelism comes from pairs in flight.
+  const BasicEntryPlanes<K> planes(table, pool);
+  const BasicCiTester<K> tester(planes, options_.ci);
   BasicCiScheduler<K> scheduler(pool);
 
   // Start from the complete graph.

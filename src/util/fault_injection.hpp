@@ -42,7 +42,8 @@ enum class Point : int {
   kPipelineDrain,     ///< pipelined builder, once per drain sweep
   kAppendCommit,      ///< append(), after staging and before the commit
   kMarginalizeSweep,  ///< marginalizer worker, once per swept partition
-  kMiSweep,           ///< all-pairs-MI worker, once per unit of sweep work
+  kMiSweep,           ///< entry-plane build, once per swept partition;
+                      ///< per-pair MI sweep, once per pair
   kServePublish,      ///< TableStore::ingest, after the shadow fold and
                       ///< before the atomic snapshot swap
   kServeCache,        ///< ResultCache::insert, before storing a computed

@@ -37,6 +37,7 @@
 
 // the paper's primitives + statistics + queries
 #include "core/all_pairs_mi.hpp"
+#include "core/entry_planes.hpp"
 #include "core/info_theory.hpp"
 #include "core/marginalizer.hpp"
 #include "core/query.hpp"

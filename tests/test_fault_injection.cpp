@@ -20,6 +20,7 @@
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
 #include "learn/cheng.hpp"
+#include "learn/pc_stable.hpp"
 #include "serve/persist/format.hpp"
 #include "serve/persist/snapshot_reader.hpp"
 #include "serve/persist/snapshot_writer.hpp"
@@ -192,6 +193,35 @@ TEST(FaultInjection, AllPairsMiThrowsTypedErrorOrCompletes) {
           ASSERT_EQ(mi.at(i, j), clean.at(i, j)) << i << "," << j;
         }
       }
+    }
+    ASSERT_TRUE(table.validate());
+  }
+}
+
+TEST(FaultInjection, PcStablePlaneBuildThrowsTypedErrorOrCompletes) {
+  // PC-stable decodes the table into bit planes once, at learn start, and
+  // kMiSweep fires once per partition there: a fault at any of those hits
+  // must abort the learn with the typed error, and one armed past the last
+  // hit must leave the learned structure exact.
+  const Dataset data = generate_chain_correlated(8000, 6, 2, 0.8, 0xA2);
+  WaitFreeBuilderOptions options;
+  options.threads = 4;
+  const PotentialTable table = WaitFreeBuilder(options).build(data);
+  PcStableOptions pc;
+  pc.ci.threads = 4;
+  const PcStableResult clean = PcStableLearner(pc).learn(table);
+  const std::size_t hits = table.partitions().partition_count();
+  for (std::size_t fire_on = 1; fire_on <= hits + 1; ++fire_on) {
+    fault::ScopedFaultInjection injection;
+    fault::arm(fault::Point::kMiSweep, fire_on);
+    if (fire_on <= hits) {
+      EXPECT_THROW((void)PcStableLearner(pc).learn(table), InjectedFault) << fire_on;
+    } else {
+      const PcStableResult result = PcStableLearner(pc).learn(table);
+      EXPECT_EQ(result.skeleton.edges(), clean.skeleton.edges());
+      EXPECT_EQ(result.oriented.edges(), clean.oriented.edges());
+      EXPECT_EQ(result.sepsets, clean.sepsets);
+      EXPECT_EQ(result.ci_tests, clean.ci_tests);
     }
     ASSERT_TRUE(table.validate());
   }
