@@ -68,10 +68,11 @@ inline ScalingSimulator make_simulator() {
   const MachineModel model = MachineModel::calibrate();
   std::printf(
       "  t_encode/var=%.2fns t_update=%.2fns t_push=%.2fns t_pop=%.2fns\n"
-      "  t_project/var=%.2fns t_entry=%.2fns t_mutex=%.2fns t_barrier/core=%.2fns\n"
+      "  t_combine=%.2fns t_project/var=%.2fns t_entry=%.2fns t_mutex=%.2fns\n"
+      "  t_barrier/core=%.2fns\n"
       "  modeled: t_line_transfer=%.0fns coherence_quadratic=%.2fns\n",
       model.t_encode_per_var * 1e9, model.t_update * 1e9, model.t_push * 1e9,
-      model.t_pop * 1e9, model.t_project_per_var * 1e9,
+      model.t_pop * 1e9, model.t_combine * 1e9, model.t_project_per_var * 1e9,
       model.t_entry_visit * 1e9, model.t_mutex * 1e9,
       model.t_barrier_per_core * 1e9, model.t_line_transfer * 1e9,
       model.coherence_quadratic * 1e9);

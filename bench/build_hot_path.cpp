@@ -2,9 +2,15 @@
 // critical path of WaitFreeBuilder::build over the settings that exist —
 // the encode dispatch level (--simd: scalar forces the scalar reference
 // kernels with simd::ScopedForceLevel, auto runs whatever the host
-// resolves), the workload cardinality (--cardinality, a sweep list: r
-// shifts the distinct-key population and with it the table size) and the
-// variant (--pipelined 0,1) — at P = --threads workers.
+// resolves), the workload and the variant (--pipelined 0,1) — at
+// P = --threads workers. Two kinds of workload:
+//
+//   uniform  --samples rows of --variables variables at each --cardinality
+//            r (a sweep list); these do not compress, so every worker probes
+//            one window and then routes row by row;
+//   sachs    --sachs-samples rows forward-sampled from SACHS (11 variables,
+//            3 states, about 29k distinct keys at 10M rows), the compressing
+//            leg where stage 1 pre-aggregates; 0 skips it.
 //
 // Every build, warm-up included, is checked against brute-force counts of
 // the same workload (codec.encode per raw row into a hash map, no builder
@@ -14,14 +20,16 @@
 // Reported per configuration over --reps repetitions: the median, min and
 // max of the wall clock and of the critical path max_p(stage1_p) +
 // max_p(stage2_p), rows/s at the median critical path, the effective SIMD
-// level, and the ratio of the scalar leg's median critical path to this
-// one's. Repetitions run round-robin over the configurations, so drift of a
-// shared host spreads over all of them alike. The JSON is stamped with the
-// host block (nproc, CPU model, SIMD level, THP mode); path via --json-out,
-// empty string disables the file.
+// level, the share of rows absorbed by stage-1 combiner hits, and the ratio
+// of the scalar leg's median critical path to this one's. Repetitions run
+// round-robin over the configurations, so drift of a shared host spreads
+// over all of them alike. The JSON is stamped with the host block (nproc,
+// CPU model, SIMD level, THP mode); path via --json-out, empty string
+// disables the file.
 //
 //   ./build_hot_path --samples 2000000 --variables 30 --threads 4
-//       --cardinality 2,4 --simd scalar,auto --pipelined 0,1 --reps 5
+//       --cardinality 2,4 --sachs-samples 10000000 --simd scalar,auto
+//       --pipelined 0,1 --reps 9
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +39,8 @@
 #include <vector>
 
 #include "../pipeline_e2e/bench_schema.hpp"
+#include "bn/repository.hpp"
+#include "bn/sampling.hpp"
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
 #include "util/cli.hpp"
@@ -72,6 +82,7 @@ struct Config {
   simd::Level level = simd::Level::kScalar;  ///< effective, from BuildStats
   Samples wall;
   Samples critical;
+  double combined_share = 0.0;  ///< combiner hits / rows, last build
   bool correct = true;
 };
 
@@ -87,6 +98,9 @@ void run_once(const Dataset& data, std::size_t threads, const Counts& reference,
   const PotentialTable table = builder.build(data);
   config.correct = config.correct && matches(table, reference);
   config.level = builder.stats().simd_level;
+  config.combined_share =
+      static_cast<double>(builder.stats().total_combined_rows()) /
+      static_cast<double>(data.sample_count());
   if (warm_up) return;
   config.wall.add(builder.stats().total_seconds);
   config.critical.add(builder.stats().critical_path_seconds());
@@ -124,16 +138,92 @@ std::vector<bool> parse_simd_list(const std::string& text) {
   return scalar;
 }
 
+/// Times every (variant, simd) configuration on `data` and appends one
+/// sweep object (`label` fields first) to the JSON. Returns false if any
+/// build diverged from the brute-force counts.
+template <typename Label>
+bool run_sweep(const Dataset& data, std::size_t threads, std::size_t reps,
+               const std::vector<std::int64_t>& variants,
+               const std::vector<bool>& simd_legs, const std::string& title,
+               Label&& label, JsonWriter& json) {
+  const Counts reference = brute_force_counts(data);
+  std::vector<Config> configs;
+  for (const std::int64_t pipelined : variants) {
+    for (const bool scalar : simd_legs) {
+      Config config;
+      config.scalar = scalar;
+      config.pipelined = pipelined != 0;
+      configs.push_back(std::move(config));
+    }
+  }
+  for (Config& config : configs) run_once(data, threads, reference, config, true);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    for (Config& config : configs) {
+      run_once(data, threads, reference, config, false);
+    }
+  }
+
+  TablePrinter table({"simd", "level", "variant", "wall ms [min-max]",
+                      "critical ms [min-max]", "rows/s", "combined",
+                      "vs scalar", "brute-force"});
+  json.begin_object();
+  label(json);
+  json.integer("samples", data.sample_count());
+  json.integer("distinct_keys", reference.size());
+  json.begin_array("results");
+  bool all_correct = true;
+  for (const Config& config : configs) {
+    const double critical = config.critical.median();
+    const double rows_per_sec =
+        critical > 0.0 ? static_cast<double>(data.sample_count()) / critical
+                       : 0.0;
+    std::optional<double> vs_scalar;
+    for (const Config& other : configs) {
+      if (other.scalar && other.pipelined == config.pipelined &&
+          critical > 0.0) {
+        vs_scalar = other.critical.median() / critical;
+      }
+    }
+    table.add_row({config.scalar ? "scalar" : "auto",
+                   simd::level_name(config.level),
+                   config.pipelined ? "pipelined" : "phased",
+                   range_ms(config.wall), range_ms(config.critical),
+                   TablePrinter::fmt(rows_per_sec, 0),
+                   TablePrinter::fmt(config.combined_share, 3),
+                   vs_scalar ? TablePrinter::fmt(*vs_scalar, 2) : "-",
+                   config.correct ? "match" : "DIVERGED"});
+    json.begin_object();
+    json.string("simd", config.scalar ? "scalar" : "auto");
+    json.string("simd_level", simd::level_name(config.level));
+    json.boolean("pipelined", config.pipelined);
+    spread(json, "wall_seconds", config.wall);
+    spread(json, "critical_path_seconds", config.critical);
+    json.measured("rows_per_sec", rows_per_sec);
+    json.number("combined_share", config.combined_share);
+    if (vs_scalar) json.measured("speedup_vs_scalar", *vs_scalar);
+    json.boolean("matches_brute_force", config.correct);
+    json.end_object();
+    all_correct = all_correct && config.correct;
+  }
+  json.end_array();
+  json.end_object();
+  table.print("build_hot_path — " + title + " (P=" + std::to_string(threads) +
+              ", " + std::to_string(reps) + " reps)");
+  return all_correct;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli(
-      "build_hot_path — encode level x cardinality x variant sweep of the "
+      "build_hot_path — encode level x workload x variant sweep of the "
       "two-stage construction kernel");
   cli.add_option("samples", "2000000", "Training rows m");
   cli.add_option("variables", "30", "Variables n");
   cli.add_option("cardinality", "2,4",
                  "States per variable r — a sweep list (e.g. 2,4)");
+  cli.add_option("sachs-samples", "10000000",
+                 "Rows of the compressing SACHS leg (0 skips it)");
   cli.add_option("threads", "4", "Workers (= partitions) P");
   cli.add_option("simd", "scalar,auto",
                  "Encode levels to sweep: scalar (forced) and/or auto");
@@ -147,6 +237,8 @@ int main(int argc, char** argv) {
 
   const auto samples = static_cast<std::size_t>(cli.get_int("samples"));
   const auto variables = static_cast<std::size_t>(cli.get_int("variables"));
+  const auto sachs_samples =
+      static_cast<std::size_t>(cli.get_int("sachs-samples"));
   const auto threads = static_cast<std::size_t>(cli.get_int("threads"));
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
@@ -166,6 +258,7 @@ int main(int argc, char** argv) {
   json.integer("host_cores", host.nproc);
   json.begin_object("config");
   json.integer("samples", samples);
+  json.integer("sachs_samples", sachs_samples);
   json.integer("variables", variables);
   json.integer("threads", threads);
   json.integer("reps", reps);
@@ -179,66 +272,22 @@ int main(int argc, char** argv) {
                 variables, static_cast<long long>(r));
     const Dataset data = generate_uniform(
         samples, variables, static_cast<std::uint32_t>(r), seed);
-    const Counts reference = brute_force_counts(data);
-
-    std::vector<Config> configs;
-    for (const std::int64_t pipelined : variants) {
-      for (const bool scalar : simd_legs) {
-        Config config;
-        config.scalar = scalar;
-        config.pipelined = pipelined != 0;
-        configs.push_back(std::move(config));
-      }
-    }
-    for (Config& config : configs) run_once(data, threads, reference, config, true);
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      for (Config& config : configs) {
-        run_once(data, threads, reference, config, false);
-      }
-    }
-
-    TablePrinter table({"simd", "level", "variant", "wall ms [min-max]",
-                        "critical ms [min-max]", "rows/s", "vs scalar",
-                        "brute-force"});
-    json.begin_object();
-    json.integer("cardinality", static_cast<std::uint64_t>(r));
-    json.integer("distinct_keys", reference.size());
-    json.begin_array("results");
-    for (const Config& config : configs) {
-      const double critical = config.critical.median();
-      const double rows_per_sec =
-          critical > 0.0 ? static_cast<double>(samples) / critical : 0.0;
-      std::optional<double> vs_scalar;
-      for (const Config& other : configs) {
-        if (other.scalar && other.pipelined == config.pipelined &&
-            critical > 0.0) {
-          vs_scalar = other.critical.median() / critical;
-        }
-      }
-      table.add_row({config.scalar ? "scalar" : "auto",
-                     simd::level_name(config.level),
-                     config.pipelined ? "pipelined" : "phased",
-                     range_ms(config.wall), range_ms(config.critical),
-                     TablePrinter::fmt(rows_per_sec, 0),
-                     vs_scalar ? TablePrinter::fmt(*vs_scalar, 2) : "-",
-                     config.correct ? "match" : "DIVERGED"});
-      json.begin_object();
-      json.string("simd", config.scalar ? "scalar" : "auto");
-      json.string("simd_level", simd::level_name(config.level));
-      json.boolean("pipelined", config.pipelined);
-      spread(json, "wall_seconds", config.wall);
-      spread(json, "critical_path_seconds", config.critical);
-      json.measured("rows_per_sec", rows_per_sec);
-      if (vs_scalar) json.measured("speedup_vs_scalar", *vs_scalar);
-      json.boolean("matches_brute_force", config.correct);
-      json.end_object();
-      all_correct = all_correct && config.correct;
-    }
-    json.end_array();
-    json.end_object();
-    table.print("build_hot_path — r=" + std::to_string(r) + " (P=" +
-                std::to_string(threads) + ", " + std::to_string(reps) +
-                " reps)");
+    all_correct &= run_sweep(
+        data, threads, reps, variants, simd_legs, "uniform r=" + std::to_string(r),
+        [&](JsonWriter& j) {
+          j.string("workload", "uniform");
+          j.integer("cardinality", static_cast<std::uint64_t>(r));
+        },
+        json);
+  }
+  if (sachs_samples > 0) {
+    std::printf("forward-sampling %zu SACHS rows...\n", sachs_samples);
+    const Dataset data = forward_sample(
+        load_network(RepositoryNetwork::kSachs, 42), sachs_samples, seed,
+        threads);
+    all_correct &= run_sweep(
+        data, threads, reps, variants, simd_legs, "SACHS",
+        [](JsonWriter& j) { j.string("workload", "sachs"); }, json);
   }
   json.end_array();
   json.end_object();

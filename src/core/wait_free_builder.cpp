@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "concurrent/affinity.hpp"
@@ -20,8 +21,8 @@ namespace {
 
 // Hot-path geometry: fixed, because a one-at-a-time sweep found no other
 // value that beat these beyond noise (docs/ALGORITHMS.md, "Block routing
-// fast path", has the numbers). The stage-2 probe group is OpenHashTable's
-// kProbeGroup.
+// fast path" and "Stage-1 pre-aggregation", has the numbers). The stage-2
+// probe group is OpenHashTable's kProbeGroup.
 
 /// Rows encoded per stage-1 strip before any routing, so the codec's
 /// mixed-radix multiply chains pipeline instead of alternating with table
@@ -33,13 +34,37 @@ constexpr std::size_t kRouteBufferKeys = 64;
 /// Rows a pipelined producer scans between drain passes.
 constexpr std::size_t kPipelineBatchRows = 4096;
 
-/// P×P queue fabric; cell (src, dst) carries keys produced by worker src for
-/// owner dst. Diagonal cells are never used (own keys go straight into the
-/// local table) but are allocated to keep indexing branch-free.
+/// Stage-1 pre-aggregation. A worker whose slice holds at least one window
+/// of rows counts them in a private direct-mapped combiner; at the end of
+/// every window it keeps combining only if at least kMinHitPercent of the
+/// window's rows found their key resident. The first window runs in the
+/// small probe array, so a slice that does not compress never allocates the
+/// full one.
+constexpr std::size_t kProbeWindowRows = 4096;
+constexpr std::size_t kProbeSlots = std::size_t{1} << 12;
+constexpr std::size_t kCombineSlots = std::size_t{1} << 16;
+constexpr std::size_t kMinHitPercent = 25;
+/// Items per chunk of the (key, count) fabric. It carries one item per
+/// evicted entry with a count above 1, far fewer than the rows it stands
+/// for, and small chunks keep its cost low in builds that never combine.
+constexpr std::size_t kPairChunkItems = 256;
+
+/// A (key, count) pair: one combiner slot (count 0 marks it empty), and the
+/// fabric item of an evicted entry whose count is above 1.
 template <typename K>
+struct KeyCount {
+  K key;
+  std::uint64_t count;
+};
+
+/// P×P queue fabric; cell (src, dst) carries items produced by worker src
+/// for owner dst. Diagonal cells are never used (own keys go straight into
+/// the local table) but are allocated to keep indexing branch-free.
+template <typename T, std::size_t kChunkItems = 2048>
 class QueueFabric {
  public:
-  using Queue = SpscQueue<K>;
+  using Item = T;
+  using Queue = SpscQueue<T, kChunkItems>;
 
   explicit QueueFabric(std::size_t workers) : workers_(workers) {
     cells_.reserve(workers * workers);
@@ -58,24 +83,27 @@ class QueueFabric {
 };
 
 /// Per-worker software write-combining router (stage 1): a staging buffer
-/// of kRouteBufferKeys keys per destination worker; a full buffer is flushed
-/// into the SPSC fabric with one bulk publish (SpscQueue::push_block)
-/// instead of one release store per key. The caller flushes the remainder
-/// at stage/batch boundaries (flush_all, ascending destination order).
-template <typename K>
+/// of kRouteBufferKeys items per destination worker; a full buffer is
+/// flushed into the SPSC fabric with one bulk publish
+/// (SpscQueue::push_block) instead of one release store per item. The
+/// caller flushes the remainder at stage/batch boundaries (flush_all,
+/// ascending destination order).
+template <typename Fabric>
 class KeyRouter {
  public:
-  KeyRouter(QueueFabric<K>& queues, std::size_t src, std::size_t workers)
+  using T = typename Fabric::Item;
+
+  KeyRouter(Fabric& queues, std::size_t src, std::size_t workers)
       : queues_(queues),
         src_(src),
         staging_(workers * kRouteBufferKeys),
         fill_(workers, 0) {}
 
-  /// Stages `key` for `dst`; flushes that destination's buffer when full.
+  /// Stages `item` for `dst`; flushes that destination's buffer when full.
   /// Returns the number of flushes performed (0 or 1).
-  std::uint64_t route(std::size_t dst, K key) {
-    K* buffer = staging_.data() + dst * kRouteBufferKeys;
-    buffer[fill_[dst]++] = key;
+  std::uint64_t route(std::size_t dst, const T& item) {
+    T* buffer = staging_.data() + dst * kRouteBufferKeys;
+    buffer[fill_[dst]++] = item;
     if (fill_[dst] == kRouteBufferKeys) {
       queues_.at(src_, dst).push_block(buffer, kRouteBufferKeys);
       fill_[dst] = 0;
@@ -84,7 +112,7 @@ class KeyRouter {
     return 0;
   }
 
-  /// Flushes every destination with staged keys, ascending dst order.
+  /// Flushes every destination with staged items, ascending dst order.
   /// Returns the number of (non-empty) flushes performed.
   std::uint64_t flush_all() {
     std::uint64_t flushes = 0;
@@ -99,9 +127,9 @@ class KeyRouter {
   }
 
  private:
-  QueueFabric<K>& queues_;
+  Fabric& queues_;
   std::size_t src_;
-  std::vector<K> staging_;
+  std::vector<T> staging_;
   std::vector<std::size_t> fill_;
 };
 
@@ -138,6 +166,266 @@ std::size_t expected_entries_per_partition(const Dataset& data,
   return static_cast<std::size_t>(bound / parts / 4 + 16);
 }
 
+/// What every worker of one build shares: the input, the table, who owns
+/// each partition, and the two queue fabrics.
+template <typename K>
+struct Kernel {
+  using Traits = KeyTraits<K>;
+  using Codec = typename Traits::Codec;
+  using KeyFabric = QueueFabric<K>;
+  using PairFabric = QueueFabric<KeyCount<K>, kPairChunkItems>;
+
+  Kernel(const Dataset& input, const Codec& key_codec,
+         BasicPartitionedTable<K>& target, std::size_t worker_count)
+      : data(input),
+        codec(key_codec),
+        table(target),
+        workers(worker_count),
+        level(simd::detected()),
+        part_owner(partition_owners(target.partition_count(), worker_count)),
+        keys(worker_count),
+        pairs(worker_count) {}
+
+  const Dataset& data;
+  const Codec& codec;
+  BasicPartitionedTable<K>& table;
+  std::size_t workers;
+  /// Resolved once per build: the whole kernel runs one dispatch level.
+  simd::Level level;
+  std::vector<std::size_t> part_owner;
+  KeyFabric keys;
+  PairFabric pairs;
+};
+
+/// One worker's stage 1 (Algorithm 1), shared by the phased and the
+/// pipelined variant: encode the rows of its slice in strips, pre-aggregate
+/// them while they compress, and send every key, or evicted (key, count), to
+/// the worker that owns its partition — into the table when that is this
+/// worker, through the write-combining routers otherwise. Everything here
+/// is worker-private: the combiner and the staging buffers are read and
+/// written by this worker only, and it publishes only into row `w` of the
+/// fabrics. finish() evicts what is still resident and flushes the routers;
+/// after it every row of the slice is in the table or in a queue.
+template <typename K>
+class Stage1Worker {
+ public:
+  using Traits = KeyTraits<K>;
+
+  Stage1Worker(Kernel<K>& kernel, std::size_t w, std::size_t slice_rows,
+               WorkerStats& ws, bool inject)
+      : kernel_(kernel),
+        w_(w),
+        ws_(ws),
+        inject_(inject),
+        parts_(kernel.table.partition_count()),
+        space_(kernel.table.state_space()),
+        scheme_(kernel.table.scheme()),
+        key_router_(kernel.keys, w, kernel.workers) {
+    if (slice_rows >= kProbeWindowRows) {
+      slots_.resize(kProbeSlots);
+      pair_router_.emplace(kernel.pairs, w, kernel.workers);
+    }
+  }
+
+  /// Scans rows [i, stop), calling on_strip(rows) after every strip.
+  template <typename OnStrip>
+  void scan(std::size_t i, std::size_t stop, OnStrip&& on_strip) {
+    while (i < stop) {
+      const std::size_t count = std::min(kEncodeStripRows, stop - i);
+      if (inject_) {
+        // Scalar fallback keeps the once-per-row fault-point semantics the
+        // injection sweeps rely on.
+        for (std::size_t r = 0; r < count; ++r) {
+          fault::fire(fault::Point::kStage1Row);
+          keys_[r] = kernel_.codec.encode(kernel_.data.row(i + r));
+        }
+      } else {
+        kernel_.codec.encode_block(kernel_.data.row(i).data(), count,
+                                   keys_.data(), kernel_.level);
+      }
+      ws_.rows_encoded += count;
+      if (slots_.empty()) {
+        route_strip(count);
+      } else {
+        combine_strip(count);
+      }
+      on_strip(count);
+      i += count;
+    }
+  }
+
+  /// Publishes every staged item (both routers, ascending destination).
+  void flush_routers() {
+    ws_.route_flushes += key_router_.flush_all();
+    if (pair_router_) ws_.route_flushes += pair_router_->flush_all();
+  }
+
+  /// End of the slice: evicts the resident entries, then flushes.
+  void finish() {
+    drop_combiner();
+    flush_routers();
+    ws_.combined_rows = combined_in_ - evicted_;
+  }
+
+ private:
+  /// The uncombined path, one item per row: destinations for the whole
+  /// strip before any route-buffer traffic (one pipelined hash/divide pass
+  /// instead of per-key detours).
+  void route_strip(std::size_t count) {
+    Traits::owner_block(keys_.data(), count, parts_, space_, scheme_,
+                        owners_.data());
+    for (std::size_t r = 0; r < count; ++r) {
+      const std::size_t q = owners_[r];
+      const std::size_t dst = kernel_.part_owner[q];
+      if (dst == w_) {
+        kernel_.table.partition(q).increment(keys_[r]);
+        ++ws_.local_updates;
+      } else {
+        ws_.route_flushes += key_router_.route(dst, keys_[r]);
+        ++ws_.foreign_pushes;
+      }
+    }
+  }
+
+  /// A hit adds in place; a miss evicts the resident entry, if any, and
+  /// takes its slot. An empty slot holds a zeroed key, so the one key equal
+  /// to it takes the hit branch and installs itself with count 1 — exact,
+  /// because combined_rows is derived from evictions, not from hits.
+  void combine_strip(std::size_t count) {
+    KeyCount<K>* const slots = slots_.data();
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t misses = 0;
+    for (std::size_t r = 0; r < count; ++r) {
+      const K key = keys_[r];
+      KeyCount<K>& slot = slots[Traits::slot_hash(key) & mask];
+      if (slot.key == key) {
+        ++slot.count;
+        continue;
+      }
+      if (slot.count != 0) evict(slot.key, slot.count);
+      slot = KeyCount<K>{key, 1};
+      ++misses;
+    }
+    combined_in_ += count;
+    window_rows_ += count;
+    window_misses_ += misses;
+    if (window_rows_ >= kProbeWindowRows) close_window();
+  }
+
+  /// The per-window decision. A window below the hit share ends combining
+  /// for the rest of the slice; the first window that passes moves the
+  /// entries to the full array. Direct-mapped slots h & (2^12 − 1) are
+  /// distinct, so their images h & (2^16 − 1) are too: the move never
+  /// evicts.
+  void close_window() {
+    const std::size_t hits = window_rows_ - window_misses_;
+    const bool compresses = hits * 100 >= window_rows_ * kMinHitPercent;
+    window_rows_ = 0;
+    window_misses_ = 0;
+    if (!compresses) {
+      drop_combiner();
+    } else if (slots_.size() < kCombineSlots) {
+      std::vector<KeyCount<K>> full(kCombineSlots);
+      for (const KeyCount<K>& slot : slots_) {
+        if (slot.count != 0) {
+          full[Traits::slot_hash(slot.key) & (kCombineSlots - 1)] = slot;
+        }
+      }
+      slots_ = std::move(full);
+    }
+  }
+
+  /// Evicts every resident entry and releases the array; the rest of the
+  /// slice runs route_strip().
+  void drop_combiner() {
+    for (const KeyCount<K>& slot : slots_) {
+      if (slot.count != 0) evict(slot.key, slot.count);
+    }
+    slots_ = {};
+  }
+
+  /// Sends one combined entry to its owner: a table increment when this
+  /// worker owns the partition, else a key item when its count is 1 (the
+  /// payload of an uncombined row) or a (key, count) item.
+  void evict(K key, std::uint64_t count) {
+    ++evicted_;
+    const std::size_t q = Traits::owner(key, parts_, space_, scheme_);
+    const std::size_t dst = kernel_.part_owner[q];
+    if (dst == w_) {
+      kernel_.table.partition(q).increment(key, count);
+      ++ws_.local_updates;
+      return;
+    }
+    ++ws_.foreign_pushes;
+    ws_.route_flushes += count == 1
+                             ? key_router_.route(dst, key)
+                             : pair_router_->route(dst, KeyCount<K>{key, count});
+  }
+
+  Kernel<K>& kernel_;
+  std::size_t w_;
+  WorkerStats& ws_;
+  bool inject_;
+  std::size_t parts_;
+  std::uint64_t space_;
+  PartitionScheme scheme_;
+  KeyRouter<typename Kernel<K>::KeyFabric> key_router_;
+  std::optional<KeyRouter<typename Kernel<K>::PairFabric>> pair_router_;
+  std::array<K, kEncodeStripRows> keys_{};
+  std::array<std::size_t, kEncodeStripRows> owners_{};
+  /// The combiner; empty while the worker runs route_strip().
+  std::vector<KeyCount<K>> slots_;
+  std::size_t window_rows_ = 0;
+  std::size_t window_misses_ = 0;
+  std::uint64_t combined_in_ = 0;  ///< rows that went through the combiner
+  std::uint64_t evicted_ = 0;      ///< entries it sent on
+};
+
+/// Stage 2 (Algorithm 2) for worker w, shared by both variants: drains the
+/// queues addressed to it, one whole published chunk span per acquire load,
+/// into the partitions [lo, hi) it owns. A worker owning one partition folds
+/// key spans with the multi-cursor kernel; a degraded pool's workers route
+/// each key to the partition that owns it. (key, count) items fold with
+/// increment(key, count). With fault_per_item, builder.stage2_drain fires
+/// once per drained item and keys fold one by one. Returns the items
+/// drained.
+template <typename K>
+std::uint64_t drain_inbound(Kernel<K>& kernel, std::size_t w, std::size_t lo,
+                            std::size_t hi, WorkerStats& ws,
+                            bool fault_per_item) {
+  if (lo == hi) return 0;
+  BasicPartitionedTable<K>& table = kernel.table;
+  BasicOpenHashTable<K>* sole = (hi - lo == 1) ? &table.partition(lo) : nullptr;
+  const auto fold = [&](const K& key, std::uint64_t count) {
+    if (fault_per_item) fault::fire(fault::Point::kStage2Drain);
+    BasicOpenHashTable<K>& dst =
+        sole != nullptr ? *sole : table.partition(table.owner_of(key));
+    dst.increment(key, count);
+  };
+  std::uint64_t drained = 0;
+  for (std::size_t src = 0; src < kernel.workers; ++src) {
+    if (src == w) continue;
+    drained += kernel.keys.at(src, w).consume([&](const K* span,
+                                                  std::size_t count) {
+      ++ws.bulk_pops;
+      if (sole != nullptr && !fault_per_item) {
+        sole->increment_block(span, count);
+      } else {
+        for (std::size_t k = 0; k < count; ++k) fold(span[k], 1);
+      }
+    });
+    drained += kernel.pairs.at(src, w).consume(
+        [&](const KeyCount<K>* span, std::size_t count) {
+          ++ws.bulk_pops;
+          for (std::size_t k = 0; k < count; ++k) {
+            fold(span[k].key, span[k].count);
+          }
+        });
+  }
+  ws.stage2_pops += drained;
+  return drained;
+}
+
 }  // namespace
 
 std::uint64_t BuildStats::total_foreign_pushes() const noexcept {
@@ -149,6 +437,12 @@ std::uint64_t BuildStats::total_foreign_pushes() const noexcept {
 std::uint64_t BuildStats::total_local_updates() const noexcept {
   std::uint64_t total = 0;
   for (const WorkerStats& w : workers) total += w.local_updates;
+  return total;
+}
+
+std::uint64_t BuildStats::total_combined_rows() const noexcept {
+  std::uint64_t total = 0;
+  for (const WorkerStats& w : workers) total += w.combined_rows;
   return total;
 }
 
@@ -270,80 +564,41 @@ void BasicWaitFreeBuilder<K>::run_phased(const Dataset& data,
                                          ThreadPool& pool) {
   const std::size_t W = pool.size();
   const std::size_t parts = table.partition_count();
-  QueueFabric<K> queues(W);
+  Kernel<K> kernel(data, codec, table, W);
   SpinBarrier barrier(W);
   stats_ = BuildStats{};
   stats_.workers.assign(W, WorkerStats{});
   stats_.requested_workers = pool.degradation().requested_threads;
   stats_.effective_workers = W;
-  const std::vector<std::size_t> part_owner = partition_owners(parts, W);
+  stats_.simd_level = kernel.level;
   std::atomic<std::size_t> pin_failures{0};
   std::vector<double> barrier_waits(W, 0.0);
-
   const std::size_t m = data.sample_count();
-  // Resolved once per build: the whole kernel runs one dispatch level, and
-  // the effective level (after host/env/forced downgrades) is reported.
-  const simd::Level level = simd::detected();
-  stats_.simd_level = level;
-  const std::uint64_t space = table.state_space();
-  const PartitionScheme scheme = table.scheme();
 
   pool.run([&](std::size_t w) {
     if (options_.pin_threads && !pin_current_thread(w)) {
       pin_failures.fetch_add(1, std::memory_order_relaxed);
     }
-    WorkerStats& ws = stats_.workers[w];
-    const auto [my_lo, my_hi] = ThreadPool::block_range(parts, W, w);
+    // Counted on this worker's stack and stored once at the end: adjacent
+    // WorkerStats share cache lines, and the stage-1 loop bumps its counters
+    // on every row.
+    WorkerStats ws;
     // Hoisted once per kernel so the disabled case costs a register test per
     // row instead of an atomic load (schedules are armed before the build).
     const bool inject = fault::enabled();
 
     // ---- Stage 1 (Algorithm 1): scan my block, route keys by ownership.
-    // Rows are encoded in strips (the codec's multiply chain pipelines) and
-    // foreign keys go through the write-combining router; the router is
-    // fully flushed before the barrier so stage-2 emptiness stays final.
-    // A throw here is caught and re-raised only after the barrier: every
-    // worker must cross it exactly once or the others would spin forever.
+    // Everything staged privately (combiner, route buffers) is published
+    // before the barrier so stage-2 emptiness stays final. A throw here is
+    // caught and re-raised only after the barrier: every worker must cross
+    // it exactly once or the others would spin forever.
     std::exception_ptr stage1_error;
     Timer stage_timer;
-    KeyRouter<K> router(queues, w, W);
-    std::array<K, kEncodeStripRows> keys{};
-    std::array<std::size_t, kEncodeStripRows> owners{};
     try {
       const auto [lo, hi] = ThreadPool::block_range(m, W, w);
-      for (std::size_t i = lo; i < hi;) {
-        const std::size_t count = std::min(kEncodeStripRows, hi - i);
-        if (inject) {
-          // Scalar fallback keeps the once-per-row fault-point semantics the
-          // injection sweeps rely on.
-          for (std::size_t r = 0; r < count; ++r) {
-            fault::fire(fault::Point::kStage1Row);
-            keys[r] = codec.encode(data.row(i + r));
-            ++ws.rows_encoded;
-          }
-        } else {
-          codec.encode_block(data.row(i).data(), count, keys.data(), level);
-          ws.rows_encoded += count;
-        }
-        // Destinations for the whole strip before any route-buffer traffic
-        // (one pipelined hash/divide pass instead of per-key detours).
-        Traits::owner_block(keys.data(), count, parts, space, scheme,
-                            owners.data());
-        for (std::size_t r = 0; r < count; ++r) {
-          const K key = keys[r];
-          const std::size_t q = owners[r];
-          const std::size_t dst = part_owner[q];
-          if (dst == w) {
-            table.partition(q).increment(key);
-            ++ws.local_updates;
-          } else {
-            ws.route_flushes += router.route(dst, key);
-            ++ws.foreign_pushes;
-          }
-        }
-        i += count;
-      }
-      ws.route_flushes += router.flush_all();
+      Stage1Worker<K> stage1(kernel, w, hi - lo, ws, inject);
+      stage1.scan(lo, hi, [](std::size_t) {});
+      stage1.finish();
       if (inject) fault::fire(fault::Point::kBarrier);
     } catch (...) {
       stage1_error = std::current_exception();
@@ -356,43 +611,14 @@ void BasicWaitFreeBuilder<K>::run_phased(const Dataset& data,
     barrier_waits[w] = barrier_timer.seconds();
     if (stage1_error) std::rethrow_exception(stage1_error);
 
-    // ---- Stage 2 (Algorithm 2): drain queues addressed to me, one whole
-    // published chunk span per acquire load. A worker owning one partition
-    // folds each span with the multi-cursor kernel; a degraded pool's
-    // workers route each key to the partition that owns it. After a throw
-    // there is no further synchronization, so exceptions propagate directly
-    // (the pool collects the first one).
+    // ---- Stage 2 (Algorithm 2). After a throw there is no further
+    // synchronization, so exceptions propagate directly (the pool collects
+    // the first one).
     stage_timer.reset();
-    if (my_lo < my_hi) {
-      BasicOpenHashTable<K>* sole =
-          (my_hi - my_lo == 1) ? &table.partition(my_lo) : nullptr;
-      for (std::size_t src = 0; src < W; ++src) {
-        if (src == w) continue;
-        SpscQueue<K>& queue = queues.at(src, w);
-        ws.stage2_pops += queue.consume([&](const K* span, std::size_t count) {
-          ++ws.bulk_pops;
-          if (inject) {
-            // Scalar fallback keeps the once-per-drained-key fault-point
-            // semantics the injection sweeps rely on.
-            for (std::size_t k = 0; k < count; ++k) {
-              fault::fire(fault::Point::kStage2Drain);
-              if (sole != nullptr) {
-                sole->increment(span[k]);
-              } else {
-                table.partition(table.owner_of(span[k])).increment(span[k]);
-              }
-            }
-          } else if (sole != nullptr) {
-            sole->increment_block(span, count);
-          } else {
-            for (std::size_t k = 0; k < count; ++k) {
-              table.partition(table.owner_of(span[k])).increment(span[k]);
-            }
-          }
-        });
-      }
-    }
+    const auto [my_lo, my_hi] = ThreadPool::block_range(parts, W, w);
+    drain_inbound(kernel, w, my_lo, my_hi, ws, inject);
     ws.stage2_seconds = stage_timer.seconds();
+    stats_.workers[w] = ws;
   });
 
   stats_.pin_failures = pin_failures.load(std::memory_order_relaxed);
@@ -409,15 +635,12 @@ BasicPotentialTable<K> BasicWaitFreeBuilder<K>::build_pipelined(
   BasicPartitionedTable<K> table(
       P, Traits::state_space_bound(codec), options_.scheme,
       expected_entries_per_partition<Traits>(data, codec, P));
-  QueueFabric<K> queues(P);
+  Kernel<K> kernel(data, codec, table, P);
   stats_ = BuildStats{};
   stats_.workers.assign(P, WorkerStats{});
   stats_.requested_workers = pool.degradation().requested_threads;
   stats_.effective_workers = P;
-  const simd::Level level = simd::detected();
-  stats_.simd_level = level;
-  const std::uint64_t space = table.state_space();
-  const PartitionScheme scheme = table.scheme();
+  stats_.simd_level = kernel.level;
   std::atomic<std::size_t> pin_failures{0};
   // Producer retirement + early wind-down (worker exception or watchdog
   // stall). The gate's memory-order contract is model-checked in wfcheck's
@@ -439,29 +662,21 @@ BasicPotentialTable<K> BasicWaitFreeBuilder<K>::build_pipelined(
     if (options_.pin_threads && !pin_current_thread(p)) {
       pin_failures.fetch_add(1, std::memory_order_relaxed);
     }
-    WorkerStats& ws = stats_.workers[p];
-    BasicOpenHashTable<K>& mine = table.partition(p);
+    WorkerStats ws;  // stored at the end, as in run_phased
     const bool inject = fault::enabled();
     Timer stage_timer;
+    const auto count_progress = [&](std::uint64_t n) {
+      if (watchdog && n != 0) {
+        progress[p].value.fetch_add(n, std::memory_order_relaxed);
+      }
+    };
 
-    // Same drain as the phased stage 2 for a worker owning one partition.
-    // Its fault point fires once per pass, not per key, so fault injection
-    // needs no per-key fold here.
+    // The phased stage 2, run between batches. Its fault point fires once
+    // per pass, not per item, so the drain keeps the block kernel under
+    // fault injection too.
     auto drain_once = [&] {
       if (inject) fault::fire(fault::Point::kPipelineDrain);
-      for (std::size_t src = 0; src < P; ++src) {
-        if (src == p) continue;
-        SpscQueue<K>& queue = queues.at(src, p);
-        const std::size_t drained =
-            queue.consume([&](const K* span, std::size_t count) {
-              ++ws.bulk_pops;
-              mine.increment_block(span, count);
-            });
-        ws.stage2_pops += drained;
-        if (watchdog && drained != 0) {
-          progress[p].value.fetch_add(drained, std::memory_order_relaxed);
-        }
-      }
+      count_progress(drain_inbound(kernel, p, p, p + 1, ws, false));
     };
 
     // The whole kernel is exception-robust: a throw anywhere marks the build
@@ -469,51 +684,22 @@ BasicPotentialTable<K> BasicWaitFreeBuilder<K>::build_pipelined(
     // worker can spin forever waiting on this one.
     bool counted_done = false;
     try {
-      // Interleave producing batches with draining inbound keys. The router
-      // is flushed after every batch, so the consumers' drain interleave
+      // Interleave producing batches with draining inbound keys. The routers
+      // are flushed after every batch, so the consumers' drain interleave
       // (and the stall watchdog's progress accounting) observe the same
-      // cadence as the scalar path — at most one batch of keys is ever
-      // staged privately.
-      KeyRouter<K> router(queues, p, P);
-      std::array<K, kEncodeStripRows> keys{};
-      std::array<std::size_t, kEncodeStripRows> owners{};
+      // cadence as the scalar path. The combiner holds its entries across
+      // batches and is emptied before this producer retires.
       const auto [lo, hi] = ThreadPool::block_range(m, P, p);
+      Stage1Worker<K> stage1(kernel, p, hi - lo, ws, inject);
       std::size_t i = lo;
       while (i < hi && !gate.aborted()) {
         const std::size_t stop = std::min(hi, i + kPipelineBatchRows);
-        while (i < stop) {
-          const std::size_t count = std::min(kEncodeStripRows, stop - i);
-          if (inject) {
-            for (std::size_t r = 0; r < count; ++r) {
-              fault::fire(fault::Point::kStage1Row);
-              keys[r] = codec.encode(data.row(i + r));
-              ++ws.rows_encoded;
-            }
-          } else {
-            codec.encode_block(data.row(i).data(), count, keys.data(), level);
-            ws.rows_encoded += count;
-          }
-          Traits::owner_block(keys.data(), count, P, space, scheme,
-                              owners.data());
-          for (std::size_t r = 0; r < count; ++r) {
-            const K key = keys[r];
-            const std::size_t owner = owners[r];
-            if (owner == p) {
-              mine.increment(key);
-              ++ws.local_updates;
-            } else {
-              ws.route_flushes += router.route(owner, key);
-              ++ws.foreign_pushes;
-            }
-          }
-          if (watchdog) {
-            progress[p].value.fetch_add(count, std::memory_order_relaxed);
-          }
-          i += count;
-        }
-        ws.route_flushes += router.flush_all();
+        stage1.scan(i, stop, count_progress);
+        i = stop;
+        stage1.flush_routers();
         drain_once();
       }
+      stage1.finish();
       ws.stage1_seconds = stage_timer.seconds();
       gate.retire();
       counted_done = true;
@@ -549,6 +735,7 @@ BasicPotentialTable<K> BasicWaitFreeBuilder<K>::build_pipelined(
       }
       if (!gate.aborted()) drain_once();
       ws.stage2_seconds = stage_timer.seconds();
+      stats_.workers[p] = ws;
     } catch (...) {
       gate.abort_and_retire(counted_done);
       throw;

@@ -8,6 +8,17 @@
 // writer per stage, so no locks and no retries: both stages are wait-free,
 // and the only synchronization is the single barrier crossing.
 //
+// Stage 1 pre-aggregates data that compresses. A core whose block holds at
+// least one probe window of rows counts them in a private direct-mapped
+// (key, count) combiner; a conflict evicts the resident entry to its owner
+// (a table increment, a key on the SPSC queue when its count is 1, or a
+// (key, count) item on a second queue that stage 2 folds with
+// increment(key, count)). The core keeps combining only while each window's
+// rows mostly find their key resident, and empties the combiner before its
+// barrier arrival. The combiner is private memory, so the argument above is
+// unchanged. docs/ALGORITHMS.md, "Stage-1 pre-aggregation", has the rule
+// and its measurements.
+//
 // Two variants:
 //  - phased (the paper): barrier between the stages;
 //  - pipelined (paper §VI future work): consumers drain their inbound queues
@@ -52,12 +63,16 @@ struct WaitFreeBuilderOptions {
 
 /// Per-worker instrumentation. The counts feed the multicore scaling
 /// simulator (src/sim): they are exactly the per-core work terms of the
-/// paper's O(m·n/P) analysis.
+/// paper's O(m·n/P) analysis. Every scanned row is one table update, one
+/// routed item or one combiner hit:
+/// rows_encoded == local_updates + foreign_pushes + combined_rows, and over
+/// all workers Σ stage2_pops == Σ foreign_pushes.
 struct WorkerStats {
   std::uint64_t rows_encoded = 0;    ///< stage-1 rows this worker scanned
   std::uint64_t local_updates = 0;   ///< stage-1 updates into its own table
-  std::uint64_t foreign_pushes = 0;  ///< stage-1 keys routed to other owners
-  std::uint64_t stage2_pops = 0;     ///< stage-2 keys drained into its table
+  std::uint64_t foreign_pushes = 0;  ///< stage-1 items routed to other owners
+  std::uint64_t combined_rows = 0;   ///< stage-1 rows absorbed by a combiner hit
+  std::uint64_t stage2_pops = 0;     ///< stage-2 items drained into its table
   std::uint64_t route_flushes = 0;   ///< write-combining buffer flushes issued
   std::uint64_t bulk_pops = 0;       ///< published chunk spans consumed whole
   double stage1_seconds = 0.0;
@@ -89,10 +104,11 @@ struct BuildStats {
 
   [[nodiscard]] std::uint64_t total_foreign_pushes() const noexcept;
   [[nodiscard]] std::uint64_t total_local_updates() const noexcept;
+  [[nodiscard]] std::uint64_t total_combined_rows() const noexcept;
   /// Routing efficiency counters of the block fast path: how many bulk
   /// flushes stage 1 issued and how many whole chunk spans stage 2 consumed.
-  /// foreign_pushes / flushes ≈ keys per release store; stage2_pops /
-  /// bulk_pops ≈ keys per acquire load.
+  /// foreign_pushes / flushes ≈ items per release store; stage2_pops /
+  /// bulk_pops ≈ items per acquire load.
   [[nodiscard]] std::uint64_t total_route_flushes() const noexcept;
   [[nodiscard]] std::uint64_t total_bulk_pops() const noexcept;
   /// max_p(stage1_p) + max_p(stage2_p): the makespan a P-core machine would

@@ -67,6 +67,19 @@ MachineModel MachineModel::calibrate(std::size_t samples, std::uint64_t seed) {
     keep_alive(sink);
   }
 
+  // --- stage-1 combiner hit: hash, then add in place into a direct-mapped
+  // array small enough to stay cache-resident, as the combiner's is.
+  {
+    constexpr std::size_t kSlots = std::size_t{1} << 12;
+    std::vector<std::uint64_t> counts(kSlots, 0);
+    Timer timer;
+    for (const Key key : keys) {
+      ++counts[KeyTraits<Key>::slot_hash(key) & (kSlots - 1)];
+    }
+    model.t_combine = time_per_op(samples, timer.seconds());
+    keep_alive(counts[keys[0] & (kSlots - 1)]);
+  }
+
   // --- projection (two-variable marginal, the drafting-phase hot path).
   {
     const std::size_t vars[] = {3, 17};
@@ -128,7 +141,8 @@ double predict_wait_free_seconds(const MachineModel& model,
         static_cast<double>(w.rows_encoded) * static_cast<double>(variables) *
             model.t_encode_per_var +
         static_cast<double>(w.local_updates) * model.t_update +
-        static_cast<double>(w.foreign_pushes) * model.t_push;
+        static_cast<double>(w.foreign_pushes) * model.t_push +
+        static_cast<double>(w.combined_rows) * model.t_combine;
     const double s2 =
         static_cast<double>(w.stage2_pops) * (model.t_pop + model.t_update);
     stage1 = std::max(stage1, s1);

@@ -15,8 +15,11 @@
 //
 // Wait-free makespan:  T(P) = max_p S1_p + barrier(P) + max_p S2_p, with
 //   S1_p = rows_p·n·t_enc + local_p·t_upd + foreign_p·t_push
+//          + combined_p·t_combine
 //   S2_p = pops_p·(t_pop + t_upd)
-// which is exactly the paper's O(m·n/P) analysis with constants attached.
+// which is exactly the paper's O(m·n/P) analysis with constants attached;
+// combined_p counts the rows stage 1 absorbed in its private combiner
+// instead of updating or routing them (zero on data that does not compress).
 //
 // Lock-based makespan: every update acquires a lock word shared by P writers:
 //   t_lock(P) = t_mutex + (P−1)/P·t_line + q·(P−1)²   (q = coherence term)
@@ -36,6 +39,7 @@ struct MachineModel {
   double t_encode_per_var = 1e-9;  ///< one mixed-radix multiply-add
   double t_update = 2e-8;          ///< private hashtable increment
   double t_push = 8e-9;            ///< SPSC enqueue
+  double t_combine = 2e-9;         ///< stage-1 combiner hit (in-place add)
   double t_pop = 6e-9;             ///< SPSC dequeue
   double t_project_per_var = 3e-9; ///< one Eq.-4 leg in KeyProjector
   double t_entry_visit = 4e-9;     ///< hash iteration overhead per entry
@@ -48,7 +52,8 @@ struct MachineModel {
   double coherence_quadratic = 4e-10; ///< per (P−1)² per locked op
 
   /// Measures the calibrated entries by timing the library's own inner loops
-  /// (encode, table update, queue push/pop, projection, mutex, barrier).
+  /// (encode, table update, queue push/pop, combiner hit, projection, mutex,
+  /// barrier).
   /// `samples` trades calibration time for stability.
   static MachineModel calibrate(std::size_t samples = 200000,
                                 std::uint64_t seed = 7);

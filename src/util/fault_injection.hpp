@@ -38,7 +38,7 @@ enum class Point : int {
   kSpscChunkAlloc,    ///< SpscQueue::push, before allocating a fresh chunk
   kStage1Row,         ///< builder stage-1 kernel, once per scanned row
   kBarrier,           ///< phased builder, just before the barrier crossing
-  kStage2Drain,       ///< phased builder stage 2, once per drained key
+  kStage2Drain,       ///< phased builder stage 2, once per drained item
   kPipelineDrain,     ///< pipelined builder, once per drain sweep
   kAppendCommit,      ///< append(), after staging and before the commit
   kMarginalizeSweep,  ///< marginalizer worker, once per swept partition

@@ -237,8 +237,10 @@ TEST_P(AppendStrongGuarantee, MidAppendThrowLeavesTableBitIdentical) {
   const auto [point, fire_on] = GetParam();
   // Two workers concentrate foreign traffic into two queues so even the
   // chunk-allocation point (one hit per 2048 pushes into one queue) fires.
-  const Dataset base = generate_uniform(6000, 10, 2, 21);
-  const Dataset batch = generate_uniform(12000, 10, 2, 22);
+  // 2^20 keys: the batch does not compress, so every row still crosses the
+  // key fabric (a 1024-key batch would combine into a few hundred items).
+  const Dataset base = generate_uniform(6000, 20, 2, 21);
+  const Dataset batch = generate_uniform(12000, 20, 2, 22);
   WaitFreeBuilderOptions options;
   options.threads = 2;
   WaitFreeBuilder builder(options);
@@ -250,6 +252,7 @@ TEST_P(AppendStrongGuarantee, MidAppendThrowLeavesTableBitIdentical) {
   fault::ScopedFaultInjection injection;
   fault::arm(point, fire_on);
   EXPECT_THROW(builder.append(batch, table), InjectedFault);
+  EXPECT_GE(fault::hits(point), fire_on);  // the armed point itself fired
 
   // Bit-identical pre-call state: same keys, same counts, same sample count.
   EXPECT_EQ(table.sample_count(), samples_before);
@@ -314,7 +317,9 @@ class FlushPointSweep : public ::testing::TestWithParam<FlushConfig> {};
 
 TEST_P(FlushPointSweep, ThrowMidFlushYieldsTypedErrorOrExactBuild) {
   const FlushConfig config = GetParam();
-  const Dataset data = generate_uniform(24000, 10, 2, 42);
+  // 2^20 keys, so no worker's slice compresses: the count-1 keys fill the
+  // key fabric's chunks as the geometry below describes.
+  const Dataset data = generate_uniform(24000, 20, 2, 42);
   const auto reference = reference_counts(data);
 
   fault::ScopedFaultInjection injection;
@@ -348,12 +353,12 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(p.param.fire_on);
     });
 
-TEST(FaultInjection, ThrowMidFlushKeepsAppendStrongGuarantee) {
-  // append() stages into scratch partitions, so a bulk flush that throws
-  // (keys already published stay queued, the rest of the block is dropped)
-  // only ever corrupts the scratch — the live table must stay bit-identical.
-  const Dataset base = generate_uniform(6000, 10, 2, 24);
-  const Dataset batch = generate_uniform(12000, 10, 2, 25);
+/// append() stages into scratch partitions, so a bulk flush that throws
+/// (keys already published stay queued, the rest of the block is dropped)
+/// only ever corrupts the scratch — the live table must stay bit-identical,
+/// and the same append must succeed once the schedule is cleared.
+void expect_mid_flush_throw_keeps_table(const Dataset& base,
+                                        const Dataset& batch) {
   WaitFreeBuilderOptions options;
   options.threads = 2;
   WaitFreeBuilder builder(options);
@@ -364,6 +369,7 @@ TEST(FaultInjection, ThrowMidFlushKeepsAppendStrongGuarantee) {
   fault::ScopedFaultInjection injection;
   fault::arm(fault::Point::kSpscChunkAlloc, 1);
   EXPECT_THROW(builder.append(batch, table), InjectedFault);
+  EXPECT_GE(fault::hits(fault::Point::kSpscChunkAlloc), 1u);
 
   EXPECT_EQ(table.sample_count(), samples_before);
   EXPECT_EQ(snapshot(table), before);
@@ -376,6 +382,32 @@ TEST(FaultInjection, ThrowMidFlushKeepsAppendStrongGuarantee) {
     combined[key] += count;
   }
   expect_equal_counts(table, combined);
+}
+
+TEST(FaultInjection, ThrowMidFlushKeepsAppendStrongGuarantee) {
+  // 2^20 keys: the batch does not compress, so each worker routes ~3000
+  // count-1 keys into one queue and the first chunk refill throws.
+  expect_mid_flush_throw_keeps_table(generate_uniform(6000, 20, 2, 24),
+                                     generate_uniform(12000, 20, 2, 25));
+}
+
+TEST(FaultInjection, ThrowMidFlushKeepsCompressingAppendStrongGuarantee) {
+  // One key holds 60% of the batch, so both workers combine; the other 40%
+  // are count-1 evictions, still more than a chunk per queue.
+  const Dataset batch = generate_skewed(24000, 20, 2, 1e-9, 0.6, 27);
+  expect_mid_flush_throw_keeps_table(generate_uniform(6000, 20, 2, 26), batch);
+
+  // The premise: the same append, unarmed, combines on both workers and
+  // routes more than one chunk (2048 items) of keys into some queue.
+  WaitFreeBuilderOptions options;
+  options.threads = 2;
+  WaitFreeBuilder builder(options);
+  PotentialTable table = builder.build(generate_uniform(6000, 20, 2, 26));
+  builder.append(batch, table);
+  for (const WorkerStats& w : builder.stats().workers) {
+    EXPECT_GT(w.combined_rows, batch.sample_count() / 4);
+    EXPECT_GT(w.foreign_pushes, 2048u);
+  }
 }
 
 // ------------------------------------------------- graceful degradation

@@ -48,7 +48,10 @@ TEST(BuildStats, CriticalPathAndAggregates) {
     max_stage1 = std::max(max_stage1, w.stage1_seconds);
   }
   EXPECT_GE(stats.critical_path_seconds() + 1e-12, max_stage1);
-  EXPECT_EQ(stats.total_local_updates() + stats.total_foreign_pushes(), 20000u);
+  // 1024 distinct keys: every worker's 5000-row slice combines.
+  EXPECT_EQ(stats.total_local_updates() + stats.total_foreign_pushes() +
+                stats.total_combined_rows(),
+            20000u);
 }
 
 TEST(Cheng, OrientationCanBeDisabled) {

@@ -23,6 +23,7 @@ TEST(MachineModel, CalibrationProducesPlausibleCosts) {
   // All measured costs must be positive and in a sane nanosecond band.
   for (const double cost :
        {model.t_encode_per_var, model.t_update, model.t_push, model.t_pop,
+        model.t_combine,
         model.t_project_per_var, model.t_entry_visit, model.t_mutex,
         model.t_barrier_per_core}) {
     EXPECT_GT(cost, 0.0);
@@ -64,6 +65,24 @@ TEST(CostModel, WaitFreePredictionLinearInRows) {
   const double small = predict_wait_free_seconds(model, stats_for(4, 10000), 20);
   const double large = predict_wait_free_seconds(model, stats_for(4, 40000), 20);
   EXPECT_NEAR(large / small, 4.0, 0.6);
+}
+
+TEST(CostModel, CombinedRowsArePricedAtTheCombinerHitCost) {
+  // One worker that scanned 1000 rows: absorbing 600 of them in the
+  // combiner replaces 600 table updates with 600 combiner hits.
+  MachineModel model;
+  model.t_update = 20e-9;
+  model.t_combine = 2e-9;
+  BuildStats routed;
+  routed.workers.resize(1);
+  routed.workers[0].rows_encoded = 1000;
+  routed.workers[0].local_updates = 1000;
+  BuildStats combined = routed;
+  combined.workers[0].local_updates = 400;
+  combined.workers[0].combined_rows = 600;
+  const double saved = predict_wait_free_seconds(model, routed, 10) -
+                       predict_wait_free_seconds(model, combined, 10);
+  EXPECT_NEAR(saved, 600 * (model.t_update - model.t_combine), 1e-12);
 }
 
 TEST(CostModel, LockedBaselineSaturatesThenRegresses) {

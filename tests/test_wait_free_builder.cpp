@@ -10,9 +10,12 @@
 #include <type_traits>
 #include <utility>
 
+#include "bn/repository.hpp"
+#include "bn/sampling.hpp"
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
 #include "util/error.hpp"
+#include "util/fault_injection.hpp"
 #include "util/simd.hpp"
 
 namespace wfbn {
@@ -79,16 +82,19 @@ TEST_P(BuilderEquivalence, ParallelBuildEqualsSequentialCounts) {
   std::uint64_t rows = 0;
   std::uint64_t local = 0;
   std::uint64_t foreign = 0;
+  std::uint64_t combined = 0;
   std::uint64_t pops = 0;
   for (const WorkerStats& w : stats.workers) {
     rows += w.rows_encoded;
     local += w.local_updates;
     foreign += w.foreign_pushes;
+    combined += w.combined_rows;
     pops += w.stage2_pops;
   }
   EXPECT_EQ(rows, 20000u);
-  EXPECT_EQ(local + foreign, 20000u);
-  EXPECT_EQ(pops, foreign);  // every routed key is drained exactly once
+  // A slice of at least one probe window can absorb rows in its combiner.
+  EXPECT_EQ(local + foreign + combined, 20000u);
+  EXPECT_EQ(pops, foreign);  // every routed item is drained exactly once
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -403,6 +409,205 @@ TYPED_TEST(BlockRoutingOracle, BatchedAppendIsByteIdenticalToScalarAppend) {
   builder.append(batch, table);
   EXPECT_EQ(snapshot_of(table), brute_force_counts<TypeParam>({&base, &batch}));
   EXPECT_EQ(table.sample_count(), 14000u);
+}
+
+// ---------------------------------------------------------------------------
+// Stage-1 pre-aggregation: a worker whose slice holds at least one probe
+// window (4096 rows) counts its rows in a private combiner while they
+// compress. The data above mostly does not compress, so these tests build
+// data that does, or that changes its mind mid-slice, and check every build
+// and append against brute-force counts, plus the premise: which workers
+// combined.
+
+constexpr std::size_t kWindow = 4096;  ///< the builder's probe window
+
+/// Per worker, every scanned row is one table update, one routed item or
+/// one combiner hit; over all workers every routed item is drained once.
+void expect_conserved(const BuildStats& stats, std::uint64_t rows) {
+  std::uint64_t scanned = 0;
+  std::uint64_t pushed = 0;
+  std::uint64_t popped = 0;
+  for (const WorkerStats& w : stats.workers) {
+    EXPECT_EQ(w.local_updates + w.foreign_pushes + w.combined_rows,
+              w.rows_encoded);
+    scanned += w.rows_encoded;
+    pushed += w.foreign_pushes;
+    popped += w.stage2_pops;
+  }
+  EXPECT_EQ(scanned, rows);
+  EXPECT_EQ(popped, pushed);
+}
+
+void expect_every_worker_combined(const BuildStats& stats) {
+  for (std::size_t w = 0; w < stats.workers.size(); ++w) {
+    EXPECT_GT(stats.workers[w].combined_rows, 0u) << "worker " << w;
+  }
+}
+
+/// Forward samples of SACHS (11 variables, 3 states): the benchmark's
+/// compressing workload, where a 4096-row window hits its combiner on
+/// about 60% of rows.
+Dataset sachs_rows(std::size_t rows, std::uint64_t seed) {
+  static const BayesianNetwork sachs =
+      load_network(RepositoryNetwork::kSachs, 42);
+  return forward_sample(sachs, rows, seed);
+}
+
+/// Rows of 24 binary variables in segments of `rows_per_segment`: a
+/// compressing segment varies only the first 6 variables (64 keys), the
+/// others all 24 (2^24 keys).
+Dataset segmented_rows(std::initializer_list<bool> compressing,
+                       std::size_t rows_per_segment, std::uint64_t seed) {
+  constexpr std::size_t kVars = 24;
+  std::vector<State> raw;
+  for (const bool compresses : compressing) {
+    const Dataset part = generate_uniform(rows_per_segment, kVars, 2, seed++);
+    for (std::size_t i = 0; i < rows_per_segment; ++i) {
+      const auto row = part.row(i);
+      for (std::size_t j = 0; j < kVars; ++j) {
+        raw.push_back(compresses && j >= 6 ? State{0} : row[j]);
+      }
+    }
+  }
+  const std::size_t rows = raw.size() / kVars;
+  return Dataset(rows, std::vector<std::uint32_t>(kVars, 2), std::move(raw));
+}
+
+template <typename K>
+class PreAggregationOracle : public ::testing::Test {};
+
+TYPED_TEST_SUITE(PreAggregationOracle, OracleKeyTypes);
+
+TYPED_TEST(PreAggregationOracle, SachsCombinesOnEveryWorkerInBuildAndAppend) {
+  // At P=4: more than 4 windows per worker for the build, 1 for the append.
+  const Dataset base = sachs_rows(4 * 4 * kWindow + 123, 51);
+  const Dataset batch = sachs_rows(4 * kWindow + 7, 52);
+  const CountMap built = brute_force_counts<TypeParam>({&base});
+  const CountMap appended = brute_force_counts<TypeParam>({&base, &batch});
+  for (const bool forced : {true, false}) {
+    std::optional<simd::ScopedForceLevel> force;
+    if (forced) force.emplace(simd::Level::kScalar);
+    for (const bool pipelined : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "forced=" << forced << " pipelined=" << pipelined);
+      BasicWaitFreeBuilder<TypeParam> builder(four_workers(pipelined));
+      auto table = builder.build(base);
+      EXPECT_EQ(snapshot_of(table), built);
+      expect_conserved(builder.stats(), base.sample_count());
+      expect_every_worker_combined(builder.stats());
+      // Combining is what the build mostly did, not a side path.
+      EXPECT_GT(builder.stats().total_combined_rows(),
+                base.sample_count() / 2);
+
+      builder.append(batch, table);
+      EXPECT_EQ(snapshot_of(table), appended);
+      EXPECT_EQ(table.sample_count(),
+                base.sample_count() + batch.sample_count());
+      expect_conserved(builder.stats(), batch.sample_count());
+      expect_every_worker_combined(builder.stats());
+    }
+  }
+}
+
+TYPED_TEST(PreAggregationOracle, SkewedHotKeyAboveHalfTheRowsStaysExact) {
+  // One key (all zeros) takes 60% of the rows; the rest spread over 2^20
+  // keys, so combined counts and count-1 evictions travel side by side.
+  const Dataset base = generate_skewed(40000, 20, 2, 1e-9, 0.6, 53);
+  const Dataset batch = generate_skewed(20000, 20, 2, 1e-9, 0.6, 54);
+  const CountMap built = brute_force_counts<TypeParam>({&base});
+  std::uint64_t hottest = 0;
+  for (const auto& [key, count] : built) hottest = std::max(hottest, count);
+  ASSERT_GT(hottest, base.sample_count() / 2);  // the premise
+  for (const bool pipelined : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "pipelined=" << pipelined);
+    BasicWaitFreeBuilder<TypeParam> builder(four_workers(pipelined));
+    auto table = builder.build(base);
+    EXPECT_EQ(snapshot_of(table), built);
+    expect_conserved(builder.stats(), base.sample_count());
+    expect_every_worker_combined(builder.stats());
+    builder.append(batch, table);
+    EXPECT_EQ(snapshot_of(table),
+              brute_force_counts<TypeParam>({&base, &batch}));
+    expect_conserved(builder.stats(), batch.sample_count());
+  }
+}
+
+TYPED_TEST(PreAggregationOracle, SliceThatStopsCompressingAndTheReverse) {
+  // Two workers; each slice is two segments of 3 windows.
+  constexpr std::size_t kSegment = 3 * kWindow;
+  WaitFreeBuilderOptions options;
+  options.threads = 2;
+  for (const bool pipelined : {false, true}) {
+    options.pipelined = pipelined;
+    SCOPED_TRACE(::testing::Message() << "pipelined=" << pipelined);
+    {
+      // Compresses, then stops: the head combines, the tail cannot.
+      const Dataset data =
+          segmented_rows({true, false, true, false}, kSegment, 55);
+      BasicWaitFreeBuilder<TypeParam> builder(options);
+      EXPECT_EQ(snapshot_of(builder.build(data)),
+                brute_force_counts<TypeParam>({&data}));
+      expect_conserved(builder.stats(), data.sample_count());
+      for (const WorkerStats& w : builder.stats().workers) {
+        EXPECT_GT(w.combined_rows, kSegment / 2);
+        EXPECT_GT(w.local_updates + w.foreign_pushes, kSegment * 9 / 10);
+      }
+    }
+    {
+      // The reverse: the first window does not compress, so the worker runs
+      // the uncombined path for the rest of its slice, compressing tail
+      // included.
+      const Dataset data =
+          segmented_rows({false, true, false, true}, kSegment, 56);
+      BasicWaitFreeBuilder<TypeParam> builder(options);
+      EXPECT_EQ(snapshot_of(builder.build(data)),
+                brute_force_counts<TypeParam>({&data}));
+      expect_conserved(builder.stats(), data.sample_count());
+      for (const WorkerStats& w : builder.stats().workers) {
+        EXPECT_LT(w.combined_rows * 10, w.rows_encoded);
+      }
+    }
+  }
+}
+
+TYPED_TEST(PreAggregationOracle, DegradedPoolEvictsIntoSeveralOwnedPartitions) {
+  // The append pool loses its third spawn: two workers own two of the four
+  // partitions each, so a worker's evictions land in both of its own
+  // partitions as well as across the fabric.
+  const Dataset base = sachs_rows(20000, 57);
+  const Dataset batch = sachs_rows(2 * 2 * kWindow + 11, 58);
+  BasicWaitFreeBuilder<TypeParam> builder(four_workers(false));
+  auto table = builder.build(base);
+
+  fault::ScopedFaultInjection injection;
+  fault::arm(fault::Point::kThreadSpawn, 3);
+  builder.append(batch, table);
+
+  const BuildStats& stats = builder.stats();
+  EXPECT_EQ(stats.requested_workers, 4u);
+  ASSERT_EQ(stats.effective_workers, 2u);
+  EXPECT_TRUE(table.partitions().ownership_invariant_holds());
+  EXPECT_EQ(snapshot_of(table), brute_force_counts<TypeParam>({&base, &batch}));
+  expect_conserved(stats, batch.sample_count());
+  expect_every_worker_combined(stats);
+  for (const WorkerStats& w : stats.workers) {
+    EXPECT_GT(w.local_updates, 0u);
+    EXPECT_GT(w.foreign_pushes, 0u);
+  }
+}
+
+TYPED_TEST(PreAggregationOracle, UniformThirtyVariablesBypassesTheCombiner) {
+  // 2^30 keys: no probe window finds a key twice, so every row takes the
+  // uncombined path, one update or one routed key each.
+  const Dataset data = generate_uniform(4 * 2 * kWindow, 30, 2, 59);
+  const CountMap reference = brute_force_counts<TypeParam>({&data});
+  for (const bool pipelined : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "pipelined=" << pipelined);
+    BasicWaitFreeBuilder<TypeParam> builder(four_workers(pipelined));
+    EXPECT_EQ(snapshot_of(builder.build(data)), reference);
+    expect_conserved(builder.stats(), data.sample_count());
+    EXPECT_EQ(builder.stats().total_combined_rows(), 0u);
+  }
 }
 
 TEST(WaitFreeBuilder, TotalHelpersSumPerWorkerRoutingCounters) {
