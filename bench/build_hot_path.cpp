@@ -6,8 +6,9 @@
 // P = --threads workers. Two kinds of workload:
 //
 //   uniform  --samples rows of --variables variables at each --cardinality
-//            r (a sweep list); these do not compress, so every worker probes
-//            one window and then routes row by row;
+//            r (a sweep list); at the default n=30 these do not compress, so
+//            every worker probes one window and then routes row by row
+//            (small state spaces, e.g. n=12 r=2 with 4096 keys, do combine);
 //   sachs    --sachs-samples rows forward-sampled from SACHS (11 variables,
 //            3 states, about 29k distinct keys at 10M rows), the compressing
 //            leg where stage 1 pre-aggregates; 0 skips it.
