@@ -184,8 +184,14 @@ class BasicOpenHashTable {
   /// scan increment() would run, so duplicates within a group are safe: the
   /// first of them to resolve inserts the key, the others find it on their
   /// own walk (slots are never vacated).
-  void resolve_group(const K* gkeys, const std::size_t* hashes,
-                     std::size_t g) {
+  ///
+  /// Always inlined: it is increment_block()'s loop body. When a caller
+  /// inlines increment_block() (the builder's stage-2 drain does), GCC
+  /// otherwise keeps this out of line, and that drain measured 3.0–3.4 ms
+  /// against 2.7–2.9 ms per build (ALARM m=200k, P=4).
+  [[gnu::always_inline]] void resolve_group(const K* gkeys,
+                                            const std::size_t* hashes,
+                                            std::size_t g) {
     std::size_t idx[kProbeGroup];
     for (std::size_t i = 0; i < g; ++i) idx[i] = hashes[i] & mask_;
     std::uint64_t pending = (std::uint64_t{1} << g) - 1;
