@@ -188,7 +188,8 @@ class BasicOpenHashTable {
   /// Always inlined: it is increment_block()'s loop body. When a caller
   /// inlines increment_block() (the builder's stage-2 drain does), GCC
   /// otherwise keeps this out of line, and that drain measured 3.0–3.4 ms
-  /// against 2.7–2.9 ms per build (ALARM m=200k, P=4).
+  /// against 2.7–2.9 ms per build (ALARM m=200k, P=4, 4-core x86-64 AVX2
+  /// host).
   [[gnu::always_inline]] void resolve_group(const K* gkeys,
                                             const std::size_t* hashes,
                                             std::size_t g) {
