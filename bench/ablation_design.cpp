@@ -1,7 +1,6 @@
 // Ablations over the design decisions DESIGN.md §6 calls out:
 //   ABL-PART   key→owner partition function (modulo vs. contiguous range)
 //              on uniform and skewed key populations;
-//   ABL-QUEUE  phased (paper) vs. pipelined (future-work) stage coupling;
 //   ABL-MI     all-pairs MI scheduling strategy;
 //   ABL-IMPL   all construction strategies side by side.
 #include <cstdio>
@@ -60,24 +59,6 @@ void run_partition_ablation(const ScalingSimulator& sim, std::size_t samples,
   table.print("ABL-PART — partition function vs. key skew");
 }
 
-void run_pipeline_ablation(std::size_t samples, std::uint64_t seed) {
-  const Dataset data = generate_uniform(samples, 30, 2, seed);
-  TablePrinter table({"variant", "threads", "wall_ms", "foreign_pushes"});
-  for (const bool pipelined : {false, true}) {
-    for (const std::size_t p : {2u, 4u, 8u}) {
-      WaitFreeBuilderOptions options;
-      options.threads = p;
-      options.pipelined = pipelined;
-      WaitFreeBuilder builder(options);
-      (void)builder.build(data);
-      table.add_row({pipelined ? "pipelined" : "phased", std::to_string(p),
-                     TablePrinter::fmt(builder.stats().total_seconds * 1e3, 3),
-                     TablePrinter::fmt(builder.stats().total_foreign_pushes())});
-    }
-  }
-  table.print("ABL-QUEUE — phased (paper) vs. pipelined stage coupling");
-}
-
 void run_mi_strategy_ablation(std::size_t samples, std::uint64_t seed) {
   const Dataset data = generate_uniform(samples, 24, 2, seed);
   WaitFreeBuilderOptions build_options;
@@ -105,8 +86,7 @@ void run_builder_ablation(std::size_t samples, std::uint64_t seed) {
   TablePrinter out({"builder", "threads", "wall_ms", "lock_acquisitions"});
   const BuilderKind kinds[] = {BuilderKind::kSequential, BuilderKind::kGlobalLock,
                                BuilderKind::kStriped, BuilderKind::kAtomic,
-                               BuilderKind::kWaitFree,
-                               BuilderKind::kWaitFreePipelined};
+                               BuilderKind::kWaitFree};
   for (const BuilderKind kind : kinds) {
     BuilderOptions options;
     options.threads = kind == BuilderKind::kSequential ? 1 : 4;
@@ -193,7 +173,6 @@ int main(int argc, char** argv) {
 
   const ScalingSimulator sim = make_simulator();
   run_partition_ablation(sim, samples, seed);
-  run_pipeline_ablation(samples, seed);
   run_mi_strategy_ablation(samples, seed);
   run_builder_ablation(samples, seed);
   run_wide_key_ablation(samples, seed);

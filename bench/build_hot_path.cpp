@@ -2,8 +2,8 @@
 // critical path of WaitFreeBuilder::build over the settings that exist —
 // the encode dispatch level (--simd: scalar forces the scalar reference
 // kernels with simd::ScopedForceLevel, auto runs whatever the host
-// resolves), the workload and the variant (--pipelined 0,1) — at
-// P = --threads workers. Two kinds of workload:
+// resolves) and the workload — at P = --threads workers. Two kinds of
+// workload:
 //
 //   uniform  --samples rows of --variables variables at each --cardinality
 //            r (a sweep list); at the default n=30 these do not compress, so
@@ -19,10 +19,11 @@
 // build of a different table can never be reported.
 //
 // Reported per configuration over --reps repetitions: the median, min and
-// max of the wall clock and of the critical path max_p(stage1_p) +
-// max_p(stage2_p), rows/s at the median critical path, the effective SIMD
-// level, the share of rows absorbed by stage-1 combiner hits, and the ratio
-// of the scalar leg's median critical path to this one's. Repetitions run
+// max of the wall clock, of the critical path max_p(stage1_p) +
+// max_p(stage2_p) and of its two terms, rows/s at the median critical path,
+// the effective SIMD level, the share of rows absorbed by stage-1 combiner
+// hits, and the ratio of the scalar leg's median critical path to this
+// one's. Repetitions run
 // round-robin over the configurations, so drift of a shared host spreads
 // over all of them alike. The JSON is stamped with the host block (nproc,
 // CPU model, SIMD level, THP mode); path via --json-out, empty string
@@ -30,7 +31,7 @@
 //
 //   ./build_hot_path --samples 2000000 --variables 30 --threads 4
 //       --cardinality 2,4 --sachs-samples 10000000 --simd scalar,auto
-//       --pipelined 0,1 --reps 9
+//       --reps 9
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -79,10 +80,11 @@ bool matches(const PotentialTable& table, const Counts& reference) {
 
 struct Config {
   bool scalar = false;  ///< force the scalar reference kernels
-  bool pipelined = false;
   simd::Level level = simd::Level::kScalar;  ///< effective, from BuildStats
   Samples wall;
   Samples critical;
+  Samples stage1;  ///< max_p(stage1_p)
+  Samples stage2;  ///< max_p(stage2_p)
   double combined_share = 0.0;  ///< combiner hits / rows, last build
   bool correct = true;
 };
@@ -94,7 +96,6 @@ void run_once(const Dataset& data, std::size_t threads, const Counts& reference,
   if (config.scalar) force.emplace(simd::Level::kScalar);
   WaitFreeBuilderOptions options;
   options.threads = threads;
-  options.pipelined = config.pipelined;
   WaitFreeBuilder builder(options);
   const PotentialTable table = builder.build(data);
   config.correct = config.correct && matches(table, reference);
@@ -105,6 +106,14 @@ void run_once(const Dataset& data, std::size_t threads, const Counts& reference,
   if (warm_up) return;
   config.wall.add(builder.stats().total_seconds);
   config.critical.add(builder.stats().critical_path_seconds());
+  double stage1 = 0.0;
+  double stage2 = 0.0;
+  for (const WorkerStats& w : builder.stats().workers) {
+    stage1 = std::max(stage1, w.stage1_seconds);
+    stage2 = std::max(stage2, w.stage2_seconds);
+  }
+  config.stage1.add(stage1);
+  config.stage2.add(stage2);
 }
 
 void spread(JsonWriter& json, const std::string& name, const Samples& s) {
@@ -139,23 +148,19 @@ std::vector<bool> parse_simd_list(const std::string& text) {
   return scalar;
 }
 
-/// Times every (variant, simd) configuration on `data` and appends one
-/// sweep object (`label` fields first) to the JSON. Returns false if any
-/// build diverged from the brute-force counts.
+/// Times every simd configuration on `data` and appends one sweep object
+/// (`label` fields first) to the JSON. Returns false if any build diverged
+/// from the brute-force counts.
 template <typename Label>
 bool run_sweep(const Dataset& data, std::size_t threads, std::size_t reps,
-               const std::vector<std::int64_t>& variants,
                const std::vector<bool>& simd_legs, const std::string& title,
                Label&& label, JsonWriter& json) {
   const Counts reference = brute_force_counts(data);
   std::vector<Config> configs;
-  for (const std::int64_t pipelined : variants) {
-    for (const bool scalar : simd_legs) {
-      Config config;
-      config.scalar = scalar;
-      config.pipelined = pipelined != 0;
-      configs.push_back(std::move(config));
-    }
+  for (const bool scalar : simd_legs) {
+    Config config;
+    config.scalar = scalar;
+    configs.push_back(std::move(config));
   }
   for (Config& config : configs) run_once(data, threads, reference, config, true);
   for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -164,9 +169,9 @@ bool run_sweep(const Dataset& data, std::size_t threads, std::size_t reps,
     }
   }
 
-  TablePrinter table({"simd", "level", "variant", "wall ms [min-max]",
-                      "critical ms [min-max]", "rows/s", "combined",
-                      "vs scalar", "brute-force"});
+  TablePrinter table({"simd", "level", "wall ms [min-max]",
+                      "critical ms [min-max]", "stage1 ms", "stage2 ms",
+                      "rows/s", "combined", "vs scalar", "brute-force"});
   json.begin_object();
   label(json);
   json.integer("samples", data.sample_count());
@@ -180,25 +185,24 @@ bool run_sweep(const Dataset& data, std::size_t threads, std::size_t reps,
                        : 0.0;
     std::optional<double> vs_scalar;
     for (const Config& other : configs) {
-      if (other.scalar && other.pipelined == config.pipelined &&
-          critical > 0.0) {
+      if (other.scalar && critical > 0.0) {
         vs_scalar = other.critical.median() / critical;
       }
     }
     table.add_row({config.scalar ? "scalar" : "auto",
-                   simd::level_name(config.level),
-                   config.pipelined ? "pipelined" : "phased",
-                   range_ms(config.wall), range_ms(config.critical),
-                   TablePrinter::fmt(rows_per_sec, 0),
+                   simd::level_name(config.level), range_ms(config.wall),
+                   range_ms(config.critical), range_ms(config.stage1),
+                   range_ms(config.stage2), TablePrinter::fmt(rows_per_sec, 0),
                    TablePrinter::fmt(config.combined_share, 3),
                    vs_scalar ? TablePrinter::fmt(*vs_scalar, 2) : "-",
                    config.correct ? "match" : "DIVERGED"});
     json.begin_object();
     json.string("simd", config.scalar ? "scalar" : "auto");
     json.string("simd_level", simd::level_name(config.level));
-    json.boolean("pipelined", config.pipelined);
     spread(json, "wall_seconds", config.wall);
     spread(json, "critical_path_seconds", config.critical);
+    spread(json, "stage1_seconds", config.stage1);
+    spread(json, "stage2_seconds", config.stage2);
     json.measured("rows_per_sec", rows_per_sec);
     json.number("combined_share", config.combined_share);
     if (vs_scalar) json.measured("speedup_vs_scalar", *vs_scalar);
@@ -217,8 +221,8 @@ bool run_sweep(const Dataset& data, std::size_t threads, std::size_t reps,
 
 int main(int argc, char** argv) {
   CliParser cli(
-      "build_hot_path — encode level x workload x variant sweep of the "
-      "two-stage construction kernel");
+      "build_hot_path — encode level x workload sweep of the two-stage "
+      "construction kernel");
   cli.add_option("samples", "2000000", "Training rows m");
   cli.add_option("variables", "30", "Variables n");
   cli.add_option("cardinality", "2,4",
@@ -228,8 +232,6 @@ int main(int argc, char** argv) {
   cli.add_option("threads", "4", "Workers (= partitions) P");
   cli.add_option("simd", "scalar,auto",
                  "Encode levels to sweep: scalar (forced) and/or auto");
-  cli.add_option("pipelined", "0,1",
-                 "Variants to sweep: 0 = phased, 1 = pipelined");
   cli.add_option("reps", "5", "Timed repetitions per configuration");
   cli.add_option("seed", "42", "Workload seed");
   cli.add_option("json-out", "BENCH_build_hot_path.json",
@@ -245,7 +247,6 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const std::string json_out = cli.get("json-out");
   const std::vector<bool> simd_legs = parse_simd_list(cli.get("simd"));
-  const std::vector<std::int64_t> variants = cli.get_int_list("pipelined");
 
   const HostInfo host = HostInfo::probe();
   std::printf("host: %u cores, %s, simd=%s, thp=%s\n", host.nproc,
@@ -274,7 +275,7 @@ int main(int argc, char** argv) {
     const Dataset data = generate_uniform(
         samples, variables, static_cast<std::uint32_t>(r), seed);
     all_correct &= run_sweep(
-        data, threads, reps, variants, simd_legs, "uniform r=" + std::to_string(r),
+        data, threads, reps, simd_legs, "uniform r=" + std::to_string(r),
         [&](JsonWriter& j) {
           j.string("workload", "uniform");
           j.integer("cardinality", static_cast<std::uint64_t>(r));
@@ -287,7 +288,7 @@ int main(int argc, char** argv) {
         load_network(RepositoryNetwork::kSachs, 42), sachs_samples, seed,
         threads);
     all_correct &= run_sweep(
-        data, threads, reps, variants, simd_legs, "SACHS",
+        data, threads, reps, simd_legs, "SACHS",
         [](JsonWriter& j) { j.string("workload", "sachs"); }, json);
   }
   json.end_array();

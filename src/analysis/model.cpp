@@ -164,6 +164,7 @@ void Model::run_one_execution(const std::function<void()>& body) {
   threads_.clear();
   atomics_.clear();
   datas_.clear();
+  addresses_.clear();
   trace_ = {};
   path_.clear();
   depth_ = 0;
@@ -493,6 +494,15 @@ TraceEvent& Model::record_event(ThreadCtx& self, OpKind kind, std::size_t loc,
   e.loc = loc;
   e.loc_is_data = loc_is_data;
   e.value = value;
+  if (!loc_is_data && loc < atomics_.size() && atomics_[loc].pointer &&
+      value != 0) {
+    // Heap addresses differ between runs (ASLR, allocator state), so the
+    // trace names each by the order it first appeared in this execution.
+    auto it = std::find(addresses_.begin(), addresses_.end(), value);
+    if (it == addresses_.end()) it = addresses_.insert(it, value);
+    e.value = static_cast<std::uint64_t>(it - addresses_.begin()) + 1;
+    e.pointer = true;
+  }
   e.order = order;
   trace_.events.push_back(e);
   return trace_.events.back();
@@ -518,11 +528,12 @@ std::uint32_t& Model::view_of(ThreadCtx& t, std::size_t loc) {
   return t.loc_view[loc];
 }
 
-std::size_t Model::register_atomic(std::uint64_t initial) {
+std::size_t Model::register_atomic(std::uint64_t initial, bool pointer) {
   ThreadCtx& self = self_ctx();
   const std::size_t loc = atomics_.size();
   atomics_.emplace_back();
   AtomicLoc& a = atomics_.back();
+  a.pointer = pointer;
   self.hb.tick(self.id);
   StoreRecord s;
   s.value = initial;

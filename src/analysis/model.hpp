@@ -111,7 +111,9 @@ class Model {
   // Instrumentation API — called from model threads by the ModelAtomic /
   // ModelData wrappers and the spawn/join/yield helpers.
   // ------------------------------------------------------------------
-  std::size_t register_atomic(std::uint64_t initial);
+  /// `pointer`: the location holds addresses, which the trace records as
+  /// per-execution ordinals so replays compare equal (see TraceEvent).
+  std::size_t register_atomic(std::uint64_t initial, bool pointer);
   void unregister_atomic(std::size_t loc);
   std::uint64_t atomic_load(std::size_t loc, std::memory_order mo);
   void atomic_store(std::size_t loc, std::uint64_t value, std::memory_order mo);
@@ -153,6 +155,7 @@ class Model {
     std::uint32_t next_seq = 0;
     std::int64_t latest_sc_seq = -1;
     bool alive = true;
+    bool pointer = false;  ///< values are addresses (traced as ordinals)
   };
 
   struct DataLoc {
@@ -241,6 +244,9 @@ class Model {
   std::vector<ThreadCtx> threads_;
   std::vector<AtomicLoc> atomics_;
   std::vector<DataLoc> datas_;
+  /// Non-null addresses stored into pointer locations, in first-seen order;
+  /// the trace prints an address as its 1-based position here.
+  std::vector<std::uint64_t> addresses_;
   Trace trace_;
   std::vector<ChoiceNode> path_;
   std::vector<std::uint32_t> prefix_;

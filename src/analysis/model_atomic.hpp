@@ -63,7 +63,8 @@ class ModelAtomic {
  public:
   ModelAtomic() : ModelAtomic(T{}) {}
   explicit ModelAtomic(T initial)
-      : loc_(detail::active_model().register_atomic(detail::bits_of(initial))) {}
+      : loc_(detail::active_model().register_atomic(detail::bits_of(initial),
+                                                    std::is_pointer_v<T>)) {}
   ModelAtomic(const ModelAtomic&) = delete;
   ModelAtomic& operator=(const ModelAtomic&) = delete;
   ~ModelAtomic() {

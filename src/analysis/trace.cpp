@@ -40,12 +40,10 @@ std::string Trace::to_string() const {
     out << "  #" << e.index << "\tT" << e.thread << "  " << op_kind_name(e.kind);
     if (e.loc != SIZE_MAX) {
       out << "  " << (e.loc_is_data ? "d" : "a") << e.loc;
-      if (e.kind == OpKind::kAtomicLoad || e.kind == OpKind::kDataLoad ||
-          e.kind == OpKind::kAtomicRmw) {
-        out << " -> " << e.value;
-      } else {
-        out << " = " << e.value;
-      }
+      const bool read = e.kind == OpKind::kAtomicLoad ||
+                        e.kind == OpKind::kDataLoad ||
+                        e.kind == OpKind::kAtomicRmw;
+      out << (read ? " -> " : " = ") << (e.pointer ? "ptr#" : "") << e.value;
     }
     if (e.order >= 0) out << "  " << order_name(e.order);
     if (e.demoted) out << " [DEMOTED->relaxed]";

@@ -37,7 +37,10 @@ struct TraceEvent {
   OpKind kind = OpKind::kAtomicLoad;
   std::size_t loc = SIZE_MAX;  ///< location id (creation order), SIZE_MAX n/a
   bool loc_is_data = false;
-  std::uint64_t value = 0;     ///< value read or written (raw bits)
+  std::uint64_t value = 0;     ///< value read or written (raw bits, or the
+                               ///< address ordinal when `pointer`)
+  bool pointer = false;        ///< value is the k-th distinct non-null
+                               ///< address of the execution, not the address
   int order = -1;              ///< std::memory_order as int, -1 n/a
   std::size_t read_from = SIZE_MAX;  ///< for loads: mod-order seq of the store read
   bool synced = false;         ///< acquire load merged a release view

@@ -21,7 +21,6 @@ std::string_view builder_kind_name(BuilderKind kind) {
     case BuilderKind::kStriped: return "striped-lock(tbb-like)";
     case BuilderKind::kAtomic: return "atomic-cas";
     case BuilderKind::kWaitFree: return "wait-free";
-    case BuilderKind::kWaitFreePipelined: return "wait-free-pipelined";
   }
   return "unknown";
 }
@@ -183,11 +182,9 @@ class AtomicBuilder final : public ITableBuilder {
 
 class WaitFreeAdapter final : public ITableBuilder {
  public:
-  WaitFreeAdapter(BuilderOptions options, bool pipelined)
-      : pipelined_(pipelined) {
+  explicit WaitFreeAdapter(BuilderOptions options) {
     WaitFreeBuilderOptions wf;
     wf.threads = options.threads;
-    wf.pipelined = pipelined;
     wf.pin_threads = options.pin_threads;
     builder_ = std::make_unique<WaitFreeBuilder>(wf);
   }
@@ -209,12 +206,9 @@ class WaitFreeAdapter final : public ITableBuilder {
   std::string_view name() const noexcept override {
     return builder_kind_name(kind());
   }
-  BuilderKind kind() const noexcept override {
-    return pipelined_ ? BuilderKind::kWaitFreePipelined : BuilderKind::kWaitFree;
-  }
+  BuilderKind kind() const noexcept override { return BuilderKind::kWaitFree; }
 
  private:
-  bool pipelined_;
   std::unique_ptr<WaitFreeBuilder> builder_;
   BuilderRunStats stats_;
 };
@@ -234,9 +228,7 @@ std::unique_ptr<ITableBuilder> make_builder(BuilderKind kind,
     case BuilderKind::kAtomic:
       return std::make_unique<AtomicBuilder>(options);
     case BuilderKind::kWaitFree:
-      return std::make_unique<WaitFreeAdapter>(options, /*pipelined=*/false);
-    case BuilderKind::kWaitFreePipelined:
-      return std::make_unique<WaitFreeAdapter>(options, /*pipelined=*/true);
+      return std::make_unique<WaitFreeAdapter>(options);
   }
   throw PreconditionError("unknown builder kind");
 }

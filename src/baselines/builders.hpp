@@ -8,8 +8,7 @@
 //                  concurrent_hash_map stand-in the paper benchmarks against;
 //  - kAtomic       P threads, shared open-addressing table with CAS claiming
 //                  and fetch_add counts (lock-free, still shared cache lines);
-//  - kWaitFree     the paper's primitive (partitioned ownership, SPSC routing);
-//  - kWaitFreePipelined  the no-barrier variant (paper §VI future work).
+//  - kWaitFree     the paper's primitive (partitioned ownership, SPSC routing).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +27,6 @@ enum class BuilderKind {
   kStriped,
   kAtomic,
   kWaitFree,
-  kWaitFreePipelined,
 };
 
 [[nodiscard]] std::string_view builder_kind_name(BuilderKind kind);

@@ -6,8 +6,8 @@
 // pushes; during stage 2 only core q pops; the barrier between the stages
 // gives the strict SPSC discipline. The queue is nevertheless correct under
 // *concurrent* single-producer/single-consumer access (producer publishes a
-// chunk's fill count with release stores, consumer reads with acquire loads),
-// which is what the pipelined builder variant exercises.
+// chunk's fill count with release stores, consumer reads with acquire loads);
+// test_spsc_queue's stress tests and wfcheck's SPSC models exercise it so.
 //
 // Two transfer granularities share the chunk representation:
 //  - item-at-a-time: push() / try_pop(), one release/acquire pair per item;
@@ -31,6 +31,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 
 #include "concurrent/atomics_policy.hpp"
@@ -72,6 +73,8 @@ class SpscQueue {
   /// Producer side. Never blocks; allocates a fresh chunk when the current
   /// one fills up. If the allocation throws (OOM or an injected fault), the
   /// queue is untouched: the item is not enqueued and both ends stay valid.
+  /// The fresh chunk is owned here until the link store returns, so a throw
+  /// in between (only a model-checker abort can) frees it.
   // wfbn-lint: wait-free-begin
   void push(const T& item) {
     Chunk* chunk = tail_chunk_;
@@ -79,13 +82,13 @@ class SpscQueue {
     if (fill == kChunkCapacity) {
       WFBN_FAULT_POINT(fault::Point::kSpscChunkAlloc);
       // wfbn-lint: allow(wait-free-region) amortized refill: one allocation per kChunkCapacity pushes
-      auto* fresh = new Chunk;
+      std::unique_ptr<Chunk> fresh(new Chunk);
       fresh->items[0] = item;
       fresh->count.store(1, std::memory_order_relaxed);
       // Publish the chunk before linking it so the consumer never observes a
       // linked chunk with an unpublished first element.
-      chunk->next.store(fresh, std::memory_order_release);
-      tail_chunk_ = fresh;
+      chunk->next.store(fresh.get(), std::memory_order_release);
+      tail_chunk_ = fresh.release();
       ++pushed_;
       return;
     }
@@ -101,7 +104,8 @@ class SpscQueue {
   /// relative to push(). Wait-free except for chunk allocation (amortized
   /// one per kChunkCapacity items). If an allocation throws mid-block (OOM
   /// or an injected fault), the prefix already published stays enqueued and
-  /// both ends stay valid; the remainder of the block is not enqueued.
+  /// both ends stay valid; the remainder of the block is not enqueued. A
+  /// fresh chunk is owned here until linked, as in push().
   // wfbn-lint: wait-free-begin
   void push_block(const T* items, std::size_t count) {
     Chunk* chunk = tail_chunk_;
@@ -110,18 +114,18 @@ class SpscQueue {
       if (fill == kChunkCapacity) {
         WFBN_FAULT_POINT(fault::Point::kSpscChunkAlloc);
         // wfbn-lint: allow(wait-free-region) amortized refill: one allocation per kChunkCapacity items
-        auto* fresh = new Chunk;
+        std::unique_ptr<Chunk> fresh(new Chunk);
         const std::size_t take = std::min(count, kChunkCapacity);
         std::copy_n(items, take, fresh->items);
         fresh->count.store(take, std::memory_order_relaxed);
         // As in push(): fill first, then publish via the link, so a linked
         // chunk is never observed with unpublished leading elements.
-        chunk->next.store(fresh, std::memory_order_release);
-        tail_chunk_ = fresh;
+        chunk->next.store(fresh.get(), std::memory_order_release);
+        chunk = fresh.release();
+        tail_chunk_ = chunk;
         pushed_ += take;
         items += take;
         count -= take;
-        chunk = fresh;
         fill = take;
         continue;
       }
@@ -229,8 +233,8 @@ class SpscQueue {
     return chunk->next.load(std::memory_order_acquire);
   }
 
-  // Producer-only and consumer-only state live on separate cache lines so the
-  // pipelined builder variant does not induce false sharing between the ends.
+  // Producer-only and consumer-only state live on separate cache lines so a
+  // producer and a consumer running concurrently do not falsely share them.
   alignas(64) Chunk* tail_chunk_;
   std::uint64_t pushed_ = 0;
   alignas(64) Chunk* head_chunk_;

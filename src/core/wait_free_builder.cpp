@@ -9,7 +9,6 @@
 
 #include "concurrent/affinity.hpp"
 #include "concurrent/barrier.hpp"
-#include "concurrent/retire_gate.hpp"
 #include "concurrent/spsc_queue.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
@@ -31,8 +30,6 @@ constexpr std::size_t kEncodeStripRows = 32;
 /// Foreign keys staged per destination before the router flushes them into
 /// the SPSC fabric with one bulk publish (SpscQueue::push_block).
 constexpr std::size_t kRouteBufferKeys = 64;
-/// Rows a pipelined producer scans between drain passes.
-constexpr std::size_t kPipelineBatchRows = 4096;
 
 /// Stage-1 pre-aggregation. A worker whose slice holds at least one window
 /// of rows counts them in a private direct-mapped combiner; at the end of
@@ -86,8 +83,8 @@ class QueueFabric {
 /// of kRouteBufferKeys items per destination worker; a full buffer is
 /// flushed into the SPSC fabric with one bulk publish
 /// (SpscQueue::push_block) instead of one release store per item. The
-/// caller flushes the remainder at stage/batch boundaries (flush_all,
-/// ascending destination order).
+/// caller flushes the remainder at the end of stage 1 (flush_all, ascending
+/// destination order).
 template <typename Fabric>
 class KeyRouter {
  public:
@@ -147,12 +144,6 @@ std::vector<std::size_t> partition_owners(std::size_t parts,
   return owner;
 }
 
-/// Per-worker progress counter on its own cache line (the stall watchdog sums
-/// these; sharing a line would make every bump a coherence miss).
-struct alignas(64) ProgressCell {
-  std::atomic<std::uint64_t> value{0};
-};
-
 /// Pre-size of each partition's hashtable. Distinct keys are bounded by
 /// both m and the state space; for sparse data (the paper's regime) m
 /// dominates. A quarter of the bound is a reasonable starting size — the
@@ -197,15 +188,15 @@ struct Kernel {
   PairFabric pairs;
 };
 
-/// One worker's stage 1 (Algorithm 1), shared by the phased and the
-/// pipelined variant: encode the rows of its slice in strips, pre-aggregate
-/// them while they compress, and send every key, or evicted (key, count), to
-/// the worker that owns its partition — into the table when that is this
-/// worker, through the write-combining routers otherwise. Everything here
-/// is worker-private: the combiner and the staging buffers are read and
-/// written by this worker only, and it publishes only into row `w` of the
-/// fabrics. finish() evicts what is still resident and flushes the routers;
-/// after it every row of the slice is in the table or in a queue.
+/// One worker's stage 1 (Algorithm 1): encode the rows of its slice in
+/// strips, pre-aggregate them while they compress, and send every key, or
+/// evicted (key, count), to the worker that owns its partition — into the
+/// table when that is this worker, through the write-combining routers
+/// otherwise. Everything here is worker-private: the combiner and the
+/// staging buffers are read and written by this worker only, and it
+/// publishes only into row `w` of the fabrics. finish() evicts what is still
+/// resident and flushes the routers; after it every row of the slice is in
+/// the table or in a queue.
 template <typename K>
 class Stage1Worker {
  public:
@@ -227,9 +218,8 @@ class Stage1Worker {
     }
   }
 
-  /// Scans rows [i, stop), calling on_strip(rows) after every strip.
-  template <typename OnStrip>
-  void scan(std::size_t i, std::size_t stop, OnStrip&& on_strip) {
+  /// Scans rows [i, stop).
+  void scan(std::size_t i, std::size_t stop) {
     while (i < stop) {
       const std::size_t count = std::min(kEncodeStripRows, stop - i);
       if (inject_) {
@@ -249,21 +239,16 @@ class Stage1Worker {
       } else {
         combine_strip(count);
       }
-      on_strip(count);
       i += count;
     }
   }
 
-  /// Publishes every staged item (both routers, ascending destination).
-  void flush_routers() {
-    ws_.route_flushes += key_router_.flush_all();
-    if (pair_router_) ws_.route_flushes += pair_router_->flush_all();
-  }
-
-  /// End of the slice: evicts the resident entries, then flushes.
+  /// End of the slice: evicts the resident entries, then publishes every
+  /// staged item (both routers, ascending destination).
   void finish() {
     drop_combiner();
-    flush_routers();
+    ws_.route_flushes += key_router_.flush_all();
+    if (pair_router_) ws_.route_flushes += pair_router_->flush_all();
     ws_.combined_rows = combined_in_ - evicted_;
   }
 
@@ -381,19 +366,17 @@ class Stage1Worker {
   std::uint64_t evicted_ = 0;      ///< entries it sent on
 };
 
-/// Stage 2 (Algorithm 2) for worker w, shared by both variants: drains the
-/// queues addressed to it, one whole published chunk span per acquire load,
-/// into the partitions [lo, hi) it owns. A worker owning one partition folds
-/// key spans with the multi-cursor kernel; a degraded pool's workers route
-/// each key to the partition that owns it. (key, count) items fold with
+/// Stage 2 (Algorithm 2) for worker w: drains the queues addressed to it,
+/// one whole published chunk span per acquire load, into the partitions
+/// [lo, hi) it owns. A worker owning one partition folds key spans with the
+/// multi-cursor kernel; a degraded pool's workers route each key to the
+/// partition that owns it. (key, count) items fold with
 /// increment(key, count). With fault_per_item, builder.stage2_drain fires
-/// once per drained item and keys fold one by one. Returns the items
-/// drained.
+/// once per drained item and keys fold one by one.
 template <typename K>
-std::uint64_t drain_inbound(Kernel<K>& kernel, std::size_t w, std::size_t lo,
-                            std::size_t hi, WorkerStats& ws,
-                            bool fault_per_item) {
-  if (lo == hi) return 0;
+void drain_inbound(Kernel<K>& kernel, std::size_t w, std::size_t lo,
+                   std::size_t hi, WorkerStats& ws, bool fault_per_item) {
+  if (lo == hi) return;
   BasicPartitionedTable<K>& table = kernel.table;
   BasicOpenHashTable<K>* sole = (hi - lo == 1) ? &table.partition(lo) : nullptr;
   const auto fold = [&](const K& key, std::uint64_t count) {
@@ -423,7 +406,6 @@ std::uint64_t drain_inbound(Kernel<K>& kernel, std::size_t w, std::size_t lo,
         });
   }
   ws.stage2_pops += drained;
-  return drained;
 }
 
 }  // namespace
@@ -472,8 +454,6 @@ template <typename K>
 BasicWaitFreeBuilder<K>::BasicWaitFreeBuilder(WaitFreeBuilderOptions options)
     : options_(options) {
   WFBN_EXPECT(options_.threads >= 1, "builder needs at least one thread");
-  WFBN_EXPECT(options_.stall_timeout_seconds >= 0.0,
-              "stall timeout cannot be negative");
 }
 
 template <typename K>
@@ -486,8 +466,16 @@ template <typename K>
 BasicPotentialTable<K> BasicWaitFreeBuilder<K>::build(const Dataset& data,
                                                       ThreadPool& pool) {
   WFBN_EXPECT(data.sample_count() > 0, "cannot build a table from no data");
-  return options_.pipelined ? build_pipelined(data, pool)
-                            : build_phased(data, pool);
+  const std::size_t P = pool.size();
+  const Codec codec = Traits::make_codec(data.cardinalities());
+  BasicPartitionedTable<K> table(
+      P, Traits::state_space_bound(codec), options_.scheme,
+      expected_entries_per_partition<Traits>(data, codec, P));
+  Timer total_timer;
+  run_phased(data, codec, table, pool);
+  stats_.total_seconds = total_timer.seconds();
+  return Table(codec, std::move(table),
+               static_cast<std::uint64_t>(data.sample_count()));
 }
 
 template <typename K>
@@ -543,21 +531,6 @@ BasicPotentialTable<K> BasicWaitFreeBuilder<K>::append_shadow(
 }
 
 template <typename K>
-BasicPotentialTable<K> BasicWaitFreeBuilder<K>::build_phased(
-    const Dataset& data, ThreadPool& pool) {
-  const std::size_t P = pool.size();
-  const Codec codec = Traits::make_codec(data.cardinalities());
-  BasicPartitionedTable<K> table(
-      P, Traits::state_space_bound(codec), options_.scheme,
-      expected_entries_per_partition<Traits>(data, codec, P));
-  Timer total_timer;
-  run_phased(data, codec, table, pool);
-  stats_.total_seconds = total_timer.seconds();
-  return Table(codec, std::move(table),
-               static_cast<std::uint64_t>(data.sample_count()));
-}
-
-template <typename K>
 void BasicWaitFreeBuilder<K>::run_phased(const Dataset& data,
                                          const Codec& codec,
                                          BasicPartitionedTable<K>& table,
@@ -597,7 +570,7 @@ void BasicWaitFreeBuilder<K>::run_phased(const Dataset& data,
     try {
       const auto [lo, hi] = ThreadPool::block_range(m, W, w);
       Stage1Worker<K> stage1(kernel, w, hi - lo, ws, inject);
-      stage1.scan(lo, hi, [](std::size_t) {});
+      stage1.scan(lo, hi);
       stage1.finish();
       if (inject) fault::fire(fault::Point::kBarrier);
     } catch (...) {
@@ -625,139 +598,6 @@ void BasicWaitFreeBuilder<K>::run_phased(const Dataset& data,
   // The slowest worker's wait bounds what the barrier costs the makespan.
   stats_.barrier_seconds =
       *std::max_element(barrier_waits.begin(), barrier_waits.end());
-}
-
-template <typename K>
-BasicPotentialTable<K> BasicWaitFreeBuilder<K>::build_pipelined(
-    const Dataset& data, ThreadPool& pool) {
-  const std::size_t P = pool.size();
-  const Codec codec = Traits::make_codec(data.cardinalities());
-  BasicPartitionedTable<K> table(
-      P, Traits::state_space_bound(codec), options_.scheme,
-      expected_entries_per_partition<Traits>(data, codec, P));
-  Kernel<K> kernel(data, codec, table, P);
-  stats_ = BuildStats{};
-  stats_.workers.assign(P, WorkerStats{});
-  stats_.requested_workers = pool.degradation().requested_threads;
-  stats_.effective_workers = P;
-  stats_.simd_level = kernel.level;
-  std::atomic<std::size_t> pin_failures{0};
-  // Producer retirement + early wind-down (worker exception or watchdog
-  // stall). The gate's memory-order contract is model-checked in wfcheck's
-  // model_builder_retire harness.
-  RetireGate gate(P);
-  std::atomic<bool> stalled{false};
-  // Captured by the watchdog at detection time: by the time run() returns and
-  // we build the StallError, a transiently wedged producer may have finished,
-  // so reading producers_done afterwards would under-report the culprits.
-  std::atomic<std::size_t> stalled_unfinished{0};
-  std::vector<ProgressCell> progress(P);
-
-  const std::size_t m = data.sample_count();
-  const double stall_timeout = options_.stall_timeout_seconds;
-  const bool watchdog = stall_timeout > 0.0;
-  Timer total_timer;
-
-  pool.run([&](std::size_t p) {
-    if (options_.pin_threads && !pin_current_thread(p)) {
-      pin_failures.fetch_add(1, std::memory_order_relaxed);
-    }
-    WorkerStats ws;  // stored at the end, as in run_phased
-    const bool inject = fault::enabled();
-    Timer stage_timer;
-    const auto count_progress = [&](std::uint64_t n) {
-      if (watchdog && n != 0) {
-        progress[p].value.fetch_add(n, std::memory_order_relaxed);
-      }
-    };
-
-    // The phased stage 2, run between batches. Its fault point fires once
-    // per pass, not per item, so the drain keeps the block kernel under
-    // fault injection too.
-    auto drain_once = [&] {
-      if (inject) fault::fire(fault::Point::kPipelineDrain);
-      count_progress(drain_inbound(kernel, p, p, p + 1, ws, false));
-    };
-
-    // The whole kernel is exception-robust: a throw anywhere marks the build
-    // aborted and keeps the producers_done accounting truthful, so no other
-    // worker can spin forever waiting on this one.
-    bool counted_done = false;
-    try {
-      // Interleave producing batches with draining inbound keys. The routers
-      // are flushed after every batch, so the consumers' drain interleave
-      // (and the stall watchdog's progress accounting) observe the same
-      // cadence as the scalar path. The combiner holds its entries across
-      // batches and is emptied before this producer retires.
-      const auto [lo, hi] = ThreadPool::block_range(m, P, p);
-      Stage1Worker<K> stage1(kernel, p, hi - lo, ws, inject);
-      std::size_t i = lo;
-      while (i < hi && !gate.aborted()) {
-        const std::size_t stop = std::min(hi, i + kPipelineBatchRows);
-        stage1.scan(i, stop, count_progress);
-        i = stop;
-        stage1.flush_routers();
-        drain_once();
-      }
-      stage1.finish();
-      ws.stage1_seconds = stage_timer.seconds();
-      gate.retire();
-      counted_done = true;
-
-      // Keep draining until every producer has finished, then one final pass:
-      // after producers_done == P no queue can grow, so an empty sweep means
-      // the fabric is fully drained. The watchdog clocks the time since the
-      // global progress sum last moved; a wedged worker freezes its counter,
-      // and once every healthy worker has gone idle the sum stops moving.
-      stage_timer.reset();
-      Timer stall_timer;
-      std::uint64_t last_progress = 0;
-      bool have_baseline = false;
-      while (!gate.aborted() && !gate.all_retired()) {
-        drain_once();
-        if (watchdog) {
-          std::uint64_t now = 0;
-          for (const ProgressCell& cell : progress) {
-            now += cell.value.load(std::memory_order_relaxed);
-          }
-          if (!have_baseline || now != last_progress) {
-            last_progress = now;
-            have_baseline = true;
-            stall_timer.reset();
-          } else if (stall_timer.seconds() > stall_timeout) {
-            stalled_unfinished.store(P - gate.retired(),
-                                     std::memory_order_relaxed);
-            stalled.store(true, std::memory_order_release);
-            gate.abort();
-            break;
-          }
-        }
-      }
-      if (!gate.aborted()) drain_once();
-      ws.stage2_seconds = stage_timer.seconds();
-      stats_.workers[p] = ws;
-    } catch (...) {
-      gate.abort_and_retire(counted_done);
-      throw;
-    }
-  });
-
-  stats_.pin_failures = pin_failures.load(std::memory_order_relaxed);
-  stats_.total_seconds = total_timer.seconds();
-  if (stalled.load(std::memory_order_acquire)) {
-    std::vector<std::uint64_t> snapshot;
-    snapshot.reserve(P);
-    for (const ProgressCell& cell : progress) {
-      snapshot.push_back(cell.value.load(std::memory_order_relaxed));
-    }
-    throw StallError(
-        "pipelined build stalled: no worker progress for " +
-            std::to_string(stall_timeout) + "s with " +
-            std::to_string(stalled_unfinished.load(std::memory_order_relaxed)) +
-            " producer(s) unfinished",
-        std::move(snapshot));
-  }
-  return Table(codec, std::move(table), static_cast<std::uint64_t>(m));
 }
 
 template class BasicWaitFreeBuilder<Key>;

@@ -19,18 +19,12 @@
 // unchanged. docs/ALGORITHMS.md, "Stage-1 pre-aggregation", has the rule
 // and its measurements.
 //
-// Two variants:
-//  - phased (the paper): barrier between the stages;
-//  - pipelined (paper §VI future work): consumers drain their inbound queues
-//    while producers are still running, removing the barrier at the cost of
-//    concurrent SPSC traffic.
-//
 // The builder is a template over the key type (KeyTraits): WaitFreeBuilder
 // produces narrow (64-bit key) tables, WideWaitFreeBuilder two-word tables
 // for joint spaces up to 2^126. Both instantiations share every line of the
 // kernel — including the incremental append() with its strong exception
-// guarantee, the shadow-copy serving hook, degradation accounting, the stall
-// watchdog, and all named fault points.
+// guarantee, the shadow-copy serving hook, degradation accounting, and all
+// named fault points.
 #pragma once
 
 #include <cstdint>
@@ -48,17 +42,10 @@ namespace wfbn {
 struct WaitFreeBuilderOptions {
   std::size_t threads = 1;
   PartitionScheme scheme = PartitionScheme::kModulo;
-  /// Overlap stage 2 with stage 1 (no barrier). See class comment.
-  bool pipelined = false;
   /// Pin worker p to core p when the OS allows it. A refused pin degrades
   /// (unpinned worker, counted in BuildStats::pin_failures) instead of
   /// failing the build.
   bool pin_threads = false;
-  /// Stall watchdog for the pipelined variant: if no worker makes progress
-  /// (rows scanned + keys drained) for this long while the drain phase is
-  /// still waiting on producers, the build aborts with a StallError carrying
-  /// per-worker progress counters instead of spinning forever. 0 disables.
-  double stall_timeout_seconds = 0.0;
 };
 
 /// Per-worker instrumentation. The counts feed the multicore scaling
@@ -164,10 +151,8 @@ class BasicWaitFreeBuilder {
   }
 
  private:
-  Table build_phased(const Dataset& data, ThreadPool& pool);
-  Table build_pipelined(const Dataset& data, ThreadPool& pool);
   /// The two-stage kernel over an existing partitioned table (used by both
-  /// build_phased and append). Refreshes stats_ except total_seconds. The
+  /// build and append). Refreshes stats_ except total_seconds. The
   /// pool may hold fewer workers than the table has partitions (a degraded
   /// pool): partitions are then block-assigned to workers, preserving the
   /// one-writer-per-partition invariant at reduced parallelism.

@@ -56,7 +56,7 @@ class BasicTableStore {
   /// version so ingestion resumes the version sequence instead of reissuing
   /// version numbers that already name different snapshots on disk).
   /// `ingest_options` configure the builder the ingestion path uses (worker
-  /// count, scheme, pipelining, pinning — see WaitFreeBuilderOptions).
+  /// count, scheme, pinning — see WaitFreeBuilderOptions).
   /// Throws PreconditionError when `initial_version` is 0.
   explicit BasicTableStore(Table initial,
                            WaitFreeBuilderOptions ingest_options = {},

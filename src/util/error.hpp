@@ -1,17 +1,12 @@
 // Error handling policy for the library (C++ Core Guidelines E.*):
 //  - programming errors (precondition violations) -> WFBN_EXPECT, which
 //    throws std::logic_error so tests can assert on misuse;
-//  - environmental/data errors -> std::runtime_error with context;
-//  - liveness failures (a wedged worker detected by a watchdog) -> StallError
-//    carrying per-worker progress counters.
+//  - environmental/data errors -> std::runtime_error with context.
 // See docs/ROBUSTNESS.md for the per-API failure semantics.
 #pragma once
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace wfbn {
 
@@ -34,26 +29,6 @@ class DataError : public std::runtime_error {
 class OperationCancelled : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
-};
-
-/// Thrown when a stall watchdog detects that a parallel region stopped making
-/// progress (e.g. a wedged producer or consumer in the pipelined builder).
-/// Carries the per-worker progress counters observed at detection time so the
-/// wedged worker can be identified from the error alone.
-class StallError : public std::runtime_error {
- public:
-  StallError(const std::string& what, std::vector<std::uint64_t> progress)
-      : std::runtime_error(what), progress_(std::move(progress)) {}
-
-  /// Units of work (rows + drained keys) each worker had completed when the
-  /// watchdog fired; the minimum entry usually names the wedged worker.
-  [[nodiscard]] const std::vector<std::uint64_t>& worker_progress()
-      const noexcept {
-    return progress_;
-  }
-
- private:
-  std::vector<std::uint64_t> progress_;
 };
 
 namespace detail {

@@ -1,8 +1,5 @@
 #include "util/fault_injection.hpp"
 
-#include <chrono>
-#include <thread>
-
 #include "util/rng.hpp"
 
 namespace wfbn::fault {
@@ -15,8 +12,6 @@ namespace {
 struct alignas(64) PointState {
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::int64_t> fire_on{-1};  // 1-based hit index; -1 = disarmed
-  std::atomic<int> action{static_cast<int>(Action::kThrow)};
-  std::atomic<std::uint32_t> stall_ms{0};
 };
 
 PointState g_points[kPointCount];
@@ -33,10 +28,6 @@ bool advance_and_check(PointState& s) noexcept {
   return fire_on >= 0 && hit == static_cast<std::uint64_t>(fire_on);
 }
 
-void stall_for(std::uint32_t ms) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
 }  // namespace
 
 const char* point_name(Point point) noexcept {
@@ -47,7 +38,6 @@ const char* point_name(Point point) noexcept {
     case Point::kStage1Row: return "builder.stage1_row";
     case Point::kBarrier: return "builder.barrier";
     case Point::kStage2Drain: return "builder.stage2_drain";
-    case Point::kPipelineDrain: return "builder.pipeline_drain";
     case Point::kAppendCommit: return "builder.append_commit";
     case Point::kMarginalizeSweep: return "marginalizer.sweep";
     case Point::kMiSweep: return "all_pairs_mi.sweep";
@@ -70,12 +60,9 @@ const char* point_name(Point point) noexcept {
   return "unknown";
 }
 
-void arm(Point point, std::uint64_t fire_on_hit, Action action,
-         std::uint32_t stall_ms) {
+void arm(Point point, std::uint64_t fire_on_hit) {
   PointState& s = state_of(point);
   s.hits.store(0, std::memory_order_relaxed);
-  s.action.store(static_cast<int>(action), std::memory_order_relaxed);
-  s.stall_ms.store(stall_ms, std::memory_order_relaxed);
   s.fire_on.store(static_cast<std::int64_t>(fire_on_hit),
                   std::memory_order_relaxed);
 }
@@ -84,30 +71,16 @@ void reset() noexcept {
   for (PointState& s : g_points) {
     s.fire_on.store(-1, std::memory_order_relaxed);
     s.hits.store(0, std::memory_order_relaxed);
-    s.action.store(static_cast<int>(Action::kThrow), std::memory_order_relaxed);
-    s.stall_ms.store(0, std::memory_order_relaxed);
   }
 }
 
 void fire(Point point) {
-  PointState& s = state_of(point);
-  if (!advance_and_check(s)) return;
-  if (s.action.load(std::memory_order_relaxed) ==
-      static_cast<int>(Action::kStall)) {
-    stall_for(s.stall_ms.load(std::memory_order_relaxed));
-    return;
-  }
+  if (!advance_and_check(state_of(point))) return;
   throw InjectedFault(std::string("injected fault at ") + point_name(point));
 }
 
 bool should_fail(Point point) noexcept {
-  PointState& s = state_of(point);
-  if (!advance_and_check(s)) return false;
-  if (s.action.load(std::memory_order_relaxed) ==
-      static_cast<int>(Action::kStall)) {
-    stall_for(s.stall_ms.load(std::memory_order_relaxed));
-  }
-  return true;
+  return advance_and_check(state_of(point));
 }
 
 std::uint64_t hits(Point point) noexcept {
@@ -131,7 +104,7 @@ std::string arm_random_schedule(std::uint64_t seed) {
   // arm_random_net_schedule below.
   static constexpr Point kThrowing[] = {
       Point::kSpscChunkAlloc, Point::kStage1Row,  Point::kBarrier,
-      Point::kStage2Drain,    Point::kPipelineDrain, Point::kAppendCommit,
+      Point::kStage2Drain,    Point::kAppendCommit,
       Point::kMarginalizeSweep, Point::kMiSweep, Point::kServePublish,
       Point::kPersistOpen,    Point::kPersistWrite, Point::kPersistFsync,
       Point::kPersistRename,  Point::kPersistManifest,

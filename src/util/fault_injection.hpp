@@ -4,9 +4,8 @@
 // queue chunk allocation, the stage-1 row loop, the barrier crossing, the
 // stage-2 drain, thread spawn, core pinning, the append commit, and the
 // marginalization / MI sweeps. Tests arm a point to fire on its k-th hit —
-// throwing an InjectedFault, reporting a failure flag (for the graceful-
-// degradation paths that must not throw), or stalling the hitting thread so
-// the stall watchdog can be exercised. Hit counters are process-global
+// throwing an InjectedFault, or reporting a failure flag for the graceful-
+// degradation paths that must not throw. Hit counters are process-global
 // atomics, so "fire on hit k" means exactly the k-th arrival fires, whichever
 // worker gets there — one firing per armed point, reproducible effects.
 //
@@ -22,8 +21,8 @@
 
 namespace wfbn {
 
-/// Thrown by an armed failure point in kThrow mode. A distinct type so tests
-/// can tell an injected failure from a genuine DataError/PreconditionError.
+/// Thrown by an armed failure point. A distinct type so tests can tell an
+/// injected failure from a genuine DataError/PreconditionError.
 class InjectedFault : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -39,7 +38,6 @@ enum class Point : int {
   kStage1Row,         ///< builder stage-1 kernel, once per scanned row
   kBarrier,           ///< phased builder, just before the barrier crossing
   kStage2Drain,       ///< phased builder stage 2, once per drained item
-  kPipelineDrain,     ///< pipelined builder, once per drain sweep
   kAppendCommit,      ///< append(), after staging and before the commit
   kMarginalizeSweep,  ///< marginalizer worker, once per swept partition
   kMiSweep,           ///< entry-plane build, once per swept partition;
@@ -78,11 +76,6 @@ inline constexpr int kPointCount = static_cast<int>(Point::kLearnSchedule) + 1;
 
 [[nodiscard]] const char* point_name(Point point) noexcept;
 
-enum class Action : int {
-  kThrow,  ///< fire by throwing InjectedFault (or returning true from should_fail)
-  kStall,  ///< fire by sleeping stall_ms on the hitting thread
-};
-
 /// Global kill switch. All checkpoints reduce to one relaxed load + branch
 /// while this is false, which is the default outside tests.
 inline std::atomic<bool> g_enabled{false};
@@ -92,20 +85,18 @@ inline std::atomic<bool> g_enabled{false};
 }
 
 /// Arms `point` to fire on its `fire_on_hit`-th hit (1-based) counted from
-/// the last reset(). kStall sleeps `stall_ms` instead of throwing.
-void arm(Point point, std::uint64_t fire_on_hit, Action action = Action::kThrow,
-         std::uint32_t stall_ms = 0);
+/// the last reset().
+void arm(Point point, std::uint64_t fire_on_hit);
 
 /// Disarms every point and zeroes all hit counters. Does not toggle enabled().
 void reset() noexcept;
 
-/// Counts a hit on `point`; throws InjectedFault / stalls when it fires.
+/// Counts a hit on `point`; throws InjectedFault when it fires.
 /// Callers must only reach this when enabled() is true.
 void fire(Point point);
 
 /// Counts a hit on `point`; returns true when it fires. The non-throwing
-/// flavor for noexcept degradation paths (thread spawn, core pinning). A
-/// kStall arming also stalls here before returning true.
+/// flavor for noexcept degradation paths (thread spawn, core pinning).
 [[nodiscard]] bool should_fail(Point point) noexcept;
 
 /// Hits observed on `point` since the last reset(). Test introspection only.

@@ -20,13 +20,11 @@
 #include "concurrent/affinity.hpp"
 #include "concurrent/atomic_hash_map.hpp"
 #include "concurrent/barrier.hpp"
-#include "concurrent/retire_gate.hpp"
 #include "concurrent/spsc_queue.hpp"
 #include "concurrent/striped_hash_map.hpp"
 #include "concurrent/thread_pool.hpp"
 
 // potential-table representation
-#include "table/dense_table.hpp"
 #include "table/key_codec.hpp"
 #include "table/key_traits.hpp"
 #include "table/marginal_table.hpp"

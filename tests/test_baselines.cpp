@@ -58,8 +58,7 @@ INSTANTIATE_TEST_SUITE_P(
                       BaselineCase{BuilderKind::kAtomic, 2},
                       BaselineCase{BuilderKind::kAtomic, 8},
                       BaselineCase{BuilderKind::kWaitFree, 2},
-                      BaselineCase{BuilderKind::kWaitFree, 8},
-                      BaselineCase{BuilderKind::kWaitFreePipelined, 8}),
+                      BaselineCase{BuilderKind::kWaitFree, 8}),
     [](const auto& param_info) {
       // gtest parameter names must be alphanumeric.
       std::string name(builder_kind_name(param_info.param.kind));
@@ -88,8 +87,7 @@ TEST(Baselines, LockCountsAreReported) {
 TEST(Baselines, NamesAreStable) {
   for (const BuilderKind kind :
        {BuilderKind::kSequential, BuilderKind::kGlobalLock, BuilderKind::kStriped,
-        BuilderKind::kAtomic, BuilderKind::kWaitFree,
-        BuilderKind::kWaitFreePipelined}) {
+        BuilderKind::kAtomic, BuilderKind::kWaitFree}) {
     BuilderOptions options;
     auto builder = make_builder(kind, options);
     EXPECT_EQ(builder->kind(), kind);

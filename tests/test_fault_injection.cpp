@@ -1,9 +1,9 @@
 // Deterministic fault-injection sweep over the concurrency layer: every
-// registered failure point, under both builder variants, must yield either a
-// typed error or a correct (possibly degraded) result — never a crash, a
-// hang, or a corrupted table. Also verifies append()'s strong guarantee (a
-// mid-append throw leaves the table bit-identical), graceful degradation on
-// spawn/pin failure, and the pipelined stall watchdog.
+// registered failure point must make the builder yield either a typed error
+// or a correct (possibly degraded) result — never a crash, a hang, or a
+// corrupted table. Also verifies append()'s strong guarantee (a mid-append
+// throw leaves the table bit-identical) and graceful degradation on
+// spawn/pin failure.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -57,16 +57,15 @@ void expect_equal_counts(const PotentialTable& table,
 
 struct SweepConfig {
   fault::Point point;
-  bool pipelined;
   std::uint64_t fire_on;
 };
 
 class FaultPointSweep : public ::testing::TestWithParam<SweepConfig> {};
 
 // The oracle every failure point must satisfy: the build either throws a
-// typed error or produces the exact reference table. Points that a variant
-// never reaches (e.g. the barrier under the pipelined builder) simply never
-// fire, which exercises the "correct result" arm.
+// typed error or produces the exact reference table. A hit the build never
+// reaches (e.g. the commit point, which only append() passes) simply never
+// fires, which exercises the "correct result" arm.
 TEST_P(FaultPointSweep, BuildThrowsTypedErrorOrStaysExact) {
   const SweepConfig config = GetParam();
   const Dataset data = generate_uniform(12000, 10, 2, 42);
@@ -77,9 +76,6 @@ TEST_P(FaultPointSweep, BuildThrowsTypedErrorOrStaysExact) {
 
   WaitFreeBuilderOptions options;
   options.threads = 4;
-  options.pipelined = config.pipelined;
-  // Armed so that even an unexpected wedge surfaces as StallError, not a hang.
-  options.stall_timeout_seconds = 5.0;
   WaitFreeBuilder builder(options);
   try {
     const PotentialTable table = builder.build(data);
@@ -87,43 +83,28 @@ TEST_P(FaultPointSweep, BuildThrowsTypedErrorOrStaysExact) {
     expect_equal_counts(table, reference);
   } catch (const InjectedFault&) {
     EXPECT_GE(fault::hits(config.point), config.fire_on);
-  } catch (const StallError&) {
-    // Acceptable: an injected fault can wedge a round; the watchdog's typed
-    // error is exactly the defined behavior.
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllPoints, FaultPointSweep,
     ::testing::Values(
-        SweepConfig{fault::Point::kThreadSpawn, false, 2},
-        SweepConfig{fault::Point::kThreadSpawn, true, 2},
-        SweepConfig{fault::Point::kPinThread, false, 1},
-        SweepConfig{fault::Point::kPinThread, true, 1},
-        SweepConfig{fault::Point::kSpscChunkAlloc, false, 1},
-        SweepConfig{fault::Point::kSpscChunkAlloc, true, 1},
-        SweepConfig{fault::Point::kStage1Row, false, 1},
-        SweepConfig{fault::Point::kStage1Row, false, 5000},
-        SweepConfig{fault::Point::kStage1Row, true, 1},
-        SweepConfig{fault::Point::kStage1Row, true, 5000},
-        SweepConfig{fault::Point::kBarrier, false, 1},
-        SweepConfig{fault::Point::kBarrier, false, 3},
-        SweepConfig{fault::Point::kBarrier, true, 1},
-        SweepConfig{fault::Point::kStage2Drain, false, 1},
-        SweepConfig{fault::Point::kStage2Drain, false, 500},
-        SweepConfig{fault::Point::kStage2Drain, true, 1},
-        SweepConfig{fault::Point::kPipelineDrain, false, 1},
-        SweepConfig{fault::Point::kPipelineDrain, true, 1},
-        SweepConfig{fault::Point::kPipelineDrain, true, 4},
-        SweepConfig{fault::Point::kAppendCommit, false, 1},
-        SweepConfig{fault::Point::kAppendCommit, true, 1}),
+        SweepConfig{fault::Point::kThreadSpawn, 2},
+        SweepConfig{fault::Point::kPinThread, 1},
+        SweepConfig{fault::Point::kSpscChunkAlloc, 1},
+        SweepConfig{fault::Point::kStage1Row, 1},
+        SweepConfig{fault::Point::kStage1Row, 5000},
+        SweepConfig{fault::Point::kBarrier, 1},
+        SweepConfig{fault::Point::kBarrier, 3},
+        SweepConfig{fault::Point::kStage2Drain, 1},
+        SweepConfig{fault::Point::kStage2Drain, 500},
+        SweepConfig{fault::Point::kAppendCommit, 1}),
     [](const auto& p) {
       std::string name;
       for (const char c : std::string(fault::point_name(p.param.point))) {
         if (std::isalnum(static_cast<unsigned char>(c))) name += c;
       }
-      return name + (p.param.pipelined ? "Pipelined" : "Phased") + "Hit" +
-             std::to_string(p.param.fire_on);
+      return name + "PhasedHit" + std::to_string(p.param.fire_on);
     });
 
 // The downstream primitives honor the same oracle.
@@ -291,26 +272,24 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------- block-routing flush points
 
-// The write-combining router has three flush sites: a full 64-key
-// per-destination buffer mid-scan, the stage-1-end flush_all before the
-// barrier, and the per-batch flush of the pipelined variant. All of them
-// funnel into SpscQueue::push_block, whose chunk allocations fire
-// kSpscChunkAlloc — so arming that point throws in the middle of a bulk
-// flush. In the pipelined variant the partial flush at each batch boundary
-// shifts the later 64-key flushes off the 2048-item chunk boundaries, so the
-// later allocations (hits 2 and 3) land inside a block. A throw inside one
-// push_block is pinned down directly by
+// The write-combining router has two flush sites: a full 64-key
+// per-destination buffer mid-scan and the stage-1-end flush_all before the
+// barrier. Both funnel into SpscQueue::push_block, whose chunk allocations
+// fire kSpscChunkAlloc — so arming that point throws inside a bulk flush.
+// With two workers each live queue takes ~6000 keys, so it allocates twice
+// (at 2048 and 4096 items): hits 1-3 cover both queues' first refill and,
+// by pigeonhole, at least one queue's second. Full 64-key flushes meet the
+// 2048-item chunk boundaries exactly, so these refills start a block; a
+// throw inside one push_block is pinned down directly by
 // SpscQueueBulk.ThrowMidBlockKeepsThePublishedPrefix.
 struct FlushConfig {
-  bool pipelined;
   std::uint64_t fire_on;
 };
 
 // Printed instead of the raw bytes, whose padding would make the listed test
 // names differ from run to run.
 void PrintTo(const FlushConfig& config, std::ostream* os) {
-  *os << (config.pipelined ? "pipelined" : "phased") << " hit "
-      << config.fire_on;
+  *os << "phased hit " << config.fire_on;
 }
 
 class FlushPointSweep : public ::testing::TestWithParam<FlushConfig> {};
@@ -330,8 +309,6 @@ TEST_P(FlushPointSweep, ThrowMidFlushYieldsTypedErrorOrExactBuild) {
   // queues, so chunk allocation (one per 2048 pushes) is reached twice per
   // queue.
   options.threads = 2;
-  options.pipelined = config.pipelined;
-  options.stall_timeout_seconds = 5.0;
   WaitFreeBuilder builder(options);
   try {
     const PotentialTable table = builder.build(data);
@@ -339,18 +316,14 @@ TEST_P(FlushPointSweep, ThrowMidFlushYieldsTypedErrorOrExactBuild) {
     expect_equal_counts(table, reference);
   } catch (const InjectedFault&) {
     EXPECT_GE(fault::hits(fault::Point::kSpscChunkAlloc), config.fire_on);
-  } catch (const StallError&) {
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, FlushPointSweep,
-    ::testing::Values(FlushConfig{false, 1}, FlushConfig{true, 1},
-                      FlushConfig{true, 2}, FlushConfig{true, 3}),
+    ::testing::Values(FlushConfig{1}, FlushConfig{2}, FlushConfig{3}),
     [](const auto& p) {
-      return std::string("Buffer64") +
-             (p.param.pipelined ? "Pipelined" : "Phased") + "Hit" +
-             std::to_string(p.param.fire_on);
+      return "Buffer64PhasedHit" + std::to_string(p.param.fire_on);
     });
 
 /// append() stages into scratch partitions, so a bulk flush that throws
@@ -496,61 +469,6 @@ TEST(FaultInjection, PoolReportsDegradationAfterInjectedSpawnFailure) {
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
-// ------------------------------------------------------ stall watchdog
-
-TEST(FaultInjection, WedgedProducerSurfacesStallError) {
-  const Dataset data = generate_uniform(40000, 10, 2, 51);
-  fault::ScopedFaultInjection injection;
-  // One worker sleeps 1.5s mid-scan; the others go idle, global progress
-  // freezes, and the 100ms watchdog must fire long before the sleep ends.
-  fault::arm(fault::Point::kStage1Row, 5000, fault::Action::kStall, 1500);
-
-  WaitFreeBuilderOptions options;
-  options.threads = 4;
-  options.pipelined = true;
-  options.stall_timeout_seconds = 0.1;
-  WaitFreeBuilder builder(options);
-  try {
-    (void)builder.build(data);
-    FAIL() << "expected StallError";
-  } catch (const StallError& stall) {
-    EXPECT_EQ(stall.worker_progress().size(), 4u);
-    EXPECT_NE(std::string(stall.what()).find("stalled"), std::string::npos);
-  }
-}
-
-TEST(FaultInjection, WedgedDrainEitherStallsTypedOrRecovers) {
-  const Dataset data = generate_uniform(40000, 10, 2, 52);
-  const auto reference = reference_counts(data);
-  fault::ScopedFaultInjection injection;
-  fault::arm(fault::Point::kPipelineDrain, 3, fault::Action::kStall, 1500);
-
-  WaitFreeBuilderOptions options;
-  options.threads = 4;
-  options.pipelined = true;
-  options.stall_timeout_seconds = 0.1;
-  WaitFreeBuilder builder(options);
-  // Depending on where the wedge lands the build either aborts with the
-  // typed stall error or rides it out; both are defined, a hang is not.
-  try {
-    const PotentialTable table = builder.build(data);
-    expect_equal_counts(table, reference);
-  } catch (const StallError& stall) {
-    EXPECT_EQ(stall.worker_progress().size(), 4u);
-  }
-}
-
-TEST(FaultInjection, WatchdogStaysQuietOnHealthyBuilds) {
-  const Dataset data = generate_uniform(20000, 10, 2, 53);
-  WaitFreeBuilderOptions options;
-  options.threads = 4;
-  options.pipelined = true;
-  options.stall_timeout_seconds = 0.5;
-  WaitFreeBuilder builder(options);
-  const PotentialTable table = builder.build(data);
-  expect_equal_counts(table, reference_counts(data));
-}
-
 // --------------------------------------------------- wide-key schedule sweep
 
 // The unified key-trait-templated kernel means every fault point above is
@@ -574,23 +492,17 @@ TEST(WideFaultInjection, RandomSchedulesThrowTypedErrorsOrStayExact) {
   const Dataset data = generate_chain_correlated(6000, 100, 2, 0.8, 61);
   WaitFreeBuilderOptions options;
   options.threads = 4;
-  options.stall_timeout_seconds = 5.0;
   const auto reference = wide_snapshot(WideWaitFreeBuilder(options).build(data));
 
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     fault::ScopedFaultInjection injection;
     const std::string schedule = fault::arm_random_schedule(seed);
-    for (const bool pipelined : {false, true}) {
-      WaitFreeBuilderOptions faulted = options;
-      faulted.pipelined = pipelined;
-      WideWaitFreeBuilder builder(faulted);
-      try {
-        const WidePotentialTable table = builder.build(data);
-        ASSERT_TRUE(table.validate()) << "schedule: " << schedule;
-        EXPECT_EQ(wide_snapshot(table), reference) << "schedule: " << schedule;
-      } catch (const InjectedFault&) {
-      } catch (const StallError&) {
-      }
+    WideWaitFreeBuilder builder(options);
+    try {
+      const WidePotentialTable table = builder.build(data);
+      ASSERT_TRUE(table.validate()) << "schedule: " << schedule;
+      EXPECT_EQ(wide_snapshot(table), reference) << "schedule: " << schedule;
+    } catch (const InjectedFault&) {
     }
   }
 }

@@ -103,24 +103,5 @@ TEST(CostModel, DefaultModelHasDocumentedShape) {
             wait_free_ish / 32.0);
 }
 
-TEST(WorkerStats, PipelinedStatsAccountForAllRows) {
-  const Dataset data = generate_uniform(15000, 8, 2, 705);
-  WaitFreeBuilderOptions options;
-  options.threads = 3;
-  options.pipelined = true;
-  WaitFreeBuilder builder(options);
-  (void)builder.build(data);
-  std::uint64_t rows = 0;
-  std::uint64_t pops = 0;
-  std::uint64_t foreign = 0;
-  for (const WorkerStats& w : builder.stats().workers) {
-    rows += w.rows_encoded;
-    pops += w.stage2_pops;
-    foreign += w.foreign_pushes;
-  }
-  EXPECT_EQ(rows, 15000u);
-  EXPECT_EQ(pops, foreign);
-}
-
 }  // namespace
 }  // namespace wfbn

@@ -169,28 +169,5 @@ TEST(PipelineProperty, SampledNetworksBuildIdenticallyAcrossBuilders) {
   }
 }
 
-TEST(PipelineProperty, PipelinedDrainWhileProducingIsExact) {
-  // 60000 rows give each of the 4 producers three full 4096-row batches plus
-  // a remainder, so every producer drains its inbound queues between batches
-  // while the others are still producing.
-  const Dataset data = generate_uniform(60000, 8, 2, 206);
-  WaitFreeBuilderOptions options;
-  options.threads = 4;
-  options.pipelined = true;
-  WaitFreeBuilder builder(options);
-  const PotentialTable table = builder.build(data);
-  std::map<Key, std::uint64_t> reference;
-  const KeyCodec codec = data.codec();
-  for (std::size_t i = 0; i < data.sample_count(); ++i) {
-    ++reference[codec.encode(data.row(i))];
-  }
-  std::map<Key, std::uint64_t> counts;
-  table.partitions().for_each([&](Key key, std::uint64_t c) { counts[key] = c; });
-  EXPECT_EQ(counts, reference);
-  EXPECT_EQ(table.sample_count(), 60000u);
-  EXPECT_EQ(table.partitions().total_count(), 60000u);
-  EXPECT_TRUE(table.partitions().ownership_invariant_holds());
-}
-
 }  // namespace
 }  // namespace wfbn

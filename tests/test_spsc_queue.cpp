@@ -1,5 +1,6 @@
 // Tests for the wait-free SPSC queue — including a true concurrent
-// producer/consumer stress test (the pipelined builder's usage pattern).
+// producer/consumer stress test (the queue's contract beyond the builder's
+// barrier-separated use).
 #include <gtest/gtest.h>
 
 #include <algorithm>

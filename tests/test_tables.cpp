@@ -1,10 +1,9 @@
-// Tests for DenseTable, PartitionedTable, MarginalTable and PotentialTable —
+// Tests for PartitionedTable, MarginalTable and PotentialTable —
 // the layered potential-table representation of paper §IV-A.
 #include <gtest/gtest.h>
 
 #include <map>
 
-#include "table/dense_table.hpp"
 #include "table/marginal_table.hpp"
 #include "table/partitioned_table.hpp"
 #include "table/potential_table.hpp"
@@ -13,34 +12,6 @@
 
 namespace wfbn {
 namespace {
-
-// ---------------------------------------------------------------- DenseTable
-
-TEST(DenseTable, CountsByDirectIndex) {
-  DenseTable table(8);
-  table.increment(3);
-  table.increment(3, 4);
-  table.increment(0);
-  EXPECT_EQ(table.count(3), 5u);
-  EXPECT_EQ(table.count(0), 1u);
-  EXPECT_EQ(table.count(7), 0u);
-  EXPECT_EQ(table.size(), 2u);
-  EXPECT_EQ(table.total_count(), 6u);
-}
-
-TEST(DenseTable, ForEachSkipsZerosInKeyOrder) {
-  DenseTable table(10);
-  table.increment(7, 2);
-  table.increment(2, 1);
-  std::vector<Key> keys;
-  table.for_each([&](Key key, std::uint64_t) { keys.push_back(key); });
-  EXPECT_EQ(keys, (std::vector<Key>{2, 7}));
-}
-
-TEST(DenseTable, RejectsHugeStateSpaces) {
-  EXPECT_THROW(DenseTable(1ULL << 40), PreconditionError);
-  EXPECT_THROW(DenseTable(0), PreconditionError);
-}
 
 // ----------------------------------------------------------- PartitionedTable
 

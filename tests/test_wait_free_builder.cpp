@@ -1,7 +1,7 @@
 // Correctness tests for the wait-free table-construction primitive
 // (Algorithms 1–2): the parallel build must produce exactly the counts a
-// sequential scan produces, for every thread count, partition scheme, data
-// shape, and the pipelined variant.
+// sequential scan produces, for every thread count, partition scheme and
+// data shape.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -52,11 +52,10 @@ TEST(WaitFreeBuilder, SingleThreadMatchesReference) {
   EXPECT_TRUE(table.validate());
 }
 
-// The central property, swept over thread counts × schemes × variants.
+// The central property, swept over thread counts × schemes.
 struct BuilderConfig {
   std::size_t threads;
   PartitionScheme scheme;
-  bool pipelined;
 };
 
 class BuilderEquivalence : public ::testing::TestWithParam<BuilderConfig> {};
@@ -67,7 +66,6 @@ TEST_P(BuilderEquivalence, ParallelBuildEqualsSequentialCounts) {
   WaitFreeBuilderOptions options;
   options.threads = config.threads;
   options.scheme = config.scheme;
-  options.pipelined = config.pipelined;
   WaitFreeBuilder builder(options);
   const PotentialTable table = builder.build(data);
 
@@ -100,24 +98,19 @@ TEST_P(BuilderEquivalence, ParallelBuildEqualsSequentialCounts) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BuilderEquivalence,
     ::testing::Values(
-        BuilderConfig{1, PartitionScheme::kModulo, false},
-        BuilderConfig{2, PartitionScheme::kModulo, false},
-        BuilderConfig{3, PartitionScheme::kModulo, false},
-        BuilderConfig{8, PartitionScheme::kModulo, false},
-        BuilderConfig{32, PartitionScheme::kModulo, false},
-        BuilderConfig{2, PartitionScheme::kRange, false},
-        BuilderConfig{8, PartitionScheme::kRange, false},
-        BuilderConfig{32, PartitionScheme::kRange, false},
-        BuilderConfig{1, PartitionScheme::kModulo, true},
-        BuilderConfig{2, PartitionScheme::kModulo, true},
-        BuilderConfig{8, PartitionScheme::kModulo, true},
-        BuilderConfig{32, PartitionScheme::kModulo, true},
-        BuilderConfig{8, PartitionScheme::kRange, true}),
+        BuilderConfig{1, PartitionScheme::kModulo},
+        BuilderConfig{2, PartitionScheme::kModulo},
+        BuilderConfig{3, PartitionScheme::kModulo},
+        BuilderConfig{8, PartitionScheme::kModulo},
+        BuilderConfig{32, PartitionScheme::kModulo},
+        BuilderConfig{2, PartitionScheme::kRange},
+        BuilderConfig{8, PartitionScheme::kRange},
+        BuilderConfig{32, PartitionScheme::kRange}),
     [](const auto& param_info) {
       return std::to_string(param_info.param.threads) + "threads_" +
              (param_info.param.scheme == PartitionScheme::kModulo ? "modulo"
                                                             : "range") +
-             (param_info.param.pipelined ? "_pipelined" : "_phased");
+             "_phased";
     });
 
 TEST(WaitFreeBuilder, SkewedDataStillExact) {
@@ -133,7 +126,6 @@ TEST(WaitFreeBuilder, CorrelatedDataStillExact) {
   const Dataset data = generate_chain_correlated(30000, 14, 2, 0.95, 6);
   WaitFreeBuilderOptions options;
   options.threads = 6;
-  options.pipelined = true;
   WaitFreeBuilder builder(options);
   const PotentialTable table = builder.build(data);
   expect_equal_counts(table, reference_counts(data));
@@ -278,18 +270,14 @@ TEST(WaitFreeBuilder, InvalidOptionsRejected) {
   WaitFreeBuilderOptions zero_threads;
   zero_threads.threads = 0;
   EXPECT_THROW(WaitFreeBuilder{zero_threads}, PreconditionError);
-  WaitFreeBuilderOptions negative_timeout;
-  negative_timeout.stall_timeout_seconds = -1.0;
-  EXPECT_THROW(WaitFreeBuilder{negative_timeout}, PreconditionError);
 }
 
 // ---------------------------------------------------------------------------
 // Block routing fast path: strip encoding, the write-combining router, bulk
 // drains and the multi-cursor probe must produce exactly the counts of a
 // brute-force scan — codec.encode(row) per raw row into a std::map — for
-// both key widths, both variants, both dispatch levels, and for append as
-// well as build. The reference shares no code with the kernel beyond the
-// per-row encode.
+// both key widths, both dispatch levels, and for append as well as build.
+// The reference shares no code with the kernel beyond the per-row encode.
 
 /// Key-width-agnostic (lo, hi) -> count map; a table matches its reference
 /// iff the two maps are equal.
@@ -325,10 +313,9 @@ CountMap brute_force_counts(std::initializer_list<const Dataset*> datasets) {
   return counts;
 }
 
-WaitFreeBuilderOptions four_workers(bool pipelined) {
+WaitFreeBuilderOptions four_workers() {
   WaitFreeBuilderOptions options;
   options.threads = 4;
-  options.pipelined = pipelined;
   return options;
 }
 
@@ -340,24 +327,21 @@ TYPED_TEST_SUITE(BlockRoutingOracle, OracleKeyTypes);
 
 TYPED_TEST(BlockRoutingOracle, BatchedBuildIsByteIdenticalToScalarBuild) {
   const Dataset data = generate_uniform(30000, 12, 3, 21);
-  const CountMap reference = brute_force_counts<TypeParam>({&data});
-  for (const bool pipelined : {false, true}) {
-    BasicWaitFreeBuilder<TypeParam> builder(four_workers(pipelined));
-    const auto table = builder.build(data);
-    EXPECT_EQ(snapshot_of(table), reference) << "pipelined=" << pipelined;
-    EXPECT_EQ(table.sample_count(), 30000u);
+  BasicWaitFreeBuilder<TypeParam> builder(four_workers());
+  const auto table = builder.build(data);
+  EXPECT_EQ(snapshot_of(table), brute_force_counts<TypeParam>({&data}));
+  EXPECT_EQ(table.sample_count(), 30000u);
 
-    const BuildStats& stats = builder.stats();
-    // Buffering compresses flushes: strictly fewer than one per key.
-    EXPECT_LT(stats.total_route_flushes(), stats.total_foreign_pushes());
-    EXPECT_GT(stats.total_route_flushes(), 0u);
-    EXPECT_GT(stats.total_bulk_pops(), 0u);
-    // Every routed key is still drained exactly once, in bulk spans.
-    std::uint64_t pops = 0;
-    for (const WorkerStats& w : stats.workers) pops += w.stage2_pops;
-    EXPECT_EQ(pops, stats.total_foreign_pushes());
-    EXPECT_LE(stats.total_bulk_pops(), pops);
-  }
+  const BuildStats& stats = builder.stats();
+  // Buffering compresses flushes: strictly fewer than one per key.
+  EXPECT_LT(stats.total_route_flushes(), stats.total_foreign_pushes());
+  EXPECT_GT(stats.total_route_flushes(), 0u);
+  EXPECT_GT(stats.total_bulk_pops(), 0u);
+  // Every routed key is still drained exactly once, in bulk spans.
+  std::uint64_t pops = 0;
+  for (const WorkerStats& w : stats.workers) pops += w.stage2_pops;
+  EXPECT_EQ(pops, stats.total_foreign_pushes());
+  EXPECT_LE(stats.total_bulk_pops(), pops);
 }
 
 TYPED_TEST(BlockRoutingOracle, SimdSweepMatchesBruteForceCounts) {
@@ -373,28 +357,24 @@ TYPED_TEST(BlockRoutingOracle, SimdSweepMatchesBruteForceCounts) {
     if (forced) force.emplace(simd::Level::kScalar);
     const simd::Level expected_level =
         forced ? simd::Level::kScalar : simd::detected();
-    for (const bool pipelined : {false, true}) {
-      BasicWaitFreeBuilder<TypeParam> builder(four_workers(pipelined));
-      auto table = builder.build(base);
-      EXPECT_EQ(snapshot_of(table), built)
-          << "forced=" << forced << " pipelined=" << pipelined;
-      EXPECT_EQ(builder.stats().simd_level, expected_level);
-      builder.append(batch, table);
-      EXPECT_EQ(snapshot_of(table), appended)
-          << "append forced=" << forced << " pipelined=" << pipelined;
-      EXPECT_EQ(table.sample_count(), 37001u);
-      EXPECT_EQ(builder.stats().simd_level, expected_level);
-    }
+    BasicWaitFreeBuilder<TypeParam> builder(four_workers());
+    auto table = builder.build(base);
+    EXPECT_EQ(snapshot_of(table), built) << "forced=" << forced;
+    EXPECT_EQ(builder.stats().simd_level, expected_level);
+    builder.append(batch, table);
+    EXPECT_EQ(snapshot_of(table), appended) << "append forced=" << forced;
+    EXPECT_EQ(table.sample_count(), 37001u);
+    EXPECT_EQ(builder.stats().simd_level, expected_level);
   }
 }
 
 TYPED_TEST(BlockRoutingOracle, ForcedSimdDowngradeBuildsIdenticalTables) {
   const Dataset data = generate_uniform(20000, 10, 3, 26);
-  BasicWaitFreeBuilder<TypeParam> native(four_workers(false));
+  BasicWaitFreeBuilder<TypeParam> native(four_workers());
   const auto native_table = native.build(data);
 
   simd::ScopedForceLevel force(simd::Level::kScalar);
-  BasicWaitFreeBuilder<TypeParam> forced(four_workers(false));
+  BasicWaitFreeBuilder<TypeParam> forced(four_workers());
   const auto forced_table = forced.build(data);
   // The downgrade is silent, reported, and bit-exact.
   EXPECT_EQ(forced.stats().simd_level, simd::Level::kScalar);
@@ -404,7 +384,7 @@ TYPED_TEST(BlockRoutingOracle, ForcedSimdDowngradeBuildsIdenticalTables) {
 TYPED_TEST(BlockRoutingOracle, BatchedAppendIsByteIdenticalToScalarAppend) {
   const Dataset base = generate_uniform(8000, 10, 2, 22);
   const Dataset batch = generate_uniform(6000, 10, 2, 23);
-  BasicWaitFreeBuilder<TypeParam> builder(four_workers(false));
+  BasicWaitFreeBuilder<TypeParam> builder(four_workers());
   auto table = builder.build(base);
   builder.append(batch, table);
   EXPECT_EQ(snapshot_of(table), brute_force_counts<TypeParam>({&base, &batch}));
@@ -487,25 +467,20 @@ TYPED_TEST(PreAggregationOracle, SachsCombinesOnEveryWorkerInBuildAndAppend) {
   for (const bool forced : {true, false}) {
     std::optional<simd::ScopedForceLevel> force;
     if (forced) force.emplace(simd::Level::kScalar);
-    for (const bool pipelined : {false, true}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "forced=" << forced << " pipelined=" << pipelined);
-      BasicWaitFreeBuilder<TypeParam> builder(four_workers(pipelined));
-      auto table = builder.build(base);
-      EXPECT_EQ(snapshot_of(table), built);
-      expect_conserved(builder.stats(), base.sample_count());
-      expect_every_worker_combined(builder.stats());
-      // Combining is what the build mostly did, not a side path.
-      EXPECT_GT(builder.stats().total_combined_rows(),
-                base.sample_count() / 2);
+    SCOPED_TRACE(::testing::Message() << "forced=" << forced);
+    BasicWaitFreeBuilder<TypeParam> builder(four_workers());
+    auto table = builder.build(base);
+    EXPECT_EQ(snapshot_of(table), built);
+    expect_conserved(builder.stats(), base.sample_count());
+    expect_every_worker_combined(builder.stats());
+    // Combining is what the build mostly did, not a side path.
+    EXPECT_GT(builder.stats().total_combined_rows(), base.sample_count() / 2);
 
-      builder.append(batch, table);
-      EXPECT_EQ(snapshot_of(table), appended);
-      EXPECT_EQ(table.sample_count(),
-                base.sample_count() + batch.sample_count());
-      expect_conserved(builder.stats(), batch.sample_count());
-      expect_every_worker_combined(builder.stats());
-    }
+    builder.append(batch, table);
+    EXPECT_EQ(snapshot_of(table), appended);
+    EXPECT_EQ(table.sample_count(), base.sample_count() + batch.sample_count());
+    expect_conserved(builder.stats(), batch.sample_count());
+    expect_every_worker_combined(builder.stats());
   }
 }
 
@@ -518,18 +493,14 @@ TYPED_TEST(PreAggregationOracle, SkewedHotKeyAboveHalfTheRowsStaysExact) {
   std::uint64_t hottest = 0;
   for (const auto& [key, count] : built) hottest = std::max(hottest, count);
   ASSERT_GT(hottest, base.sample_count() / 2);  // the premise
-  for (const bool pipelined : {false, true}) {
-    SCOPED_TRACE(::testing::Message() << "pipelined=" << pipelined);
-    BasicWaitFreeBuilder<TypeParam> builder(four_workers(pipelined));
-    auto table = builder.build(base);
-    EXPECT_EQ(snapshot_of(table), built);
-    expect_conserved(builder.stats(), base.sample_count());
-    expect_every_worker_combined(builder.stats());
-    builder.append(batch, table);
-    EXPECT_EQ(snapshot_of(table),
-              brute_force_counts<TypeParam>({&base, &batch}));
-    expect_conserved(builder.stats(), batch.sample_count());
-  }
+  BasicWaitFreeBuilder<TypeParam> builder(four_workers());
+  auto table = builder.build(base);
+  EXPECT_EQ(snapshot_of(table), built);
+  expect_conserved(builder.stats(), base.sample_count());
+  expect_every_worker_combined(builder.stats());
+  builder.append(batch, table);
+  EXPECT_EQ(snapshot_of(table), brute_force_counts<TypeParam>({&base, &batch}));
+  expect_conserved(builder.stats(), batch.sample_count());
 }
 
 TYPED_TEST(PreAggregationOracle, SliceThatStopsCompressingAndTheReverse) {
@@ -537,35 +508,31 @@ TYPED_TEST(PreAggregationOracle, SliceThatStopsCompressingAndTheReverse) {
   constexpr std::size_t kSegment = 3 * kWindow;
   WaitFreeBuilderOptions options;
   options.threads = 2;
-  for (const bool pipelined : {false, true}) {
-    options.pipelined = pipelined;
-    SCOPED_TRACE(::testing::Message() << "pipelined=" << pipelined);
-    {
-      // Compresses, then stops: the head combines, the tail cannot.
-      const Dataset data =
-          segmented_rows({true, false, true, false}, kSegment, 55);
-      BasicWaitFreeBuilder<TypeParam> builder(options);
-      EXPECT_EQ(snapshot_of(builder.build(data)),
-                brute_force_counts<TypeParam>({&data}));
-      expect_conserved(builder.stats(), data.sample_count());
-      for (const WorkerStats& w : builder.stats().workers) {
-        EXPECT_GT(w.combined_rows, kSegment / 2);
-        EXPECT_GT(w.local_updates + w.foreign_pushes, kSegment * 9 / 10);
-      }
+  {
+    // Compresses, then stops: the head combines, the tail cannot.
+    const Dataset data =
+        segmented_rows({true, false, true, false}, kSegment, 55);
+    BasicWaitFreeBuilder<TypeParam> builder(options);
+    EXPECT_EQ(snapshot_of(builder.build(data)),
+              brute_force_counts<TypeParam>({&data}));
+    expect_conserved(builder.stats(), data.sample_count());
+    for (const WorkerStats& w : builder.stats().workers) {
+      EXPECT_GT(w.combined_rows, kSegment / 2);
+      EXPECT_GT(w.local_updates + w.foreign_pushes, kSegment * 9 / 10);
     }
-    {
-      // The reverse: the first window does not compress, so the worker runs
-      // the uncombined path for the rest of its slice, compressing tail
-      // included.
-      const Dataset data =
-          segmented_rows({false, true, false, true}, kSegment, 56);
-      BasicWaitFreeBuilder<TypeParam> builder(options);
-      EXPECT_EQ(snapshot_of(builder.build(data)),
-                brute_force_counts<TypeParam>({&data}));
-      expect_conserved(builder.stats(), data.sample_count());
-      for (const WorkerStats& w : builder.stats().workers) {
-        EXPECT_LT(w.combined_rows * 10, w.rows_encoded);
-      }
+  }
+  {
+    // The reverse: the first window does not compress, so the worker runs
+    // the uncombined path for the rest of its slice, compressing tail
+    // included.
+    const Dataset data =
+        segmented_rows({false, true, false, true}, kSegment, 56);
+    BasicWaitFreeBuilder<TypeParam> builder(options);
+    EXPECT_EQ(snapshot_of(builder.build(data)),
+              brute_force_counts<TypeParam>({&data}));
+    expect_conserved(builder.stats(), data.sample_count());
+    for (const WorkerStats& w : builder.stats().workers) {
+      EXPECT_LT(w.combined_rows * 10, w.rows_encoded);
     }
   }
 }
@@ -576,7 +543,7 @@ TYPED_TEST(PreAggregationOracle, DegradedPoolEvictsIntoSeveralOwnedPartitions) {
   // partitions as well as across the fabric.
   const Dataset base = sachs_rows(20000, 57);
   const Dataset batch = sachs_rows(2 * 2 * kWindow + 11, 58);
-  BasicWaitFreeBuilder<TypeParam> builder(four_workers(false));
+  BasicWaitFreeBuilder<TypeParam> builder(four_workers());
   auto table = builder.build(base);
 
   fault::ScopedFaultInjection injection;
@@ -600,14 +567,11 @@ TYPED_TEST(PreAggregationOracle, UniformThirtyVariablesBypassesTheCombiner) {
   // 2^30 keys: no probe window finds a key twice, so every row takes the
   // uncombined path, one update or one routed key each.
   const Dataset data = generate_uniform(4 * 2 * kWindow, 30, 2, 59);
-  const CountMap reference = brute_force_counts<TypeParam>({&data});
-  for (const bool pipelined : {false, true}) {
-    SCOPED_TRACE(::testing::Message() << "pipelined=" << pipelined);
-    BasicWaitFreeBuilder<TypeParam> builder(four_workers(pipelined));
-    EXPECT_EQ(snapshot_of(builder.build(data)), reference);
-    expect_conserved(builder.stats(), data.sample_count());
-    EXPECT_EQ(builder.stats().total_combined_rows(), 0u);
-  }
+  BasicWaitFreeBuilder<TypeParam> builder(four_workers());
+  EXPECT_EQ(snapshot_of(builder.build(data)),
+            brute_force_counts<TypeParam>({&data}));
+  expect_conserved(builder.stats(), data.sample_count());
+  EXPECT_EQ(builder.stats().total_combined_rows(), 0u);
 }
 
 TEST(WaitFreeBuilder, TotalHelpersSumPerWorkerRoutingCounters) {

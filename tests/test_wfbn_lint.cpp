@@ -650,13 +650,12 @@ TEST_F(RealTreeMutation, UnregisteredFaultPointIsCaught) {
 }
 
 TEST_F(RealTreeMutation, BareStdAtomicInSeamFileIsCaught) {
-  tree_.mutate("src/concurrent/retire_gate.hpp",
-               "typename Policy::template Atomic<std::size_t> done_{0};",
-               "std::atomic<std::size_t> done_{0};");
+  tree_.mutate("src/concurrent/barrier.hpp", "Atomic<bool> sense_{false};",
+               "std::atomic<bool> sense_{false};");
   const Result result = run_on(tree_);
   ASSERT_EQ(result.findings.size(), 1u) << describe(result);
   EXPECT_EQ(result.findings[0].rule, Rule::kPolicyPurity);
-  EXPECT_EQ(result.findings[0].file, "src/concurrent/retire_gate.hpp");
+  EXPECT_EQ(result.findings[0].file, "src/concurrent/barrier.hpp");
 }
 
 TEST_F(RealTreeMutation, AllocationInWaitFreeRegionIsCaught) {

@@ -24,7 +24,6 @@
 
 #include "analysis/wfcheck.hpp"
 #include "concurrent/barrier.hpp"
-#include "concurrent/retire_gate.hpp"
 #include "concurrent/spsc_queue.hpp"
 #include "serve/snapshot_cell.hpp"
 
@@ -176,77 +175,6 @@ void snapshot_publish_body() {
                    "final snapshot is not the last published version");
 }
 
-// Builder retirement protocol (core/wait_free_builder.cpp build_pipelined,
-// via concurrent/retire_gate.hpp): two symmetric workers each publish their
-// last production into a race-checked slot, retire through the gate, then
-// spin until every peer has retired and read the peers' slots — the "final
-// drain" that build_pipelined performs once all_retired() holds. The
-// acq_rel fetch_add in retire() is the only thing making the peer's write
-// visible; the self-test below demotes exactly that edge.
-void builder_retire_body() {
-  struct Shared {
-    // Construct the gate first so its done_ counter is atomic id 0 — the
-    // location the mutation self-test demotes.
-    wfbn::BasicRetireGate<mc::ModelAtomics> gate{2};
-    mc::ModelData<int> slot0{0};
-    mc::ModelData<int> slot1{0};
-  };
-  auto sh = std::make_unique<Shared>();
-  auto worker = [&sh](mc::ModelData<int>& mine, mc::ModelData<int>& theirs,
-                      int value) {
-    mine = value;       // the last batch this producer routes
-    sh->gate.retire();  // release-publishes the write above
-    while (!sh->gate.aborted() && !sh->gate.all_retired()) mc::yield();
-    if (!sh->gate.aborted()) {
-      // Final drain: the peer retired, so its production must be visible.
-      mc::model_assert(static_cast<int>(theirs) == 3 - value,
-                       "peer's pre-retire write not visible after "
-                       "all_retired()");
-    }
-  };
-  const std::size_t w0 = mc::spawn([&] { worker(sh->slot0, sh->slot1, 1); });
-  const std::size_t w1 = mc::spawn([&] { worker(sh->slot1, sh->slot0, 2); });
-  mc::join(w0);
-  mc::join(w1);
-  mc::model_assert(sh->gate.all_retired(), "join without full retirement");
-  mc::model_assert(!sh->gate.aborted(), "spurious abort");
-}
-
-// The fault-abort path: one worker fails before producing anything and exits
-// through abort_and_retire() — exactly what build_pipelined's catch block
-// does. The healthy worker must (a) never deadlock waiting for the failed
-// producer (the conditional retire keeps the count truthful) and (b) observe
-// the error state published before the abort, through the abort flag's
-// release/acquire edge.
-void builder_retire_abort_body() {
-  struct Shared {
-    wfbn::BasicRetireGate<mc::ModelAtomics> gate{2};
-    mc::ModelData<int> error_code{0};
-  };
-  auto sh = std::make_unique<Shared>();
-  const std::size_t faulty = mc::spawn([&sh] {
-    sh->error_code = 42;  // state the abort must publish
-    sh->gate.abort_and_retire(/*already_retired=*/false);
-  });
-  const std::size_t healthy = mc::spawn([&sh] {
-    // Producer loop with abort polling, then the normal retire + wait.
-    for (int batch = 0; batch < 2 && !sh->gate.aborted(); ++batch) {
-      mc::yield();
-    }
-    sh->gate.retire();
-    while (!sh->gate.aborted() && !sh->gate.all_retired()) mc::yield();
-    if (sh->gate.aborted()) {
-      mc::model_assert(static_cast<int>(sh->error_code) == 42,
-                       "error state not published by abort()");
-    }
-  });
-  mc::join(faulty);
-  mc::join(healthy);
-  mc::model_assert(sh->gate.all_retired(),
-                   "abort path lost a retirement: peers would spin forever");
-  mc::model_assert(sh->gate.aborted(), "abort flag lost");
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -288,23 +216,6 @@ TEST(model_snapshot_publish, ExhaustiveWithinBoundHolds) {
   EXPECT_GT(result.exhaustive_executions, 1u) << result.summary();
 }
 
-TEST(model_builder_retire, ExhaustiveWithinBoundHolds) {
-  mc::ModelOptions opts;
-  const mc::CheckResult result = mc::check(opts, builder_retire_body);
-  EXPECT_WFCHECK_OK(result, "model_builder_retire");
-  EXPECT_TRUE(result.exhausted) << result.summary();
-  EXPECT_GT(result.exhaustive_executions, 1u) << result.summary();
-  EXPECT_GE(result.shared_locations, 2u) << result.summary();
-}
-
-TEST(model_builder_retire_abort, ExhaustiveWithinBoundHolds) {
-  mc::ModelOptions opts;
-  const mc::CheckResult result = mc::check(opts, builder_retire_abort_body);
-  EXPECT_WFCHECK_OK(result, "model_builder_retire_abort");
-  EXPECT_TRUE(result.exhausted) << result.summary();
-  EXPECT_GT(result.exhaustive_executions, 1u) << result.summary();
-}
-
 // ---------------------------------------------------------------------------
 // Self-tests: mutate ONE release store to relaxed (by creation-order atomic
 // id) and the checker must find and explain the resulting race. If these
@@ -339,22 +250,6 @@ TEST(wfcheck_selftest, DemotedBarrierSenseIsCaught) {
       << result.failure;
 }
 
-TEST(wfcheck_selftest, DemotedRetireIsCaught) {
-  mc::ModelOptions opts;
-  // Atomic id 0 is the gate's done_ counter (constructed first in Shared):
-  // demoting retire()'s acq_rel fetch_add strips the release edge that
-  // publishes each producer's final batch, so the peer's post-all_retired()
-  // read of the slot races with the pre-retire write.
-  opts.demote_store_loc = 0;
-  const mc::CheckResult result = mc::check(opts, builder_retire_body);
-  ASSERT_FALSE(result.ok) << "checker missed the demoted retire edge: "
-                          << result.summary();
-  EXPECT_NE(result.failure.find("data race"), std::string::npos)
-      << result.failure;
-  EXPECT_NE(result.trace.to_string().find("DEMOTED"), std::string::npos)
-      << result.trace.to_string();
-}
-
 TEST(wfcheck_selftest, DeadlockIsDetected) {
   // A 3-participant barrier with only 2 arrivers: both spin forever on a
   // sense that can never flip. Every schedule deadlocks.
@@ -387,6 +282,23 @@ TEST(wfcheck_replay, SeedReplayIsByteForByteDeterministic) {
   // interleaving) — otherwise the "seed" is not actually steering anything.
   const mc::Trace other = mc::replay_seed(opts, 987654321u, spsc_scalar_body);
   EXPECT_NE(first.to_string(), other.to_string());
+}
+
+TEST(wfcheck_replay, PointerValuesAreTracedAsExecutionOrdinals) {
+  // The chunk links are Atomic<Chunk*>: heap addresses, which differ from
+  // run to run. The trace names them by first appearance instead.
+  mc::ModelOptions opts;
+  const mc::Trace trace = mc::replay_seed(opts, 123456789u, spsc_scalar_body);
+  std::size_t pointer_events = 0;
+  for (const mc::TraceEvent& e : trace.events) {
+    if (!e.pointer) continue;
+    ++pointer_events;
+    // Three pushes through chunks of 2 allocate one chunk beyond the first.
+    EXPECT_EQ(e.value, 1u) << trace.to_string();
+  }
+  EXPECT_GT(pointer_events, 0u) << trace.to_string();
+  EXPECT_NE(trace.to_string().find("= ptr#1"), std::string::npos)
+      << trace.to_string();
 }
 
 TEST(wfcheck_replay, FailingScheduleSeedReproducesIdenticalTrace) {
