@@ -1,12 +1,11 @@
 #include "core/all_pairs_mi.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
-#include "table/simd_kernels.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
+#include "util/simd.hpp"
 #include "util/timer.hpp"
 
 namespace wfbn {
@@ -207,12 +206,11 @@ MiMatrix BasicAllPairsMi<K>::compute_fused(const Planes& planes,
     });
   }
 
-  // Pass 2, pair cells. Cell (a >= 1, b >= 1) is an AND-popcount of two
-  // planes; row and column 0 follow from the plane totals and the light
-  // count; then the heavy tables are added. Every count is an exact
-  // integer, so the MI equals the per-pair sweep's bit for bit.
-  const std::size_t words = planes.words();
-  const std::span<const std::uint64_t> totals = planes.plane_totals();
+  // Pass 2, pair cells: the AND-popcount lattice of the pair
+  // (BasicEntryPlanes::count_light_cells). Cell (a >= 1, b >= 1) is an
+  // AND-popcount of two planes; row and column 0 follow from the plane
+  // totals and the light count; then the heavy tables are added. Every count
+  // is an exact integer, so the MI equals the per-pair sweep's bit for bit.
   MiMatrix out(n);
   pool.parallel_for(0, pairs.size(), [&](std::size_t w, std::size_t lo,
                                          std::size_t hi) {
@@ -222,26 +220,9 @@ MiMatrix BasicAllPairsMi<K>::compute_fused(const Planes& planes,
       const auto [i, j] = pairs[k];
       const std::uint32_t r_i = codec.cardinality(i);
       const std::uint32_t r_j = codec.cardinality(j);
-      cells.assign(static_cast<std::size_t>(r_i) * r_j, 0);
-      std::uint64_t zero_i = planes.light_count();  // light entries with x_i = 0
-      for (std::uint32_t a = 1; a < r_i; ++a) {
-        zero_i -= totals[planes.plane_index(i, a)];
-        cells[a] = totals[planes.plane_index(i, a)];
-      }
-      for (std::uint32_t b = 1; b < r_j; ++b) {
-        std::uint64_t* row = cells.data() + static_cast<std::size_t>(r_i) * b;
-        row[0] = totals[planes.plane_index(j, b)];
-        const std::uint64_t* plane_b = planes.plane(j, b);
-        for (std::uint32_t a = 1; a < r_i; ++a) {
-          const std::uint64_t both = simd_detail::and_popcount(
-              planes.plane(i, a), plane_b, words, level);
-          row[a] = both;
-          row[0] -= both;
-          cells[a] -= both;
-        }
-        zero_i -= row[0];
-      }
-      cells[0] = zero_i;
+      cells.resize(static_cast<std::size_t>(r_i) * r_j);
+      const std::size_t pair_vars[] = {i, j};
+      planes.count_light_cells(pair_vars, cells, level);
       for (const std::vector<std::uint64_t>& counts : heavy) {
         if (counts.empty()) continue;
         for (std::size_t c = 0; c < cells.size(); ++c) {

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 
+#include "table/simd_kernels.hpp"
+#include "util/error.hpp"
 #include "util/fault_injection.hpp"
 #include "util/timer.hpp"
 
@@ -115,7 +118,99 @@ BasicEntryPlanes<K>::BasicEntryPlanes(const Table& table, ThreadPool& pool)
 }
 
 template <typename K>
-MarginalTable BasicEntryPlanes<K>::marginalize(
+void BasicEntryPlanes<K>::count_light_cells(
+    std::span<const std::size_t> variables, std::span<std::uint64_t> cells,
+    simd::Level level) const {
+  const typename Traits::Codec& codec = table_.codec();
+  const std::size_t k = variables.size();
+  WFBN_EXPECT(k >= 1, "a marginal needs at least one variable");
+  struct Axis {
+    std::size_t v;
+    std::uint32_t r;
+    std::size_t stride;  ///< cell offset of one state step, first axis fastest
+  };
+  std::vector<Axis> axes(k);
+  std::size_t cell_count = 1;
+  for (std::size_t i = 0; i < k; ++i) {
+    axes[i] = Axis{variables[i], codec.cardinality(variables[i]), cell_count};
+    cell_count *= axes[i].r;
+  }
+  WFBN_EXPECT(cells.size() == cell_count, "cell buffer does not fit the marginal");
+  std::fill(cells.begin(), cells.end(), std::uint64_t{0});
+  if (light_count_ == 0) return;
+
+  // The walk: depth-first over the axes, each axis either free (state slot
+  // 0) or fixed to a state a >= 1. `rows` holds the light entries matching
+  // the fixed states so far — null while none is fixed (all light entries),
+  // a plane itself after the first, an AND in the scratch after that — and
+  // `n` is their number. A zero count prunes the subtree: every cell below
+  // it is 0. An axis below the last needs its AND for its children, so it
+  // stores it; the last axis only counts.
+  thread_local std::vector<std::uint64_t> scratch;
+  if (k > 2 && scratch.size() < (k - 2) * words_) scratch.resize((k - 2) * words_);
+  std::uint64_t* const buffers = scratch.data();
+  const auto walk = [&](const auto& self, std::size_t axis,
+                        const std::uint64_t* rows, std::uint64_t n,
+                        std::size_t cell) -> void {
+    const Axis& ax = axes[axis];
+    const bool last = axis + 1 == k;
+    if (last) {
+      cells[cell] = n;
+    } else {
+      self(self, axis + 1, rows, n, cell);
+    }
+    for (std::uint32_t a = 1; a < ax.r; ++a) {
+      const std::uint64_t* next = plane(ax.v, a);
+      std::uint64_t matched = 0;
+      if (rows == nullptr) {
+        matched = plane_totals_[plane_index(ax.v, a)];
+      } else if (last) {
+        matched = simd_detail::and_popcount(rows, next, words_, level);
+      } else {
+        std::uint64_t* const dst = buffers + (axis - 1) * words_;
+        matched = simd_detail::and_into_popcount(dst, rows, next, words_, level);
+        next = dst;
+      }
+      if (matched == 0) continue;
+      if (last) {
+        cells[cell + a * ax.stride] = matched;
+      } else {
+        self(self, axis + 1, next, matched, cell + a * ax.stride);
+      }
+    }
+  };
+  walk(walk, 0, nullptr, light_count_, 0);
+
+  // Möbius inversion, one axis at a time: a state-0 slot holds the count
+  // with its variable free, so subtracting the slots of states >= 1 along
+  // that axis leaves the count of state 0. The pair form is MI pass 2's
+  // N(a, 0) = L_i(a) − Σ_b N(a, b).
+  for (const Axis& ax : axes) {
+    const std::size_t block = ax.stride * ax.r;
+    for (std::size_t base = 0; base < cell_count; base += block) {
+      for (std::size_t c = base; c < base + ax.stride; ++c) {
+        std::uint64_t fixed = 0;
+        for (std::uint32_t a = 1; a < ax.r; ++a) fixed += cells[c + a * ax.stride];
+        cells[c] -= fixed;
+      }
+    }
+  }
+}
+
+template <typename K>
+MarginalTable BasicEntryPlanes<K>::marginalize_lattice(
+    std::span<const std::size_t> variables, simd::Level level) const {
+  const typename Traits::Projector projector(table_.codec(), variables);
+  std::vector<std::uint64_t> cells(projector.range_size());
+  count_light_cells(variables, cells, level);
+  MarginalTable out(projector.variables(), projector.cardinalities(),
+                    std::move(cells));
+  add_heavy(projector, out);
+  return out;
+}
+
+template <typename K>
+MarginalTable BasicEntryPlanes<K>::marginalize_scatter(
     std::span<const std::size_t> variables) const {
   const typename Traits::Projector projector(table_.codec(), variables);
   MarginalTable out(projector.variables(), projector.cardinalities());
@@ -150,10 +245,16 @@ MarginalTable BasicEntryPlanes<K>::marginalize(
     // Lanes past `valid` hold no entry; their cell 0 must not be counted.
     for (std::size_t e = 0; e < valid; ++e) out.add(cell[e], 1);
   }
+  add_heavy(projector, out);
+  return out;
+}
+
+template <typename K>
+void BasicEntryPlanes<K>::add_heavy(const typename Traits::Projector& projector,
+                                    MarginalTable& out) const {
   for (const HeavyEntry& entry : heavy_) {
     out.add(projector.project(entry.key), entry.count);
   }
-  return out;
 }
 
 template class BasicEntryPlanes<Key>;

@@ -17,14 +17,26 @@
 // an entry whose states are all 0 is told apart from an empty lane only by
 // the valid count.
 //
-// marginalize() counts any variable subset from this layout — per plane
-// word, the set bits add a·stride into 64 per-entry cell indices; only the
-// word's valid entries are scattered into the marginal; the heavy list goes
-// through the key projector — at O(E·Σ_{v∈S} P(x_v ≠ 0) + E + H·|S|) for E
-// light and H heavy entries, exact integer counts equal to a table sweep.
+// Two routines count the marginal of any variable subset S from this
+// layout; both add the heavy list through the key projector and both give
+// exact integer counts equal to a table sweep:
+//   marginalize_lattice  the AND-popcount lattice. For every partial
+//                        assignment of S with states >= 1 (the other
+//                        variables free) it ANDs the planes and popcounts
+//                        the result, pruning at zero, then Möbius-inverts
+//                        along each variable to recover the state-0 cells:
+//                        up to Π r_v − 1 plane ANDs of words() words each.
+//                        For |S| = 2 these are exactly the pair cells of the
+//                        all-pairs MI pass (count_light_cells);
+//   marginalize_scatter  the set-bit scatter. Per plane word, the set bits
+//                        add a·stride into 64 per-entry cell indices and
+//                        only the word's valid entries are scattered into
+//                        the marginal: O(E·Σ_{v∈S} P(x_v ≠ 0) + E) for E
+//                        light entries, whatever the cell count.
+// The heavy list adds O(H·|S|) to both.
 //
-// Read-only after construction: marginalize() may run concurrently from any
-// number of threads.
+// Read-only after construction: the counting routines may run concurrently
+// from any number of threads.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +46,7 @@
 #include "concurrent/thread_pool.hpp"
 #include "table/marginal_table.hpp"
 #include "table/potential_table.hpp"
+#include "util/simd.hpp"
 
 namespace wfbn {
 
@@ -83,9 +96,23 @@ class BasicEntryPlanes {
   }
 
   /// Exact marginal counts of `variables` (their order is the layout, as for
-  /// KeyProjector); equal to sweeping the table. Runs on the calling thread.
-  [[nodiscard]] MarginalTable marginalize(
+  /// KeyProjector; a variable may appear once) by the AND-popcount lattice
+  /// at dispatch level `level`; equal to sweeping the table. Runs on the
+  /// calling thread, with at most (|S| − 2)·words() words of thread-local
+  /// scratch.
+  [[nodiscard]] MarginalTable marginalize_lattice(
+      std::span<const std::size_t> variables, simd::Level level) const;
+
+  /// The same counts by the set-bit scatter.
+  [[nodiscard]] MarginalTable marginalize_scatter(
       std::span<const std::size_t> variables) const;
+
+  /// The light entries' share of marginalize_lattice: writes the count of
+  /// every cell (first variable fastest) into `cells`, which must hold
+  /// Π r_v words.
+  void count_light_cells(std::span<const std::size_t> variables,
+                         std::span<std::uint64_t> cells,
+                         simd::Level level) const;
 
   /// Per build worker: busy seconds and table entries visited.
   [[nodiscard]] const std::vector<double>& worker_seconds() const noexcept {
@@ -98,6 +125,11 @@ class BasicEntryPlanes {
  private:
   /// Entries per plane word.
   static constexpr std::size_t kWordEntries = 64;
+
+  /// Adds every heavy entry's count to its cell of `out`, which has the
+  /// projector's layout.
+  void add_heavy(const typename Traits::Projector& projector,
+                 MarginalTable& out) const;
 
   const Table& table_;
   std::vector<std::size_t> plane_of_;  ///< first plane of each variable

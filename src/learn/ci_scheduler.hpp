@@ -44,8 +44,8 @@ struct CiTask {
 /// per-thread CPU time (CLOCK_THREAD_CPUTIME_ID), so the critical path —
 /// Σ over batches of the slowest worker's busy time — models the makespan of
 /// a machine with one core per worker even when the host timeshares fewer
-/// cores. Cache hit/miss totals are filled in by the owning learner from the
-/// tester's reuse cache at the end of a learn() call.
+/// cores. Cache totals are filled in by the owning learner from the tester's
+/// reuse cache at the end of a learn() call.
 struct CiScheduleStats {
   std::uint64_t work_items = 0;
   std::uint64_t batches = 0;
@@ -53,6 +53,9 @@ struct CiScheduleStats {
   double critical_path_seconds = 0.0;  ///< Σ_batches max_worker busy CPU
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  std::uint64_t misses_projected = 0;  ///< cache misses per MarginalSource
+  std::uint64_t misses_lattice = 0;
+  std::uint64_t misses_scatter = 0;
 };
 
 /// Schedules batches of independent work items over a borrowed pool. The
@@ -108,11 +111,12 @@ class BasicCiScheduler {
   /// Copies the tester's reuse-cache totals into the accumulated stats —
   /// learners call this once when a learn() finishes.
   void absorb_cache_stats(const Tester& tester) noexcept {
-    if (const MarginalReuseCache* cache = tester.cache()) {
-      const MarginalCacheStats s = cache->stats();
-      stats_.cache_hits = s.hits;
-      stats_.cache_misses = s.misses;
-    }
+    const MarginalCacheStats s = tester.cache().stats();
+    stats_.cache_hits = s.hits;
+    stats_.cache_misses = s.misses;
+    stats_.misses_projected = s.projected;
+    stats_.misses_lattice = s.lattice;
+    stats_.misses_scatter = s.scatter;
   }
 
  private:

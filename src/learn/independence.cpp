@@ -6,22 +6,31 @@
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
+#include "util/simd.hpp"
 
 namespace wfbn {
 
 // ---------------------------------------------------------------------------
 // MarginalReuseCache
 
-MarginalReuseCache::MarginalReuseCache(std::size_t shards)
-    : shards_(shards == 0 ? 1 : shards) {}
+namespace {
 
-MarginalReuseCache::WordKey MarginalReuseCache::make_key(
-    std::span<const std::size_t> vars, std::uint64_t version) {
-  WordKey key;
-  key.reserve(vars.size() + 1);
-  key.push_back(version);
-  for (std::size_t v : vars) key.push_back(static_cast<std::uint64_t>(v));
-  return key;
+std::vector<std::uint64_t> make_key(std::span<const std::size_t> vars) {
+  return {vars.begin(), vars.end()};
+}
+
+/// Bit v % 64 for every variable v: a superset's signature covers its
+/// subsets' signatures.
+std::uint64_t signature_of(std::span<const std::size_t> vars) {
+  std::uint64_t signature = 0;
+  for (const std::size_t v : vars) signature |= std::uint64_t{1} << (v % 64);
+  return signature;
+}
+
+}  // namespace
+
+MarginalReuseCache::MarginalReuseCache() : shards_(kShards) {
+  index_.reserve(kIndexCapacity);
 }
 
 std::size_t MarginalReuseCache::WordKeyHash::operator()(
@@ -37,8 +46,8 @@ MarginalReuseCache::Shard& MarginalReuseCache::shard_of(
 }
 
 std::shared_ptr<const MarginalTable> MarginalReuseCache::find(
-    std::span<const std::size_t> vars, std::uint64_t version) const {
-  const WordKey key = make_key(vars, version);
+    std::span<const std::size_t> vars) const {
+  const WordKey key = make_key(vars);
   Shard& shard = shard_of(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.map.find(key);
@@ -50,27 +59,60 @@ std::shared_ptr<const MarginalTable> MarginalReuseCache::find(
   return it->second;
 }
 
-std::shared_ptr<const MarginalTable> MarginalReuseCache::insert(
-    std::span<const std::size_t> vars, std::uint64_t version,
-    MarginalTable table) {
-  WordKey key = make_key(vars, version);
-  Shard& shard = shard_of(key);
-  auto value = std::make_shared<const MarginalTable>(std::move(table));
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  // First insert wins: a racing thread computed the identical table (exact
-  // integer counts over the same canonical variable order), so callers may
-  // end up with either pointer without any observable difference.
-  auto [it, inserted] = shard.map.emplace(std::move(key), std::move(value));
-  return it->second;
+std::shared_ptr<const MarginalTable> MarginalReuseCache::find_superset(
+    std::span<const std::size_t> vars) const {
+  const std::uint64_t signature = signature_of(vars);
+  std::shared_ptr<const MarginalTable> best;
+  std::lock_guard<std::mutex> lock(index_mutex_);
+  for (const IndexEntry& entry : index_) {
+    if ((signature & ~entry.signature) != 0) continue;
+    if (best != nullptr && entry.table->cell_count() >= best->cell_count()) {
+      continue;
+    }
+    const std::vector<std::size_t>& have = entry.table->variables();
+    if (std::includes(have.begin(), have.end(), vars.begin(), vars.end())) {
+      best = entry.table;
+    }
+  }
+  return best;
 }
 
-void MarginalReuseCache::clear() {
-  for (Shard& shard : shards_) {
+std::shared_ptr<const MarginalTable> MarginalReuseCache::insert(
+    std::span<const std::size_t> vars, MarginalTable table,
+    MarginalSource source) {
+  std::atomic<std::uint64_t>& counted =
+      source == MarginalSource::kProjected ? projected_
+      : source == MarginalSource::kLattice ? lattice_
+                                           : scatter_;
+  counted.fetch_add(1, std::memory_order_relaxed);
+  WordKey key = make_key(vars);
+  Shard& shard = shard_of(key);
+  auto value = std::make_shared<const MarginalTable>(std::move(table));
+  {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.clear();
+    // First insert wins: a racing thread computed the identical table (exact
+    // integer counts over the same canonical variable order), so callers may
+    // end up with either pointer without any observable difference.
+    auto [it, inserted] = shard.map.emplace(std::move(key), value);
+    if (!inserted) return it->second;
   }
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(index_mutex_);
+  IndexEntry entry{signature_of(vars), std::move(value)};
+  if (index_.size() < kIndexCapacity) {
+    index_.push_back(entry);
+  } else {
+    index_[index_next_] = entry;
+    index_next_ = (index_next_ + 1) % kIndexCapacity;
+  }
+  return entry.table;
+}
+
+MarginalCacheStats MarginalReuseCache::stats() const noexcept {
+  return {hits_.load(std::memory_order_relaxed),
+          misses_.load(std::memory_order_relaxed),
+          projected_.load(std::memory_order_relaxed),
+          lattice_.load(std::memory_order_relaxed),
+          scatter_.load(std::memory_order_relaxed)};
 }
 
 // ---------------------------------------------------------------------------
@@ -104,12 +146,61 @@ std::unique_ptr<const BasicEntryPlanes<K>> build_planes(
   return std::make_unique<const BasicEntryPlanes<K>>(table, pool);
 }
 
-/// Validates the test thresholds; the reuse cache, or null when it is off.
-std::shared_ptr<MarginalReuseCache> checked_cache(const CiOptions& options) {
+/// Validates the test thresholds.
+const CiOptions& checked(const CiOptions& options) {
   WFBN_EXPECT(options.mi_threshold >= 0.0, "MI threshold must be >= 0");
   WFBN_EXPECT(options.alpha > 0.0 && options.alpha < 1.0, "alpha in (0,1)");
-  if (!options.reuse_marginals) return nullptr;
-  return std::make_shared<MarginalReuseCache>(options.cache_shards);
+  return options;
+}
+
+// The cost rule of the miss path: estimated nanoseconds per unit of work of
+// each source, measured on ALARM m = 200k (3,110 plane words, 197,927 light
+// and 975 heavy entries) on a 4-core x86-64 host with AVX2; the sweep that
+// set them is in results/knob_prune.txt ("CI-test counting sources"). Only
+// their ratios matter: the source with the lowest estimate counts the
+// marginal.
+constexpr double kLatticeWordNs[] = {3.7, 0.4};  ///< per word ANDed, by level
+constexpr double kScatterEntryNs = 1.0;  ///< per light entry: lane reset, add
+constexpr double kScatterBitNs = 1.1;    ///< per set plane bit walked
+constexpr double kHeavyLegNs = 2.0;      ///< per heavy entry and variable
+constexpr double kProjectCellNs = 2.5;   ///< per superset cell summed down
+
+/// Estimated nanoseconds of counting `vars` from the planes by the lattice
+/// and by the scatter. Both include the heavy list's projection.
+template <typename K>
+std::pair<double, double> plane_costs(const BasicEntryPlanes<K>& planes,
+                                      std::span<const std::size_t> vars,
+                                      simd::Level level) {
+  const auto& codec = planes.table().codec();
+  const std::span<const std::uint64_t> totals = planes.plane_totals();
+  // The lattice visits the partial assignments whose fixed states all have
+  // light entries: Π(1 + live_v) of them, where live_v counts the states
+  // a >= 1 of v with a nonzero plane total. The empty one and the
+  // single-state ones read a total instead of ANDing; deeper pruning at
+  // zero only lowers the count.
+  double nodes = 1.0;
+  double single = 0.0;
+  double bits = 0.0;
+  for (const std::size_t v : vars) {
+    double live = 0.0;
+    for (std::uint32_t a = 1; a < codec.cardinality(v); ++a) {
+      const std::uint64_t total = totals[planes.plane_index(v, a)];
+      live += total != 0 ? 1.0 : 0.0;
+      bits += static_cast<double>(total);
+    }
+    nodes *= 1.0 + live;
+    single += live;
+  }
+  const double heavy = static_cast<double>(planes.heavy().size()) *
+                       static_cast<double>(vars.size()) * kHeavyLegNs;
+  const double lattice = (nodes - 1.0 - single) *
+                             static_cast<double>(planes.words()) *
+                             kLatticeWordNs[static_cast<int>(level)] +
+                         heavy;
+  const double scatter =
+      static_cast<double>(planes.light_count()) * kScatterEntryNs +
+      bits * kScatterBitNs + heavy;
+  return {lattice, scatter};
 }
 
 }  // namespace
@@ -118,19 +209,31 @@ template <typename K>
 BasicCiTester<K>::BasicCiTester(const Table& table, CiOptions options)
     : owned_planes_(build_planes(table, options)),
       planes_(*owned_planes_),
-      options_(options),
-      cache_(checked_cache(options)) {}
+      options_(checked(options)) {}
 
 template <typename K>
 BasicCiTester<K>::BasicCiTester(const Planes& planes, CiOptions options)
-    : planes_(planes), options_(options), cache_(checked_cache(options)) {}
+    : planes_(planes), options_(checked(options)) {}
 
 template <typename K>
-MarginalTable BasicCiTester<K>::count_marginal(
+std::shared_ptr<const MarginalTable> BasicCiTester<K>::count_marginal(
     std::span<const std::size_t> vars) const {
-  if (!cache_) return planes_.marginalize(vars);
-  if (auto hit = cache_->find(vars, cache_version_)) return *hit;
-  return *cache_->insert(vars, cache_version_, planes_.marginalize(vars));
+  if (auto hit = cache_.find(vars)) return hit;
+  const simd::Level level = simd::detected();
+  const auto [lattice, scatter] = plane_costs(planes_, vars, level);
+  const double cheapest = std::min(lattice, scatter);
+  if (const auto superset = cache_.find_superset(vars)) {
+    if (static_cast<double>(superset->cell_count()) * kProjectCellNs < cheapest) {
+      return cache_.insert(vars, superset->sum_out_to(vars),
+                           MarginalSource::kProjected);
+    }
+  }
+  if (lattice <= scatter) {
+    return cache_.insert(vars, planes_.marginalize_lattice(vars, level),
+                         MarginalSource::kLattice);
+  }
+  return cache_.insert(vars, planes_.marginalize_scatter(vars),
+                       MarginalSource::kScatter);
 }
 
 template <typename K>
@@ -149,27 +252,34 @@ CiDecision BasicCiTester<K>::test(std::size_t x, std::size_t y,
   // Canonical variable order: sorted({x, y} ∪ Z). The statistics only need
   // to know which table variables are x and y (everything else is Z), and a
   // canonical order makes the marginal — and hence the floating-point
-  // statistic — bit-identical across cache hits, thread counts, and the
-  // x/y vs y/x orientations of the same test.
+  // statistic — bit-identical across cache hits, counting sources, thread
+  // counts, and the x/y vs y/x orientations of the same test.
   std::vector<std::size_t> joint_vars;
   joint_vars.reserve(z.size() + 2);
   joint_vars.push_back(x);
   joint_vars.push_back(y);
   joint_vars.insert(joint_vars.end(), z.begin(), z.end());
   std::sort(joint_vars.begin(), joint_vars.end());
+  WFBN_EXPECT(joint_vars.back() < table().codec().variable_count(),
+              "CI test variable out of range");
+  WFBN_EXPECT(std::adjacent_find(joint_vars.begin(), joint_vars.end()) ==
+                  joint_vars.end(),
+              "Z must not repeat a variable");
 
-  const MarginalTable joint = count_marginal(joint_vars);
-  return decide_from_joint(joint, x, y, options_);
+  return decide_from_joint(*count_marginal(joint_vars), x, y, options_);
 }
 
 template <typename K>
 double BasicCiTester<K>::pair_mi(std::size_t x, std::size_t y) const {
+  WFBN_EXPECT(x != y, "x and y must differ");
+  WFBN_EXPECT(std::max(x, y) < table().codec().variable_count(),
+              "MI variable out of range");
   if (options_.cancel != nullptr &&
       options_.cancel->load(std::memory_order_relaxed)) {
     throw OperationCancelled("structure learning cancelled during MI scoring");
   }
   const std::size_t vars[] = {std::min(x, y), std::max(x, y)};
-  return mutual_information(count_marginal(vars));
+  return mutual_information(*count_marginal(vars));
 }
 
 template class BasicCiTester<Key>;

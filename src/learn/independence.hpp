@@ -9,25 +9,32 @@
 // table's BasicEntryPlanes (core/entry_planes.hpp) — the one-hot bit planes
 // of the count-1 entries plus the list of count > 1 entries, built once per
 // learn (Cheng's drafting builds them for all-pairs MI and hands them over;
-// PC-stable builds them at learn start). Per plane word the set bits add
-// a·stride into 64 per-entry cell indices, only the word's valid entries
-// are scattered into the marginal, and only the heavy list goes through the
-// key projector.
+// PC-stable builds them at learn start).
 //
 // Marginal reuse (Jiang et al., "Fast Parallel Bayesian Network Structure
-// Learning"): within one learner level many tests share the same {x,y} ∪ Z
-// set — both orientations of a pair, and the minimization probes of a
-// cut-set. The tester therefore consults a sharded, version-keyed
-// MarginalReuseCache keyed by the canonical variable set, so each distinct
-// marginal is counted once per level no matter how many tests (or worker
-// threads) ask for it. Because marginal tables hold exact integer counts and
-// the variable order is canonical, every path — cached or not, on any
-// number of scheduler workers — produces bit-identical statistics.
+// Learning"): within one learn many tests share the same {x,y} ∪ Z set —
+// both orientations of a pair, and the minimization probes of a cut-set.
+// The tester therefore consults a sharded MarginalReuseCache keyed by the
+// canonical variable set, so each distinct marginal is counted once per
+// learn no matter how many tests (or worker threads) ask for it, and a hit
+// hands out the cached table itself.
+//
+// On a miss the tester answers from the cheapest of three exact sources,
+// picked by a cost estimate from the cell counts, the plane words, the
+// light and heavy counts and the SIMD level:
+//   projected  the smallest cached superset, summed down (sum_out_to);
+//   lattice    the AND-popcount lattice over the planes — cheap for few
+//              cells, its cost grows with the cell count;
+//   scatter    the set-bit scatter over the planes — its cost grows with the
+//              light entries, whatever the cell count.
+// Marginal tables hold exact integer counts and the variable order is
+// canonical, so every source — cached or not, on any number of scheduler
+// workers — produces bit-identical statistics.
 //
 // Thread safety: the planes are read-only and the cache is sharded, so
 // test() counts on the calling thread and may be called concurrently from
-// any number of scheduler workers, cache on or off — parallelism comes from
-// many tests in flight, not from inside one test.
+// any number of scheduler workers — parallelism comes from many tests in
+// flight, not from inside one test.
 #pragma once
 
 #include <atomic>
@@ -58,10 +65,6 @@ struct CiOptions {
   /// from a table. New code should hand the learner a ThreadPool& instead —
   /// one pool per learn call, tests scheduled across it.
   std::size_t threads = 1;
-  /// Share {x,y} ∪ Z marginalizations across tests through the sharded
-  /// reuse cache. On/off is bit-identical; off only exists for measurement.
-  bool reuse_marginals = true;
-  std::size_t cache_shards = 16;
   /// Cooperative cancellation: polled at the top of every CI test; a set
   /// flag makes the tester throw OperationCancelled (learners surface it as
   /// a clean error, never a torn graph). Borrowed, may be null.
@@ -74,41 +77,54 @@ struct CiDecision {
   double p_value = 1.0;    ///< 1.0 for kMiThreshold (not computed)
 };
 
-struct MarginalCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
+/// The exact source that counted a marginal on a cache miss.
+enum class MarginalSource {
+  kProjected,  ///< summed down from a cached superset
+  kLattice,    ///< the AND-popcount lattice over the entry planes
+  kScatter,    ///< the set-bit scatter over the entry planes
 };
 
-/// Sharded version-keyed cache of joint marginal tables, keyed by the
-/// canonical (sorted) variable set plus a version word — the same
-/// version-first keying the serving ResultCache uses, so one cache instance
-/// can safely span snapshot versions. Concurrent find/insert from any number
-/// of threads; on an insert race the first stored table wins and every
-/// caller receives the same shared pointer (the racing computations are
-/// bit-identical, so nothing observable depends on the winner).
+struct MarginalCacheStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;     ///< = projected + lattice + scatter
+  std::uint64_t projected = 0;  ///< misses per MarginalSource
+  std::uint64_t lattice = 0;
+  std::uint64_t scatter = 0;
+};
+
+/// Sharded cache of joint marginal tables, keyed by the canonical (sorted)
+/// variable set, plus a bounded index of the most recent inserts for
+/// superset lookups. Concurrent find/insert from any number of threads; on
+/// an insert race the first stored table wins and every caller receives the
+/// same shared pointer (the racing computations are bit-identical, so
+/// nothing observable depends on the winner).
 class MarginalReuseCache {
  public:
-  explicit MarginalReuseCache(std::size_t shards = 16);
+  MarginalReuseCache();
 
-  /// The cached marginal over `vars` (must be sorted) or null.
+  /// The cached marginal over `vars` (must be sorted) or null; counts a hit
+  /// or a miss.
   [[nodiscard]] std::shared_ptr<const MarginalTable> find(
-      std::span<const std::size_t> vars, std::uint64_t version) const;
+      std::span<const std::size_t> vars) const;
 
-  /// Stores `table` under (vars, version) unless a racing insert got there
-  /// first; returns the table that ended up cached.
-  std::shared_ptr<const MarginalTable> insert(
-      std::span<const std::size_t> vars, std::uint64_t version,
-      MarginalTable table);
+  /// Among the last kIndexCapacity inserts, the table with the fewest cells
+  /// whose variables include every one of `vars` (sorted); null when none.
+  [[nodiscard]] std::shared_ptr<const MarginalTable> find_superset(
+      std::span<const std::size_t> vars) const;
 
-  void clear();
+  /// Stores `table`, counted by `source`, under `vars` unless a racing
+  /// insert got there first; returns the table that ended up cached.
+  std::shared_ptr<const MarginalTable> insert(std::span<const std::size_t> vars,
+                                              MarginalTable table,
+                                              MarginalSource source);
 
-  [[nodiscard]] MarginalCacheStats stats() const noexcept {
-    return {hits_.load(std::memory_order_relaxed),
-            misses_.load(std::memory_order_relaxed)};
-  }
+  [[nodiscard]] MarginalCacheStats stats() const noexcept;
 
  private:
-  using WordKey = std::vector<std::uint64_t>;  ///< word 0: version, then vars
+  static constexpr std::size_t kShards = 16;
+  static constexpr std::size_t kIndexCapacity = 256;
+
+  using WordKey = std::vector<std::uint64_t>;
   struct WordKeyHash {
     std::size_t operator()(const WordKey& key) const noexcept;
   };
@@ -118,14 +134,22 @@ class MarginalReuseCache {
                        WordKeyHash>
         map;
   };
+  struct IndexEntry {
+    std::uint64_t signature;  ///< bit v % 64 set for every variable v
+    std::shared_ptr<const MarginalTable> table;
+  };
 
-  [[nodiscard]] static WordKey make_key(std::span<const std::size_t> vars,
-                                        std::uint64_t version);
   [[nodiscard]] Shard& shard_of(const WordKey& key) const;
 
   mutable std::vector<Shard> shards_;
+  mutable std::mutex index_mutex_;
+  std::vector<IndexEntry> index_;  ///< ring of the last kIndexCapacity inserts
+  std::size_t index_next_ = 0;
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> projected_{0};  ///< misses per MarginalSource
+  std::atomic<std::uint64_t> lattice_{0};
+  std::atomic<std::uint64_t> scatter_{0};
 };
 
 /// Decides (in)dependence of x, y from their joint marginal with Z (every
@@ -165,26 +189,19 @@ class BasicCiTester {
   [[nodiscard]] const CiOptions& options() const noexcept { return options_; }
   [[nodiscard]] const Table& table() const noexcept { return planes_.table(); }
 
-  /// The reuse cache (null when options.reuse_marginals is off).
-  [[nodiscard]] const MarginalReuseCache* cache() const noexcept {
-    return cache_.get();
-  }
-
-  /// Version word for cache keys — set to the snapshot version when testing
-  /// against a served snapshot so one cache can span versions. Default 0.
-  void set_cache_version(std::uint64_t version) noexcept {
-    cache_version_ = version;
+  /// The reuse cache, with its hit, miss and per-source totals.
+  [[nodiscard]] const MarginalReuseCache& cache() const noexcept {
+    return cache_;
   }
 
  private:
-  [[nodiscard]] MarginalTable count_marginal(
+  [[nodiscard]] std::shared_ptr<const MarginalTable> count_marginal(
       std::span<const std::size_t> vars) const;
 
   std::unique_ptr<const Planes> owned_planes_;  ///< null when borrowed
   const Planes& planes_;
   CiOptions options_;
-  std::shared_ptr<MarginalReuseCache> cache_;
-  std::uint64_t cache_version_ = 0;
+  mutable MarginalReuseCache cache_;
   mutable std::atomic<std::uint64_t> tests_{0};
 };
 

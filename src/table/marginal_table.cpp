@@ -22,6 +22,15 @@ MarginalTable::MarginalTable(std::vector<std::size_t> variables,
   counts_.assign(static_cast<std::size_t>(cells), 0);
 }
 
+MarginalTable::MarginalTable(std::vector<std::size_t> variables,
+                             std::vector<std::uint32_t> cardinalities,
+                             std::vector<std::uint64_t> counts)
+    : MarginalTable(std::move(variables), std::move(cardinalities)) {
+  WFBN_EXPECT(counts.size() == counts_.size(),
+              "marginal counts do not match the table shape");
+  counts_ = std::move(counts);
+}
+
 std::uint64_t MarginalTable::index_of(std::span<const State> states) const {
   WFBN_EXPECT(states.size() == variables_.size(), "state string shape mismatch");
   std::uint64_t index = 0;
@@ -54,38 +63,38 @@ void MarginalTable::merge(const MarginalTable& other) {
 }
 
 MarginalTable MarginalTable::sum_out_to(std::span<const std::size_t> keep) const {
-  // Build the output shape in `keep` order and a per-kept-variable
-  // (in_stride, cardinality, out_stride) projection, then sweep all cells.
-  std::vector<std::size_t> out_vars(keep.begin(), keep.end());
+  // Each input variable's cell offset in the output: its kept position's
+  // stride, or 0 when it is summed out.
+  std::vector<std::uint64_t> out_step(variables_.size(), 0);
   std::vector<std::uint32_t> out_cards;
-  struct Leg {
-    std::uint64_t in_stride;
-    std::uint64_t cardinality;
-    std::uint64_t out_stride;
-  };
-  std::vector<Leg> legs;
   out_cards.reserve(keep.size());
-  legs.reserve(keep.size());
   std::uint64_t out_stride = 1;
   for (const std::size_t v : keep) {
     const auto it = std::find(variables_.begin(), variables_.end(), v);
     WFBN_EXPECT(it != variables_.end(),
                 "sum_out_to keeps a variable not present in the table");
     const std::size_t pos = static_cast<std::size_t>(it - variables_.begin());
-    std::uint64_t in_stride = 1;
-    for (std::size_t i = 0; i < pos; ++i) in_stride *= cardinalities_[i];
-    legs.push_back(Leg{in_stride, cardinalities_[pos], out_stride});
+    WFBN_EXPECT(out_step[pos] == 0, "sum_out_to keeps a variable twice");
+    out_step[pos] = out_stride;
     out_cards.push_back(cardinalities_[pos]);
     out_stride *= cardinalities_[pos];
   }
-  MarginalTable out(std::move(out_vars), std::move(out_cards));
-  for (std::size_t cell = 0; cell < counts_.size(); ++cell) {
-    if (counts_[cell] == 0) continue;
-    std::uint64_t out_cell = 0;
-    for (const Leg& leg : legs) {
-      out_cell += ((cell / leg.in_stride) % leg.cardinality) * leg.out_stride;
+  MarginalTable out(std::vector<std::size_t>(keep.begin(), keep.end()),
+                    std::move(out_cards));
+  // One odometer pass over the input cells in layout order, carrying the
+  // output cell along: no division per cell.
+  std::vector<std::uint32_t> digit(variables_.size(), 0);
+  std::uint64_t out_cell = 0;
+  for (const std::uint64_t count : counts_) {
+    out.counts_[out_cell] += count;
+    for (std::size_t i = 0; i < digit.size(); ++i) {
+      if (++digit[i] < cardinalities_[i]) {
+        out_cell += out_step[i];
+        break;
+      }
+      digit[i] = 0;
+      out_cell -= (cardinalities_[i] - 1) * out_step[i];
     }
-    out.counts_[out_cell] += counts_[cell];
   }
   return out;
 }

@@ -22,6 +22,12 @@ class MarginalTable {
   MarginalTable(std::vector<std::size_t> variables,
                 std::vector<std::uint32_t> cardinalities);
 
+  /// A table over `variables` holding `counts` (row-major, first variable
+  /// fastest). Throws unless there is one count per cell.
+  MarginalTable(std::vector<std::size_t> variables,
+                std::vector<std::uint32_t> cardinalities,
+                std::vector<std::uint64_t> counts);
+
   [[nodiscard]] const std::vector<std::size_t>& variables() const noexcept {
     return variables_;
   }

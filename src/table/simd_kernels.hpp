@@ -28,12 +28,14 @@
 // change the sum. The BlockRoutingOracle and codec tests pin this down at
 // every dispatch level, both key widths, and remainder-strip row counts.
 //
-// The file also holds the pair-cell kernel of the column all-pairs MI pass,
-// and_popcount(): Σ popcount(a[i] & b[i]) over two bit planes. The tree is
-// built without -mpopcnt, so the scalar level's std::popcount is the
-// portable (library-call) fallback; the AVX2 level counts 256 bits per step
-// with the nibble-lookup method (vpshufb + vpsadbw) behind
-// `target("avx2,popcnt")`. Both return the same integer.
+// The file also holds the two kernels of the AND-popcount lattice over the
+// entry planes (core/entry_planes.hpp): and_popcount(), Σ popcount(a[i] &
+// b[i]) over two bit planes, and and_into_popcount(), which also stores
+// a[i] & b[i] for the next level of the walk. The tree is built without
+// -mpopcnt, so the scalar level's std::popcount is the portable
+// (library-call) fallback; the AVX2 level counts 256 bits per step with the
+// nibble-lookup method (vpshufb + vpsadbw) behind `target("avx2,popcnt")`.
+// Both levels return the same integer and store the same words.
 #pragma once
 
 #include <algorithm>
@@ -199,6 +201,8 @@ __attribute__((target("avx2"))) inline void encode_tile_avx2_wide(
   for (std::size_t i = 0; i < kRowTile; ++i) out[i] = WideKey{lo[i], hi[i]};
 }
 
+#endif  // WFBN_AVX2_KERNELS
+
 /// Portable AND-popcount: the scalar level.
 inline std::uint64_t and_popcount_scalar(const std::uint64_t* a,
                                          const std::uint64_t* b,
@@ -210,32 +214,79 @@ inline std::uint64_t and_popcount_scalar(const std::uint64_t* a,
   return total;
 }
 
-/// AVX2 AND-popcount: per byte, two 16-entry nibble lookups give the bit
-/// count; vpsadbw folds the 32 byte counts into four 64-bit lane sums.
-__attribute__((target("avx2,popcnt"))) inline std::uint64_t and_popcount_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t words) noexcept {
+/// Portable AND-into + popcount: the scalar level.
+inline std::uint64_t and_into_popcount_scalar(std::uint64_t* dst,
+                                              const std::uint64_t* a,
+                                              const std::uint64_t* b,
+                                              std::size_t words) noexcept {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < words; ++i) {
+    dst[i] = a[i] & b[i];
+    total += static_cast<std::uint64_t>(std::popcount(dst[i]));
+  }
+  return total;
+}
+
+#ifdef WFBN_AVX2_KERNELS
+
+/// Per 64-bit lane of `v`, its bit count: per byte, two 16-entry nibble
+/// lookups give the count; vpsadbw folds the 32 byte counts into four
+/// 64-bit lane sums.
+__attribute__((target("avx2"))) inline __m256i popcount_lanes_avx2(
+    __m256i v) noexcept {
   const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3,
                                        3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3,
                                        2, 3, 3, 4);
   const __m256i nibble = _mm256_set1_epi8(0x0f);
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i acc = zero;
+  const __m256i lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(v, nibble));
+  const __m256i hi = _mm256_shuffle_epi8(
+      lut, _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble));
+  return _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256());
+}
+
+/// Sum of the four 64-bit lanes of `acc`.
+__attribute__((target("avx2"))) inline std::uint64_t sum_lanes_avx2(
+    __m256i acc) noexcept {
+  alignas(32) std::uint64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+  return lanes[0] + lanes[1] + lanes[2] + lanes[3];
+}
+
+/// AVX2 AND-popcount, 256 bits per step.
+__attribute__((target("avx2,popcnt"))) inline std::uint64_t and_popcount_avx2(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t words) noexcept {
+  __m256i acc = _mm256_setzero_si256();
   std::size_t i = 0;
   for (; i + 4 <= words; i += 4) {
     const __m256i v = _mm256_and_si256(
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-    const __m256i lo = _mm256_shuffle_epi8(lut, _mm256_and_si256(v, nibble));
-    const __m256i hi = _mm256_shuffle_epi8(
-        lut, _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble));
-    acc = _mm256_add_epi64(acc,
-                           _mm256_sad_epu8(_mm256_add_epi8(lo, hi), zero));
+    acc = _mm256_add_epi64(acc, popcount_lanes_avx2(v));
   }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+  std::uint64_t total = sum_lanes_avx2(acc);
   for (; i < words; ++i) {
     total += static_cast<std::uint64_t>(_mm_popcnt_u64(a[i] & b[i]));
+  }
+  return total;
+}
+
+/// AVX2 AND-into + popcount, 256 bits per step.
+__attribute__((target("avx2,popcnt"))) inline std::uint64_t
+and_into_popcount_avx2(std::uint64_t* dst, const std::uint64_t* a,
+                       const std::uint64_t* b, std::size_t words) noexcept {
+  __m256i acc = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 4 <= words; i += 4) {
+    const __m256i v = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), v);
+    acc = _mm256_add_epi64(acc, popcount_lanes_avx2(v));
+  }
+  std::uint64_t total = sum_lanes_avx2(acc);
+  for (; i < words; ++i) {
+    dst[i] = a[i] & b[i];
+    total += static_cast<std::uint64_t>(_mm_popcnt_u64(dst[i]));
   }
   return total;
 }
@@ -252,6 +303,21 @@ inline std::uint64_t and_popcount(const std::uint64_t* a, const std::uint64_t* b
   (void)level;
 #endif
   return and_popcount_scalar(a, b, words);
+}
+
+/// dst[i] = a[i] & b[i] for i < words; returns Σ popcount(dst[i]). At the
+/// dispatch level `level`, as and_popcount().
+inline std::uint64_t and_into_popcount(std::uint64_t* dst,
+                                       const std::uint64_t* a,
+                                       const std::uint64_t* b,
+                                       std::size_t words,
+                                       simd::Level level) noexcept {
+#ifdef WFBN_AVX2_KERNELS
+  if (level == simd::Level::kAvx2) return and_into_popcount_avx2(dst, a, b, words);
+#else
+  (void)level;
+#endif
+  return and_into_popcount_scalar(dst, a, b, words);
 }
 
 }  // namespace wfbn::simd_detail

@@ -1,10 +1,12 @@
 // Tests for the CI tester that backs Cheng's phases (MI-threshold and G-test
-// decisions against data with known structure), and a raw-row oracle for the
-// plane counting the tester does.
+// decisions against data with known structure), and a raw-row oracle for
+// every counting source the tester picks from: the cached superset, the
+// AND-popcount lattice and the set-bit scatter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -12,8 +14,11 @@
 #include "bn/sampling.hpp"
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
+#include "learn/ci_scheduler.hpp"
 #include "learn/independence.hpp"
+#include "raw_rows.hpp"
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace wfbn {
 namespace {
@@ -128,24 +133,9 @@ TEST(CiTester, ThresholdControlsSensitivity) {
 // ---------------------------------------------------------------------------
 // Raw-row oracle: every decision, statistic and p-value of the tester equals,
 // bit for bit, decide_from_joint over a marginal counted straight from the
-// dataset rows — no codec, no table, no planes.
+// dataset rows — no codec, no table, no planes — whichever source counted it.
 
-/// Marginal of `vars` (sorted) counted from the rows, first variable fastest.
-MarginalTable raw_marginal(const Dataset& data, const std::vector<std::size_t>& vars) {
-  std::vector<std::uint32_t> cards;
-  for (const std::size_t v : vars) cards.push_back(data.cardinalities()[v]);
-  MarginalTable out(vars, cards);
-  for (std::size_t i = 0; i < data.sample_count(); ++i) {
-    std::uint64_t cell = 0;
-    std::uint64_t stride = 1;
-    for (std::size_t k = 0; k < vars.size(); ++k) {
-      cell += data.at(i, vars[k]) * stride;
-      stride *= cards[k];
-    }
-    out.add(cell, 1);
-  }
-  return out;
-}
+using testing_support::raw_marginal;
 
 /// Sets the states of rows [0, rows) to 0.
 void zero_rows(Dataset& data, std::size_t rows) {
@@ -154,16 +144,103 @@ void zero_rows(Dataset& data, std::size_t rows) {
   }
 }
 
+/// `data` with one more variable, of one state.
+Dataset with_one_state_variable(const Dataset& data) {
+  std::vector<std::uint32_t> cards = data.cardinalities();
+  cards.push_back(1);
+  Dataset out(data.sample_count(), cards);
+  for (std::size_t i = 0; i < data.sample_count(); ++i) {
+    for (std::size_t j = 0; j < data.variable_count(); ++j) {
+      out.set(i, j, data.at(i, j));
+    }
+  }
+  return out;
+}
+
+/// Cells of the marginal over `vars`.
+std::uint64_t cells_of(const Dataset& data, const std::vector<std::size_t>& vars) {
+  std::uint64_t cells = 1;
+  for (const std::size_t v : vars) cells *= data.cardinalities()[v];
+  return cells;
+}
+
+/// The queries of one oracle pass, each x, y, Z in the (unsorted) order the
+/// tester receives them:
+///   - random draws with |Z| = 0..6;
+///   - a large set, then every subset that drops one member of its Z, then
+///     the bare pair: candidates for projection from a cached superset;
+///   - the one-state variable (the last one) in a pair and in a Z;
+///   - growing sets up to 2^14 cells, whose lattice estimate passes the
+///     scatter's as the cells grow.
+std::vector<CiTask> oracle_queries(const Dataset& data, std::mt19937_64& rng) {
+  const std::size_t n = data.variable_count();
+  const std::size_t one_state = n - 1;
+  std::vector<std::size_t> order(n - 1);
+  for (std::size_t v = 0; v + 1 < n; ++v) order[v] = v;
+  const auto draw = [&](std::size_t z_size) {
+    std::shuffle(order.begin(), order.end(), rng);
+    const auto z_end = order.begin() + 2 + static_cast<std::ptrdiff_t>(z_size);
+    return CiTask{order[0], order[1], std::vector<std::size_t>(order.begin() + 2, z_end)};
+  };
+  std::vector<CiTask> queries;
+  for (std::size_t z_size = 0; z_size <= 6; ++z_size) queries.push_back(draw(z_size));
+
+  const CiTask large = draw(5);
+  queries.push_back(large);
+  for (std::size_t drop = 0; drop < large.z.size(); ++drop) {
+    CiTask subset{large.y, large.x, {}};
+    for (std::size_t i = large.z.size(); i-- > 0;) {
+      if (i != drop) subset.z.push_back(large.z[i]);
+    }
+    queries.push_back(subset);
+  }
+  queries.push_back(CiTask{large.x, large.y, {}});
+
+  const CiTask pair = draw(1);
+  queries.push_back(CiTask{one_state, pair.x, {}});
+  queries.push_back(CiTask{pair.x, pair.y, {one_state, pair.z[0]}});
+
+  std::shuffle(order.begin(), order.end(), rng);
+  CiTask grow{order[0], order[1], {}};
+  for (std::size_t k = 2; k < order.size(); ++k) {
+    std::vector<std::size_t> vars = grow.z;
+    vars.push_back(grow.x);
+    vars.push_back(grow.y);
+    vars.push_back(order[k]);
+    if (cells_of(data, vars) > (1u << 14)) break;
+    grow.z.push_back(order[k]);
+    if (grow.z.size() >= 4) queries.push_back(grow);
+  }
+  return queries;
+}
+
 enum class Mix { kAllLight, kAllHeavy, kMixed };
 
-/// Tests {x, y, Z} draws with |Z| = 0..6 under both methods at P = 1, 3, 4
-/// and 16 (tables with P partitions, planes built on P workers), so worker
-/// ranges end in partly filled words. Heavy entries leave words unused: in
-/// the all-heavy table every word of every range is.
+/// Runs the oracle queries through a CiScheduler on P workers, P = 1, 3, 4
+/// and 16 (tables with P partitions, planes built on P workers, so worker
+/// ranges end in partly filled words), under both methods, at the native
+/// SIMD level and forced scalar. Heavy entries leave words unused: in the
+/// all-heavy table every word of every range is. Both plane routines also
+/// count every query directly. At P = 1 the queries run in order, so each
+/// source the cost rule can pick must have answered some miss — the
+/// scatter only where there are light entries, since on an all-heavy table
+/// the lattice counts nothing; at P > 1 timing decides which source
+/// answers, and the counts stay exact.
 template <typename K>
 void expect_matches_raw_rows(const Dataset& data, Mix mix) {
   const std::size_t n = data.variable_count();
   std::mt19937_64 rng(n * 7919 + data.sample_count());
+  const std::vector<CiTask> queries = oracle_queries(data, rng);
+  std::vector<std::vector<std::size_t>> joints;
+  std::vector<MarginalTable> raw;
+  for (const CiTask& q : queries) {
+    std::vector<std::size_t> joint = q.z;
+    joint.push_back(q.x);
+    joint.push_back(q.y);
+    std::sort(joint.begin(), joint.end());
+    raw.push_back(raw_marginal(data, joint));
+    joints.push_back(std::move(joint));
+  }
   const std::size_t pool_sizes[] = {1, 3, 4, 16};
   for (const std::size_t p : pool_sizes) {
     WaitFreeBuilderOptions build;
@@ -183,33 +260,47 @@ void expect_matches_raw_rows(const Dataset& data, Mix mix) {
         ASSERT_FALSE(planes.heavy().empty());
         break;
     }
-    for (const CiMethod method : {CiMethod::kMiThreshold, CiMethod::kGTest}) {
-      CiOptions options;
-      options.method = method;
-      const BasicCiTester<K> tester(planes, options);
-      for (std::size_t z_size = 0; z_size <= 6; ++z_size) {
-        std::vector<std::size_t> vars(n);
-        for (std::size_t v = 0; v < n; ++v) vars[v] = v;
-        std::shuffle(vars.begin(), vars.end(), rng);
-        const std::size_t x = vars[0];
-        const std::size_t y = vars[1];
-        vars.resize(2 + z_size);
-        const std::vector<std::size_t> z(vars.begin() + 2, vars.end());
-        std::vector<std::size_t> joint = vars;
-        std::sort(joint.begin(), joint.end());
-
-        const CiDecision got = tester.test(x, y, z);
-        const CiDecision want = decide_from_joint(raw_marginal(data, joint), x, y, options);
-        const auto where = ::testing::Message()
-                           << "P=" << p << " method=" << static_cast<int>(method)
-                           << " |Z|=" << z_size << " x=" << x << " y=" << y;
-        EXPECT_EQ(got.independent, want.independent) << where;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.statistic),
-                  std::bit_cast<std::uint64_t>(want.statistic))
-            << where;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.p_value),
-                  std::bit_cast<std::uint64_t>(want.p_value))
-            << where;
+    for (const bool scalar : {false, true}) {
+      std::optional<simd::ScopedForceLevel> force;
+      if (scalar) force.emplace(simd::Level::kScalar);
+      for (std::size_t i = 0; i < joints.size(); ++i) {
+        EXPECT_EQ(planes.marginalize_lattice(joints[i], simd::detected()).raw_counts(),
+                  raw[i].raw_counts())
+            << "lattice P=" << p << " scalar=" << scalar << " query=" << i;
+        EXPECT_EQ(planes.marginalize_scatter(joints[i]).raw_counts(), raw[i].raw_counts())
+            << "scatter P=" << p << " query=" << i;
+      }
+      for (const CiMethod method : {CiMethod::kMiThreshold, CiMethod::kGTest}) {
+        CiOptions options;
+        options.method = method;
+        const BasicCiTester<K> tester(planes, options);
+        BasicCiScheduler<K> scheduler(pool);
+        const std::vector<CiDecision> got = scheduler.run(tester, queries);
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          const CiTask& q = queries[i];
+          const CiDecision want = decide_from_joint(raw[i], q.x, q.y, options);
+          const auto where = ::testing::Message()
+                             << "P=" << p << " scalar=" << scalar
+                             << " method=" << static_cast<int>(method)
+                             << " query=" << i << " |Z|=" << q.z.size();
+          EXPECT_EQ(got[i].independent, want.independent) << where;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].statistic),
+                    std::bit_cast<std::uint64_t>(want.statistic))
+              << where;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].p_value),
+                    std::bit_cast<std::uint64_t>(want.p_value))
+              << where;
+        }
+        const MarginalCacheStats stats = tester.cache().stats();
+        EXPECT_EQ(stats.hits + stats.misses, queries.size());
+        EXPECT_EQ(stats.projected + stats.lattice + stats.scatter, stats.misses);
+        if (p == 1) {
+          EXPECT_GT(stats.projected, 0u) << "scalar=" << scalar;
+          EXPECT_GT(stats.lattice, 0u) << "scalar=" << scalar;
+          if (mix != Mix::kAllHeavy) {
+            EXPECT_GT(stats.scatter, 0u) << "scalar=" << scalar;
+          }
+        }
       }
     }
   }
@@ -226,7 +317,7 @@ TYPED_TEST(CiTesterRawRowOracle, AllLightUniformTable) {
   // the all-zero row included.
   Dataset data = generate_uniform(3000, 30, 2, 71);
   zero_rows(data, 1);
-  expect_matches_raw_rows<TypeParam>(data, Mix::kAllLight);
+  expect_matches_raw_rows<TypeParam>(with_one_state_variable(data), Mix::kAllLight);
 }
 
 TYPED_TEST(CiTesterRawRowOracle, AllHeavyTable) {
@@ -234,13 +325,13 @@ TYPED_TEST(CiTesterRawRowOracle, AllHeavyTable) {
   // key has count > 1, and the planes hold no entry at all.
   Dataset data = generate_uniform(20000, 8, 2, 72);
   zero_rows(data, 40);
-  expect_matches_raw_rows<TypeParam>(data, Mix::kAllHeavy);
+  expect_matches_raw_rows<TypeParam>(with_one_state_variable(data), Mix::kAllHeavy);
 }
 
 TYPED_TEST(CiTesterRawRowOracle, MixedAlarmSample) {
   Dataset data = forward_sample(load_network(RepositoryNetwork::kAlarm, 42), 20000, 73);
   zero_rows(data, 1);
-  expect_matches_raw_rows<TypeParam>(data, Mix::kMixed);
+  expect_matches_raw_rows<TypeParam>(with_one_state_variable(data), Mix::kMixed);
 }
 
 }  // namespace
