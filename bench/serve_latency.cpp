@@ -26,8 +26,14 @@
 // dispatcher: the flood gets explicit OVERLOADED rejections and interactive
 // p99 stays near baseline. Disabled reproduces the naive front end — one
 // shared FIFO, one dispatcher — where every query queues behind whole ingest
-// builds, and interactive p99 inflates by orders of magnitude. The emitted
-// BENCH_serve_latency.json records both, plus the property verdict.
+// builds, and interactive p99 inflates by orders of magnitude.
+//
+// The four phases run --reps times, round-robin, each on a fresh store. Per
+// phase and class the emitted BENCH_serve_latency.json reports each
+// percentile as the median, min and max over the reps, the request counts
+// summed over them, the counting-index rebuilds of the ingest phases, the
+// host block (cores, CPU model, SIMD level, THP mode) and the property
+// verdict on the median p99s.
 //
 //   ./serve_latency --duration-ms 1000 --query-rate 2000 --ingest-rate 60
 #include <algorithm>
@@ -37,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "../pipeline_e2e/bench_schema.hpp"
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
 #include "net/serve_client.hpp"
@@ -49,6 +56,8 @@
 namespace {
 
 using namespace wfbn;
+using bench::JsonWriter;
+using bench::Samples;
 
 using Clock = std::chrono::steady_clock;
 
@@ -168,9 +177,15 @@ struct PhaseConfig {
   double ingest_admit_rate = 0.0;
 };
 
-std::vector<ClassResult> run_phase(const PhaseConfig& phase,
-                                   const Dataset& base, const Dataset& batch,
-                                   double duration, std::size_t threads) {
+/// One run of a phase: its three classes and the index rebuilds of its
+/// ingests.
+struct PhaseRun {
+  std::vector<ClassResult> classes;
+  std::uint64_t index_rebuilds = 0;
+};
+
+PhaseRun run_phase(const PhaseConfig& phase, const Dataset& base,
+                   const Dataset& batch, double duration, std::size_t threads) {
   // Fresh store + engine per phase so ingest from a previous phase cannot
   // change the table the next phase queries.
   serve::TableStore store([&] {
@@ -263,7 +278,48 @@ std::vector<ClassResult> run_phase(const PhaseConfig& phase,
     r.admission = phase.admission;
   }
   server.stop();
-  return results;
+  return {std::move(results), store.index_rebuilds()};
+}
+
+/// One (phase, admission, class) row aggregated over the reps.
+struct ClassSeries {
+  std::string phase;
+  bool admission = false;
+  std::string traffic_class;
+  double target_rate = 0.0;
+  std::uint64_t sent = 0;
+  std::uint64_t ok = 0;
+  std::uint64_t overloaded = 0;
+  std::uint64_t errors = 0;
+  Samples p50, p95, p99, max;  ///< one value per rep, ms
+  Samples index_rebuilds;      ///< ingest rows: rebuilds per rep
+
+  void add(const ClassResult& r, std::uint64_t rebuilds) {
+    sent += r.sent;
+    ok += r.ok;
+    overloaded += r.overloaded;
+    errors += r.errors;
+    p50.add(r.percentile(50));
+    p95.add(r.percentile(95));
+    p99.add(r.percentile(99));
+    max.add(r.max_ms());
+    index_rebuilds.add(static_cast<double>(rebuilds));
+  }
+};
+
+void spread(JsonWriter& json, const std::string& key, const Samples& s) {
+  json.begin_object(key);
+  json.number("median", s.median());
+  json.number("min", s.quantile(0.0));
+  json.number("max", s.quantile(1.0));
+  json.integer("n", s.n());
+  json.end_object();
+}
+
+std::string range(const Samples& s) {
+  return TablePrinter::fmt(s.median(), 3) + " [" +
+         TablePrinter::fmt(s.quantile(0.0), 3) + ", " +
+         TablePrinter::fmt(s.quantile(1.0), 3) + "]";
 }
 
 }  // namespace
@@ -283,6 +339,7 @@ int main(int argc, char** argv) {
                  "Admission-on cap on admitted ingest batches/sec");
   cli.add_option("ingest-batch", "16000", "Rows per ingest batch");
   cli.add_option("admin-rate", "20", "Admin stats polls/sec");
+  cli.add_option("reps", "5", "Runs of every phase, round-robin");
   cli.add_option("seed", "42", "Workload seed");
   cli.add_option("json-out", "BENCH_serve_latency.json",
                  "Write the JSON datapoint here ('' disables)");
@@ -299,6 +356,7 @@ int main(int argc, char** argv) {
   const double admin_rate = static_cast<double>(cli.get_int("admin-rate"));
   const std::size_t batch_rows =
       static_cast<std::size_t>(cli.get_int("ingest-batch"));
+  const std::size_t reps = static_cast<std::size_t>(cli.get_int("reps"));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   const Dataset base = generate_uniform(samples, n, 2, seed, threads);
@@ -312,48 +370,54 @@ int main(int argc, char** argv) {
       {"overload", false, query_rate, ingest_rate, admin_rate, 0.0},
   };
 
-  std::vector<ClassResult> all;
-  for (const PhaseConfig& phase : phases) {
-    std::printf("phase %-8s admission=%-3s query=%.0f/s ingest=%.0f/s ...\n",
-                phase.name.c_str(), phase.admission ? "on" : "off",
-                phase.query_rate, phase.ingest_rate);
-    std::vector<ClassResult> rs =
-        run_phase(phase, base, batch, duration, threads);
-    all.insert(all.end(), std::make_move_iterator(rs.begin()),
-               std::make_move_iterator(rs.end()));
+  // series[phase * 3 + class]: the classes in run_phase's order.
+  std::vector<ClassSeries> series(phases.size() * 3);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    for (std::size_t p = 0; p < phases.size(); ++p) {
+      const PhaseConfig& phase = phases[p];
+      std::printf("rep %zu/%zu phase %-8s admission=%-3s query=%.0f/s ingest=%.0f/s ...\n",
+                  rep + 1, reps, phase.name.c_str(), phase.admission ? "on" : "off",
+                  phase.query_rate, phase.ingest_rate);
+      const PhaseRun run = run_phase(phase, base, batch, duration, threads);
+      for (std::size_t c = 0; c < run.classes.size(); ++c) {
+        const ClassResult& r = run.classes[c];
+        ClassSeries& row = series[p * 3 + c];
+        row.phase = r.phase;
+        row.admission = r.admission;
+        row.traffic_class = r.traffic_class;
+        row.target_rate = r.target_rate;
+        row.add(r, run.index_rebuilds);
+      }
+    }
   }
 
-  TablePrinter table(
-      {"phase", "admission", "class", "rate/s", "sent", "ok", "overloaded",
-       "p50 ms", "p95 ms", "p99 ms", "max ms"});
-  for (const ClassResult& r : all) {
+  TablePrinter table({"phase", "admission", "class", "rate/s", "sent", "ok",
+                      "overloaded", "p50 ms", "p99 ms", "max ms"});
+  for (const ClassSeries& r : series) {
     if (r.target_rate <= 0.0) continue;
     table.add_row({r.phase, r.admission ? "on" : "off", r.traffic_class,
-                   TablePrinter::fmt(r.target_rate, 0),
-                   std::to_string(r.sent), std::to_string(r.ok),
-                   std::to_string(r.overloaded),
-                   TablePrinter::fmt(r.percentile(50), 3),
-                   TablePrinter::fmt(r.percentile(95), 3),
-                   TablePrinter::fmt(r.percentile(99), 3),
-                   TablePrinter::fmt(r.max_ms(), 3)});
+                   TablePrinter::fmt(r.target_rate, 0), std::to_string(r.sent),
+                   std::to_string(r.ok), std::to_string(r.overloaded),
+                   range(r.p50), range(r.p99), range(r.max)});
   }
-  table.print("serve_latency — open-loop per-class latency");
+  table.print("serve_latency — open-loop per-class latency, median [min, max] over " +
+              std::to_string(reps) + " reps");
 
   // The admission-control property: interactive p99 under ingest overload,
-  // admission on vs off.
-  const auto find = [&](const char* phase, bool admission) -> const ClassResult& {
-    for (const ClassResult& r : all) {
+  // admission on vs off, on the median over the reps.
+  const auto find = [&](const char* phase, bool admission) -> const ClassSeries& {
+    for (const ClassSeries& r : series) {
       if (r.phase == phase && r.admission == admission &&
           r.traffic_class == "interactive") {
         return r;
       }
     }
-    static const ClassResult empty;
+    static const ClassSeries empty;
     return empty;
   };
-  const double p99_on = find("overload", true).percentile(99);
-  const double p99_off = find("overload", false).percentile(99);
-  const double p99_base_on = find("baseline", true).percentile(99);
+  const double p99_on = find("overload", true).p99.median();
+  const double p99_off = find("overload", false).p99.median();
+  const double p99_base_on = find("baseline", true).p99.median();
   const bool holds = p99_on < p99_off;
   std::printf(
       "\nadmission property: overload interactive p99 %.3fms (on) vs %.3fms "
@@ -361,52 +425,58 @@ int main(int argc, char** argv) {
       p99_on, p99_off, p99_base_on,
       holds ? "admission control holds the tail" : "PROPERTY VIOLATED");
 
-  std::string json = "{\n  \"bench\": \"serve_latency\",\n";
-  json += "  \"host_cores\": " +
-          std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  json += "  \"config\": {\"samples\": " + std::to_string(samples) +
-          ", \"variables\": " + std::to_string(n) +
-          ", \"threads\": " + std::to_string(threads) +
-          ", \"duration_ms\": " + std::to_string(cli.get_int("duration-ms")) +
-          ", \"query_rate\": " + TablePrinter::fmt(query_rate, 0) +
-          ", \"ingest_rate\": " + TablePrinter::fmt(ingest_rate, 0) +
-          ", \"ingest_admit_rate\": " + TablePrinter::fmt(ingest_admit_rate, 0) +
-          ", \"ingest_batch\": " + std::to_string(batch_rows) +
-          ", \"admin_rate\": " + TablePrinter::fmt(admin_rate, 0) +
-          ", \"seed\": " + std::to_string(seed) + "},\n";
-  json += "  \"results\": [\n";
-  bool first = true;
-  for (const ClassResult& r : all) {
+  const bench::HostInfo host = bench::HostInfo::probe();
+  JsonWriter json;
+  json.begin_object();
+  json.string("bench", "serve_latency");
+  json.host(host);
+  json.integer("host_cores", host.nproc);
+  json.begin_object("config");
+  json.integer("samples", samples);
+  json.integer("variables", n);
+  json.integer("threads", threads);
+  json.integer("duration_ms", static_cast<std::uint64_t>(cli.get_int("duration-ms")));
+  json.number("query_rate", query_rate);
+  json.number("ingest_rate", ingest_rate);
+  json.number("ingest_admit_rate", ingest_admit_rate);
+  json.integer("ingest_batch", batch_rows);
+  json.number("admin_rate", admin_rate);
+  json.integer("reps", reps);
+  json.integer("seed", seed);
+  json.end_object();
+  json.begin_array("results");
+  for (const ClassSeries& r : series) {
     if (r.target_rate <= 0.0) continue;
-    if (!first) json += ",\n";
-    first = false;
-    json += "    {\"phase\": \"" + r.phase + "\", \"admission\": " +
-            (r.admission ? "true" : "false") + ", \"class\": \"" +
-            r.traffic_class + "\", \"target_rate\": " +
-            TablePrinter::fmt(r.target_rate, 0) +
-            ", \"sent\": " + std::to_string(r.sent) +
-            ", \"ok\": " + std::to_string(r.ok) +
-            ", \"overloaded\": " + std::to_string(r.overloaded) +
-            ", \"errors\": " + std::to_string(r.errors) +
-            ", \"p50_ms\": " + TablePrinter::fmt(r.percentile(50), 3) +
-            ", \"p95_ms\": " + TablePrinter::fmt(r.percentile(95), 3) +
-            ", \"p99_ms\": " + TablePrinter::fmt(r.percentile(99), 3) +
-            ", \"max_ms\": " + TablePrinter::fmt(r.max_ms(), 3) + "}";
+    json.begin_object();
+    json.string("phase", r.phase);
+    json.boolean("admission", r.admission);
+    json.string("class", r.traffic_class);
+    json.number("target_rate", r.target_rate);
+    json.integer("sent", r.sent);
+    json.integer("ok", r.ok);
+    json.integer("overloaded", r.overloaded);
+    json.integer("errors", r.errors);
+    spread(json, "p50_ms", r.p50);
+    spread(json, "p95_ms", r.p95);
+    spread(json, "p99_ms", r.p99);
+    spread(json, "max_ms", r.max);
+    if (r.traffic_class == "ingest") spread(json, "index_rebuilds", r.index_rebuilds);
+    json.end_object();
   }
-  json += "\n  ],\n";
-  json += "  \"property\": {\"overload_interactive_p99_ms_admission_on\": " +
-          TablePrinter::fmt(p99_on, 3) +
-          ", \"overload_interactive_p99_ms_admission_off\": " +
-          TablePrinter::fmt(p99_off, 3) +
-          ", \"baseline_interactive_p99_ms\": " +
-          TablePrinter::fmt(p99_base_on, 3) +
-          ", \"holds\": " + (holds ? "true" : "false") + "}\n}\n";
+  json.end_array();
+  json.begin_object("property");
+  json.number("overload_interactive_p99_ms_admission_on", p99_on);
+  json.number("overload_interactive_p99_ms_admission_off", p99_off);
+  json.number("baseline_interactive_p99_ms", p99_base_on);
+  json.boolean("holds", holds);
+  json.end_object();
+  json.end_object();
 
-  std::printf("\n%s", json.c_str());
+  std::printf("\n%s\n", json.str().c_str());
   const std::string json_out = cli.get("json-out");
   if (!json_out.empty()) {
     if (std::FILE* f = std::fopen(json_out.c_str(), "w")) {
-      std::fwrite(json.data(), 1, json.size(), f);
+      std::fprintf(f, "%s\n", json.str().c_str());
       std::fclose(f);
       std::printf("wrote %s\n", json_out.c_str());
     }

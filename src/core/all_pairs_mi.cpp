@@ -98,10 +98,10 @@ MiMatrix BasicAllPairsMi<K>::compute(const Table& table, ThreadPool& pool) {
 
 template <typename K>
 MiMatrix BasicAllPairsMi<K>::compute(const Planes& planes, ThreadPool& pool) {
+  WFBN_EXPECT(options_.strategy == AllPairsStrategy::kFused,
+              "counting from planes is the fused strategy");
   Timer timer;
-  MiMatrix out = options_.strategy == AllPairsStrategy::kFused
-                     ? compute_fused(planes, pool)
-                     : compute_pair_parallel(planes.table(), pool);
+  MiMatrix out = compute_fused(planes, pool);
   stats_.total_seconds = timer.seconds();
   return out;
 }
@@ -155,7 +155,7 @@ MiMatrix BasicAllPairsMi<K>::compute_pair_parallel(const Table& table,
 template <typename K>
 MiMatrix BasicAllPairsMi<K>::compute_fused(const Planes& planes,
                                            ThreadPool& pool) {
-  const typename Traits::Codec& codec = planes.table().codec();
+  const typename Traits::Codec& codec = planes.codec();
   const std::size_t n = codec.variable_count();
   const std::size_t workers = pool.size();
   reset_stats(n, std::max(workers, planes.worker_seconds().size()));

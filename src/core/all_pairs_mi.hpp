@@ -101,7 +101,8 @@ class BasicAllPairsMi {
   [[nodiscard]] MiMatrix compute(const Table& table);
   [[nodiscard]] MiMatrix compute(const Table& table, ThreadPool& pool);
 
-  /// Same, for the table `planes` were built from; kFused starts at pass 2.
+  /// Same, for the table `planes` were built from: kFused from pass 2. The
+  /// planes hold no table to sweep, so kPairParallel needs compute(table).
   [[nodiscard]] MiMatrix compute(const Planes& planes, ThreadPool& pool);
 
   [[nodiscard]] const AllPairsStats& stats() const noexcept { return stats_; }

@@ -11,10 +11,25 @@
 
 namespace wfbn {
 
+namespace {
+
+// The cost rule of marginalize(): estimated nanoseconds per unit of work of
+// each routine, measured on ALARM m = 200k (3,110 plane words, 197,927 light
+// and 975 heavy entries) on a 4-core x86-64 host with AVX2; the sweeps that
+// set them are in results/knob_prune.txt ("CI-test counting sources" and
+// "Scalar popcount"). Only their ratios matter: the routine with the lower
+// estimate counts the marginal.
+constexpr double kLatticeWordNs[] = {1.4, 0.4};  ///< per word ANDed, by level
+constexpr double kScatterEntryNs = 1.0;  ///< per light entry: lane reset, add
+constexpr double kScatterBitNs = 1.1;    ///< per set plane bit walked
+constexpr double kHeavyLegNs = 2.0;      ///< per heavy entry and variable
+
+}  // namespace
+
 template <typename K>
 BasicEntryPlanes<K>::BasicEntryPlanes(const Table& table, ThreadPool& pool)
-    : table_(table) {
-  const typename Traits::Codec& codec = table.codec();
+    : codec_(table.codec()) {
+  const typename Traits::Codec& codec = codec_;
   const auto& partitions = table.partitions();
   const std::size_t n = codec.variable_count();
   const std::size_t parts = partitions.partition_count();
@@ -77,7 +92,7 @@ BasicEntryPlanes<K>::BasicEntryPlanes(const Table& table, ThreadPool& pool)
             plane_word |= static_cast<std::uint64_t>(lane[e] == a) << e;
           }
           bits[p * words + word] = plane_word;
-          plane_totals[p] += static_cast<std::uint64_t>(std::popcount(plane_word));
+          plane_totals[p] += simd_detail::popcount_word(plane_word);
         }
       }
       valid_[word] = static_cast<std::uint8_t>(fill);
@@ -121,7 +136,6 @@ template <typename K>
 void BasicEntryPlanes<K>::count_light_cells(
     std::span<const std::size_t> variables, std::span<std::uint64_t> cells,
     simd::Level level) const {
-  const typename Traits::Codec& codec = table_.codec();
   const std::size_t k = variables.size();
   WFBN_EXPECT(k >= 1, "a marginal needs at least one variable");
   struct Axis {
@@ -132,7 +146,7 @@ void BasicEntryPlanes<K>::count_light_cells(
   std::vector<Axis> axes(k);
   std::size_t cell_count = 1;
   for (std::size_t i = 0; i < k; ++i) {
-    axes[i] = Axis{variables[i], codec.cardinality(variables[i]), cell_count};
+    axes[i] = Axis{variables[i], codec_.cardinality(variables[i]), cell_count};
     cell_count *= axes[i].r;
   }
   WFBN_EXPECT(cells.size() == cell_count, "cell buffer does not fit the marginal");
@@ -198,9 +212,47 @@ void BasicEntryPlanes<K>::count_light_cells(
 }
 
 template <typename K>
+typename BasicEntryPlanes<K>::Cost BasicEntryPlanes<K>::cost(
+    std::span<const std::size_t> variables, simd::Level level) const {
+  // The lattice visits the partial assignments whose fixed states all have
+  // light entries: Π(1 + live_v) of them, where live_v counts the states
+  // a >= 1 of v with a nonzero plane total. The empty one and the
+  // single-state ones read a total instead of ANDing; deeper pruning at
+  // zero only lowers the count.
+  double nodes = 1.0;
+  double single = 0.0;
+  double bits = 0.0;
+  for (const std::size_t v : variables) {
+    double live = 0.0;
+    for (std::uint32_t a = 1; a < codec_.cardinality(v); ++a) {
+      const std::uint64_t total = plane_totals_[plane_index(v, a)];
+      live += total != 0 ? 1.0 : 0.0;
+      bits += static_cast<double>(total);
+    }
+    nodes *= 1.0 + live;
+    single += live;
+  }
+  const double heavy = static_cast<double>(heavy_.size()) *
+                       static_cast<double>(variables.size()) * kHeavyLegNs;
+  const double lattice = (nodes - 1.0 - single) * static_cast<double>(words_) *
+                             kLatticeWordNs[static_cast<int>(level)] +
+                         heavy;
+  const double scatter = static_cast<double>(light_count_) * kScatterEntryNs +
+                         bits * kScatterBitNs + heavy;
+  return lattice <= scatter ? Cost{lattice, true} : Cost{scatter, false};
+}
+
+template <typename K>
+MarginalTable BasicEntryPlanes<K>::marginalize(
+    std::span<const std::size_t> variables, simd::Level level) const {
+  return cost(variables, level).lattice ? marginalize_lattice(variables, level)
+                                        : marginalize_scatter(variables);
+}
+
+template <typename K>
 MarginalTable BasicEntryPlanes<K>::marginalize_lattice(
     std::span<const std::size_t> variables, simd::Level level) const {
-  const typename Traits::Projector projector(table_.codec(), variables);
+  const typename Traits::Projector projector(codec_, variables);
   std::vector<std::uint64_t> cells(projector.range_size());
   count_light_cells(variables, cells, level);
   MarginalTable out(projector.variables(), projector.cardinalities(),
@@ -212,7 +264,7 @@ MarginalTable BasicEntryPlanes<K>::marginalize_lattice(
 template <typename K>
 MarginalTable BasicEntryPlanes<K>::marginalize_scatter(
     std::span<const std::size_t> variables) const {
-  const typename Traits::Projector projector(table_.codec(), variables);
+  const typename Traits::Projector projector(codec_, variables);
   MarginalTable out(projector.variables(), projector.cardinalities());
 
   // One leg per (variable, state a >= 1): its plane and the cell offset a

@@ -33,7 +33,15 @@
 //                        only the word's valid entries are scattered into
 //                        the marginal: O(E·Σ_{v∈S} P(x_v ≠ 0) + E) for E
 //                        light entries, whatever the cell count.
-// The heavy list adds O(H·|S|) to both.
+// The heavy list adds O(H·|S|) to both. marginalize() picks the cheaper of
+// the two by a cost estimate (cost()) from the cell count, the plane words,
+// the light and heavy counts, the plane totals and the SIMD level; the CI
+// tests and the serving layer's counting index (core/counting_index.hpp) both
+// count through it.
+//
+// The planes keep a copy of the table's codec, not a reference to the table,
+// so they may outlive the table they were built from (the counting index
+// shares one set of planes across the snapshot versions that follow).
 //
 // Read-only after construction: the counting routines may run concurrently
 // from any number of threads.
@@ -61,11 +69,21 @@ class BasicEntryPlanes {
     std::uint64_t count;
   };
 
+  /// What marginalize() does for a variable set: the routine the cost rule
+  /// picks and its estimated nanoseconds, heavy list included.
+  struct Cost {
+    double ns = 0.0;
+    bool lattice = true;  ///< false: the set-bit scatter
+  };
+
   /// Builds the planes in one sweep across `pool`; kMiSweep fires once per
-  /// partition. `table` must outlive the planes.
+  /// partition. The planes do not refer to `table` afterwards.
   BasicEntryPlanes(const Table& table, ThreadPool& pool);
 
-  [[nodiscard]] const Table& table() const noexcept { return table_; }
+  /// The codec of the table the planes were built from.
+  [[nodiscard]] const typename Traits::Codec& codec() const noexcept {
+    return codec_;
+  }
 
   /// Words per plane (every plane has the same length).
   [[nodiscard]] std::size_t words() const noexcept { return words_; }
@@ -94,6 +112,21 @@ class BasicEntryPlanes {
   [[nodiscard]] std::span<const HeavyEntry> heavy() const noexcept {
     return heavy_;
   }
+
+  /// Table entries the planes hold: light plus heavy.
+  [[nodiscard]] std::uint64_t entries() const noexcept {
+    return light_count_ + heavy_.size();
+  }
+
+  /// The cost rule: estimated nanoseconds of counting `variables` by the
+  /// lattice and by the scatter at `level`, and which of the two is cheaper.
+  [[nodiscard]] Cost cost(std::span<const std::size_t> variables,
+                          simd::Level level) const;
+
+  /// Exact marginal counts of `variables` (their order is the layout, as for
+  /// KeyProjector) by the routine cost() picks; equal to sweeping the table.
+  [[nodiscard]] MarginalTable marginalize(std::span<const std::size_t> variables,
+                                          simd::Level level) const;
 
   /// Exact marginal counts of `variables` (their order is the layout, as for
   /// KeyProjector; a variable may appear once) by the AND-popcount lattice
@@ -131,7 +164,7 @@ class BasicEntryPlanes {
   void add_heavy(const typename Traits::Projector& projector,
                  MarginalTable& out) const;
 
-  const Table& table_;
+  typename Traits::Codec codec_;
   std::vector<std::size_t> plane_of_;  ///< first plane of each variable
   std::size_t words_ = 0;
   std::vector<std::uint64_t> bits_;    ///< Σ_v (r_v − 1) planes × words_

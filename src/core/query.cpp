@@ -1,88 +1,38 @@
 #include "core/query.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "util/error.hpp"
 
 namespace wfbn {
 
+namespace {
+
+template <typename K>
+std::unique_ptr<const BasicCountingIndex<K>> index_over(
+    const BasicPotentialTable<K>& table, ThreadPool& pool) {
+  return std::make_unique<const BasicCountingIndex<K>>(
+      table, BasicCountingIndex<K>::build(table, pool));
+}
+
+}  // namespace
+
 template <typename K>
 BasicQueryEngine<K>::BasicQueryEngine(const Table& table, std::size_t threads)
-    : table_(&table), pool_(nullptr), threads_(threads) {
-  WFBN_EXPECT(threads >= 1, "query engine needs at least one thread");
-}
+    : owned_([&] {
+        WFBN_EXPECT(threads >= 1, "query engine needs at least one thread");
+        ThreadPool pool(threads);
+        return index_over(table, pool);
+      }()),
+      index_(owned_.get()) {}
 
 template <typename K>
 BasicQueryEngine<K>::BasicQueryEngine(const Table& table, ThreadPool& pool)
-    : table_(&table), pool_(&pool), threads_(pool.size()) {}
+    : owned_(index_over(table, pool)), index_(owned_.get()) {}
 
 template <typename K>
-MarginalTable BasicQueryEngine<K>::filtered_marginal(
-    std::span<const std::size_t> variables,
-    std::span<const Evidence> evidence) const {
-  const typename Traits::Codec& codec = table_->codec();
-  for (const Evidence& e : evidence) {
-    WFBN_EXPECT(e.variable < codec.variable_count(), "evidence variable out of range");
-    WFBN_EXPECT(e.state < codec.cardinality(e.variable), "evidence state out of range");
-    WFBN_EXPECT(std::find(variables.begin(), variables.end(), e.variable) ==
-                    variables.end(),
-                "evidence variables must be disjoint from the query set");
-  }
-
-  const typename Traits::Projector projector(codec, variables);
-  // Precompute the decode recipe + expected state per evidence term for the
-  // sweep (the VarLeg comes from the trait, so the filter works at any key
-  // width).
-  struct Filter {
-    typename Traits::VarLeg leg;
-    std::uint64_t state;
-  };
-  std::vector<Filter> filters;
-  filters.reserve(evidence.size());
-  for (const Evidence& e : evidence) {
-    filters.push_back(Filter{Traits::leg_of(codec, e.variable), e.state});
-  }
-
-  const std::size_t parts = table_->partitions().partition_count();
-  const auto sweep_range = [&](std::size_t lo, std::size_t hi,
-                               MarginalTable& partial) {
-    for (std::size_t p = lo; p < hi; ++p) {
-      table_->partitions().partition(p).for_each([&](K key, std::uint64_t c) {
-        for (const Filter& f : filters) {
-          if (Traits::decode_leg(f.leg, key) != f.state) return;
-        }
-        partial.add(projector.project(key), c);
-      });
-    }
-  };
-
-  // Inline evaluation: the serving hot path. One full sweep on the calling
-  // thread, no pool, no partial-table merge.
-  if (pool_ == nullptr && threads_ == 1) {
-    MarginalTable out(projector.variables(), projector.cardinalities());
-    sweep_range(0, parts, out);
-    return out;
-  }
-
-  std::optional<ThreadPool> owned;
-  ThreadPool* pool = pool_;
-  if (pool == nullptr) {
-    owned.emplace(threads_);
-    pool = &*owned;
-  }
-  std::vector<MarginalTable> partials(
-      pool->size(), MarginalTable(projector.variables(), projector.cardinalities()));
-
-  pool->run([&](std::size_t w) {
-    const auto [lo, hi] = ThreadPool::block_range(parts, pool->size(), w);
-    sweep_range(lo, hi, partials[w]);
-  });
-
-  MarginalTable out = std::move(partials[0]);
-  for (std::size_t w = 1; w < partials.size(); ++w) out.merge(partials[w]);
-  return out;
-}
+BasicQueryEngine<K>::BasicQueryEngine(const Index& index) noexcept
+    : index_(&index) {}
 
 template <typename K>
 std::vector<double> BasicQueryEngine<K>::marginal(
@@ -94,7 +44,7 @@ template <typename K>
 std::vector<double> BasicQueryEngine<K>::conditional(
     std::span<const std::size_t> variables,
     std::span<const Evidence> evidence) const {
-  const MarginalTable counts = filtered_marginal(variables, evidence);
+  const MarginalTable counts = index_->count(variables, evidence);
   const std::uint64_t total = counts.total();
   if (total == 0) {
     throw DataError("evidence has zero support in the training data");
@@ -114,11 +64,10 @@ double BasicQueryEngine<K>::evidence_probability(
   // Count matching rows by marginalizing the first evidence variable under
   // the remaining filters, then selecting its observed state.
   const std::size_t vars[] = {evidence.front().variable};
-  const MarginalTable counts =
-      filtered_marginal(vars, evidence.subspan(1));
+  const MarginalTable counts = index_->count(vars, evidence.subspan(1));
   const std::uint64_t matching = counts.count_at(evidence.front().state);
   return static_cast<double>(matching) /
-         static_cast<double>(table_->sample_count());
+         static_cast<double>(table().sample_count());
 }
 
 template <typename K>
@@ -134,7 +83,7 @@ typename BasicQueryEngine<K>::MapResult BasicQueryEngine<K>::most_probable(
   result.probability = *best;
   result.states.reserve(variables.size());
   for (const std::size_t v : variables) {
-    const std::uint32_t r = table_->codec().cardinality(v);
+    const std::uint32_t r = table().codec().cardinality(v);
     result.states.push_back(static_cast<State>(cell % r));
     cell /= r;
   }

@@ -3,54 +3,47 @@
 // built" layer. The paper's footnote 2 observes that counts are normalized
 // lazily at marginalization time; this module is where that happens.
 //
-// Evidence filtering runs as one data-parallel sweep over the table
-// partitions (same access pattern as the marginalization primitive), so
-// conditioning costs the same O(#entries/P) as a marginal.
+// Every count comes from a counting index (core/counting_index.hpp): the
+// AND-popcount lattice or the set-bit scatter over the table's entry planes,
+// or one filtered sweep of the table where the planes do not pay. A
+// conditional counts V ∪ E and slices it at the evidence states.
 //
-// Engines are cheap, stateless views: construction is O(1) and evaluation
-// either runs inline on the calling thread (threads == 1 — no pool is ever
-// spawned) or on a caller-provided ThreadPool. That is what lets the serving
-// layer (src/serve) construct a fresh engine per query over whatever snapshot
-// it just pinned, with per-query cost going entirely to the table sweep.
+// An engine either owns an index it builds over a table (construction costs
+// one plane build; queries then run on the calling thread) or is a cheap view
+// over an index built elsewhere: the serving layer (src/serve) constructs a
+// view per query over the index of whatever snapshot it just pinned.
 //
-// A template over the key type: evidence decoding goes through KeyTraits'
-// VarLeg recipe, so QueryEngine (narrow) and WideQueryEngine answer the same
-// query set at either key width.
+// A template over the key type: QueryEngine (narrow) and WideQueryEngine
+// answer the same query set at either key width.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "concurrent/thread_pool.hpp"
+#include "core/counting_index.hpp"
 #include "table/marginal_table.hpp"
 #include "table/potential_table.hpp"
 
 namespace wfbn {
 
-/// One observed variable.
-struct Evidence {
-  std::size_t variable;
-  State state;
-};
-
 template <typename K>
 class BasicQueryEngine {
  public:
-  using Traits = KeyTraits<K>;
   using Table = BasicPotentialTable<K>;
+  using Index = BasicCountingIndex<K>;
 
-  /// The engine borrows `table`; it must outlive the engine. With
-  /// threads == 1 every query evaluates inline on the calling thread; with
-  /// threads > 1 each query spawns a transient pool (prefer the pool
-  /// constructor when issuing many queries).
+  /// Builds and owns a counting index over `table`, its planes built on a
+  /// transient pool of `threads` workers. `table` must outlive the engine.
   explicit BasicQueryEngine(const Table& table, std::size_t threads = 1);
 
-  /// Serving constructor: sweeps run on `pool` (borrowed, not owned), so
-  /// repeated queries reuse the same workers instead of spawning threads.
-  /// Both `table` and `pool` must outlive the engine.
+  /// Same, building the index's planes on `pool` (borrowed for the build).
   BasicQueryEngine(const Table& table, ThreadPool& pool);
+
+  /// Serving constructor: a view over `index`, which must outlive the engine.
+  explicit BasicQueryEngine(const Index& index) noexcept;
 
   /// Normalized marginal distribution P(V) as probabilities in the layout of
   /// MarginalTable::index_of over `variables`.
@@ -78,17 +71,11 @@ class BasicQueryEngine {
       std::span<const std::size_t> variables,
       std::span<const Evidence> evidence = {}) const;
 
-  [[nodiscard]] const Table& table() const noexcept { return *table_; }
+  [[nodiscard]] const Table& table() const noexcept { return index_->table(); }
 
  private:
-  /// Count table of `variables` restricted to rows matching `evidence`.
-  [[nodiscard]] MarginalTable filtered_marginal(
-      std::span<const std::size_t> variables,
-      std::span<const Evidence> evidence) const;
-
-  const Table* table_;
-  ThreadPool* pool_;  ///< borrowed evaluation pool; nullptr = owned-by-query
-  std::size_t threads_;
+  std::unique_ptr<const Index> owned_;  ///< null for a view
+  const Index* index_;
 };
 
 extern template class BasicQueryEngine<Key>;

@@ -134,7 +134,9 @@ ChengResult BasicChengLearner<K>::learn_with_pool(const Table& table,
   ap.threads = options_.ci.threads;
   ap.strategy = options_.all_pairs_strategy;
   BasicAllPairsMi<K> all_pairs(ap);
-  result.mi = all_pairs.compute(planes, pool);
+  result.mi = ap.strategy == AllPairsStrategy::kFused
+                  ? all_pairs.compute(planes, pool)
+                  : all_pairs.compute(table, pool);
 
   const double epsilon = options_.ci.method == CiMethod::kMiThreshold
                              ? options_.ci.mi_threshold

@@ -153,55 +153,11 @@ const CiOptions& checked(const CiOptions& options) {
   return options;
 }
 
-// The cost rule of the miss path: estimated nanoseconds per unit of work of
-// each source, measured on ALARM m = 200k (3,110 plane words, 197,927 light
-// and 975 heavy entries) on a 4-core x86-64 host with AVX2; the sweep that
-// set them is in results/knob_prune.txt ("CI-test counting sources"). Only
-// their ratios matter: the source with the lowest estimate counts the
-// marginal.
-constexpr double kLatticeWordNs[] = {3.7, 0.4};  ///< per word ANDed, by level
-constexpr double kScatterEntryNs = 1.0;  ///< per light entry: lane reset, add
-constexpr double kScatterBitNs = 1.1;    ///< per set plane bit walked
-constexpr double kHeavyLegNs = 2.0;      ///< per heavy entry and variable
-constexpr double kProjectCellNs = 2.5;   ///< per superset cell summed down
-
-/// Estimated nanoseconds of counting `vars` from the planes by the lattice
-/// and by the scatter. Both include the heavy list's projection.
-template <typename K>
-std::pair<double, double> plane_costs(const BasicEntryPlanes<K>& planes,
-                                      std::span<const std::size_t> vars,
-                                      simd::Level level) {
-  const auto& codec = planes.table().codec();
-  const std::span<const std::uint64_t> totals = planes.plane_totals();
-  // The lattice visits the partial assignments whose fixed states all have
-  // light entries: Π(1 + live_v) of them, where live_v counts the states
-  // a >= 1 of v with a nonzero plane total. The empty one and the
-  // single-state ones read a total instead of ANDing; deeper pruning at
-  // zero only lowers the count.
-  double nodes = 1.0;
-  double single = 0.0;
-  double bits = 0.0;
-  for (const std::size_t v : vars) {
-    double live = 0.0;
-    for (std::uint32_t a = 1; a < codec.cardinality(v); ++a) {
-      const std::uint64_t total = totals[planes.plane_index(v, a)];
-      live += total != 0 ? 1.0 : 0.0;
-      bits += static_cast<double>(total);
-    }
-    nodes *= 1.0 + live;
-    single += live;
-  }
-  const double heavy = static_cast<double>(planes.heavy().size()) *
-                       static_cast<double>(vars.size()) * kHeavyLegNs;
-  const double lattice = (nodes - 1.0 - single) *
-                             static_cast<double>(planes.words()) *
-                             kLatticeWordNs[static_cast<int>(level)] +
-                         heavy;
-  const double scatter =
-      static_cast<double>(planes.light_count()) * kScatterEntryNs +
-      bits * kScatterBitNs + heavy;
-  return {lattice, scatter};
-}
+/// Estimated nanoseconds per superset cell summed down, on the scale of
+/// BasicEntryPlanes::cost() (results/knob_prune.txt, "CI-test counting
+/// sources"): a cached superset is projected when that is cheaper than
+/// counting from the planes.
+constexpr double kProjectCellNs = 2.5;
 
 }  // namespace
 
@@ -220,20 +176,16 @@ std::shared_ptr<const MarginalTable> BasicCiTester<K>::count_marginal(
     std::span<const std::size_t> vars) const {
   if (auto hit = cache_.find(vars)) return hit;
   const simd::Level level = simd::detected();
-  const auto [lattice, scatter] = plane_costs(planes_, vars, level);
-  const double cheapest = std::min(lattice, scatter);
+  const typename Planes::Cost cost = planes_.cost(vars, level);
   if (const auto superset = cache_.find_superset(vars)) {
-    if (static_cast<double>(superset->cell_count()) * kProjectCellNs < cheapest) {
+    if (static_cast<double>(superset->cell_count()) * kProjectCellNs < cost.ns) {
       return cache_.insert(vars, superset->sum_out_to(vars),
                            MarginalSource::kProjected);
     }
   }
-  if (lattice <= scatter) {
-    return cache_.insert(vars, planes_.marginalize_lattice(vars, level),
-                         MarginalSource::kLattice);
-  }
-  return cache_.insert(vars, planes_.marginalize_scatter(vars),
-                       MarginalSource::kScatter);
+  return cache_.insert(vars, planes_.marginalize(vars, level),
+                       cost.lattice ? MarginalSource::kLattice
+                                    : MarginalSource::kScatter);
 }
 
 template <typename K>
@@ -260,7 +212,7 @@ CiDecision BasicCiTester<K>::test(std::size_t x, std::size_t y,
   joint_vars.push_back(y);
   joint_vars.insert(joint_vars.end(), z.begin(), z.end());
   std::sort(joint_vars.begin(), joint_vars.end());
-  WFBN_EXPECT(joint_vars.back() < table().codec().variable_count(),
+  WFBN_EXPECT(joint_vars.back() < planes_.codec().variable_count(),
               "CI test variable out of range");
   WFBN_EXPECT(std::adjacent_find(joint_vars.begin(), joint_vars.end()) ==
                   joint_vars.end(),
@@ -272,7 +224,7 @@ CiDecision BasicCiTester<K>::test(std::size_t x, std::size_t y,
 template <typename K>
 double BasicCiTester<K>::pair_mi(std::size_t x, std::size_t y) const {
   WFBN_EXPECT(x != y, "x and y must differ");
-  WFBN_EXPECT(std::max(x, y) < table().codec().variable_count(),
+  WFBN_EXPECT(std::max(x, y) < planes_.codec().variable_count(),
               "MI variable out of range");
   if (options_.cancel != nullptr &&
       options_.cancel->load(std::memory_order_relaxed)) {

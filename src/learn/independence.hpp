@@ -19,14 +19,16 @@
 // learn no matter how many tests (or worker threads) ask for it, and a hit
 // hands out the cached table itself.
 //
-// On a miss the tester answers from the cheapest of three exact sources,
-// picked by a cost estimate from the cell counts, the plane words, the
-// light and heavy counts and the SIMD level:
-//   projected  the smallest cached superset, summed down (sum_out_to);
+// On a miss the tester answers from the cheapest of three exact sources:
+//   projected  the smallest cached superset, summed down (sum_out_to), when
+//              its cells cost less than counting from the planes;
 //   lattice    the AND-popcount lattice over the planes — cheap for few
 //              cells, its cost grows with the cell count;
 //   scatter    the set-bit scatter over the planes — its cost grows with the
 //              light entries, whatever the cell count.
+// The planes pick between the last two (BasicEntryPlanes::marginalize, by
+// the cost estimate of BasicEntryPlanes::cost from the cell counts, the
+// plane words, the light and heavy counts and the SIMD level).
 // Marginal tables hold exact integer counts and the variable order is
 // canonical, so every source — cached or not, on any number of scheduler
 // workers — produces bit-identical statistics.
@@ -169,7 +171,7 @@ class BasicCiTester {
   using Planes = BasicEntryPlanes<K>;
 
   /// Builds and owns the planes of `table`, on a pool of options.threads
-  /// workers. `table` must outlive the tester.
+  /// workers.
   BasicCiTester(const Table& table, CiOptions options);
 
   /// Counts from planes built elsewhere (once per learn), which must outlive
@@ -187,7 +189,6 @@ class BasicCiTester {
     return tests_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] const CiOptions& options() const noexcept { return options_; }
-  [[nodiscard]] const Table& table() const noexcept { return planes_.table(); }
 
   /// The reuse cache, with its hit, miss and per-source totals.
   [[nodiscard]] const MarginalReuseCache& cache() const noexcept {

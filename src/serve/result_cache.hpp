@@ -11,8 +11,8 @@
 //
 // Sharding bounds contention: a lookup locks exactly one shard mutex chosen
 // by the key hash, so concurrent readers serialize only on hash-colliding
-// shards, never globally. The expensive part of a query (the table sweep)
-// stays entirely outside any lock.
+// shards, never globally. The expensive part of a query (counting it from
+// the snapshot's index) stays entirely outside any lock.
 //
 // Failure semantics (docs/SERVING.md): insertion is best-effort. An injected
 // kServeCache fault (or any future allocation-failure policy) degrades by

@@ -42,28 +42,23 @@ template <typename K>
 BasicServeEngine<K>::BasicServeEngine(Store& store, ServeOptions options)
     : store_(&store),
       options_(options),
-      cache_(options.cache_shards, options.cache_entries_per_shard) {
-  WFBN_EXPECT(options_.query_threads >= 1,
-              "serve engine needs at least one query thread");
-}
+      cache_(options.cache_shards, options.cache_entries_per_shard) {}
 
 template <typename K>
 std::vector<double> BasicServeEngine<K>::compute(
-    const Table& table, QueryKind kind,
+    const BasicCountingIndex<K>& index, QueryKind kind,
     std::span<const std::size_t> variables,
-    std::span<const Evidence> evidence) const {
+    std::span<const Evidence> evidence) {
   switch (kind) {
     case QueryKind::kMarginal:
-      return BasicQueryEngine<K>(table, options_.query_threads)
-          .marginal(variables);
+      return BasicQueryEngine<K>(index).marginal(variables);
     case QueryKind::kConditional:
-      return BasicQueryEngine<K>(table, options_.query_threads)
-          .conditional(variables, evidence);
+      return BasicQueryEngine<K>(index).conditional(variables, evidence);
     case QueryKind::kPairMi: {
       WFBN_EXPECT(variables.size() == 2, "pair MI takes exactly two variables");
-      // One pair marginalization answers Eq. 1 — the single-variable
-      // marginals are derived from the pair table (paper §IV-C).
-      return {mutual_information(table.marginalize_sequential(variables))};
+      // One pair marginal answers Eq. 1 — the single-variable marginals are
+      // derived from the pair table (paper §IV-C).
+      return {mutual_information(index.count(variables))};
     }
   }
   throw PreconditionError("unknown query kind");
@@ -89,7 +84,7 @@ ServeResult BasicServeEngine<K>::answer(
     }
   }
 
-  result.values = compute(snapshot->table(), kind, variables, evidence);
+  result.values = compute(snapshot->index(), kind, variables, evidence);
   if (options_.cache_enabled) {
     cache_.insert(key, result.values);
   }

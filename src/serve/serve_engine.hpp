@@ -4,8 +4,9 @@
 // given evidence, pairwise mutual information — from whatever snapshot the
 // store currently publishes. Per query it (1) pins the current snapshot with
 // one wait-free load, (2) consults the sharded result cache under the key
-// (kind, query payload, snapshot version), and (3) on a miss evaluates
-// inline with a per-snapshot QueryEngine and inserts the answer. Ingestion
+// (kind, query payload, snapshot version), and (3) on a miss counts the
+// answer inline from the snapshot's counting index (core/counting_index.hpp)
+// and inserts it. Ingestion
 // goes through the same engine so the publish and the cache invalidation of
 // superseded versions stay paired.
 //
@@ -39,10 +40,6 @@ struct ServeOptions {
   bool cache_enabled = true;
   std::size_t cache_shards = 16;
   std::size_t cache_entries_per_shard = 4096;
-  /// Threads per single query sweep. 1 (the default) evaluates inline on the
-  /// serving thread — the right choice under concurrent load, where the
-  /// parallelism comes from many queries in flight, not from one query.
-  std::size_t query_threads = 1;
 };
 
 enum class QueryKind : std::uint8_t {
@@ -165,10 +162,10 @@ class BasicServeEngine {
  private:
   ServeResult answer(QueryKind kind, std::span<const std::size_t> variables,
                      std::span<const Evidence> evidence);
-  [[nodiscard]] std::vector<double> compute(
-      const Table& table, QueryKind kind,
+  [[nodiscard]] static std::vector<double> compute(
+      const BasicCountingIndex<K>& index, QueryKind kind,
       std::span<const std::size_t> variables,
-      std::span<const Evidence> evidence) const;
+      std::span<const Evidence> evidence);
 
   Store* store_;
   ServeOptions options_;

@@ -11,6 +11,13 @@
 // ingest — bad batch, worker throw, injected fault — discards the shadow and
 // leaves the served version untouched and retryable.
 //
+// Every snapshot carries a counting index (core/counting_index.hpp). The
+// constructor builds its main, the entry planes of the initial table, on a
+// pool of the ingest workers. Before each publish, ingest() either extends
+// the previous snapshot's delta by the batch's keys or, once the delta has
+// passed a fixed share of main's entries, rebuilds main from the shadow
+// table on the ingest workers.
+//
 // Concurrency contract:
 //  - current()/version(): safe from any thread, wait-free, O(1).
 //  - ingest(): safe from any thread; concurrent ingestors are serialized by a
@@ -42,7 +49,8 @@ struct IngestStats {
   std::uint64_t published_version = 0;
   std::uint64_t batch_rows = 0;
   double shadow_seconds = 0.0;  ///< deep copy + wait-free fold into the shadow
-  double total_seconds = 0.0;   ///< shadow + publish (and writer-lock wait)
+  bool index_rebuilt = false;   ///< this publish rebuilt the index's main
+  double total_seconds = 0.0;   ///< shadow + index + publish (and lock wait)
 };
 
 template <typename K, typename Policy = RealAtomics>
@@ -56,7 +64,8 @@ class BasicTableStore {
   /// version so ingestion resumes the version sequence instead of reissuing
   /// version numbers that already name different snapshots on disk).
   /// `ingest_options` configure the builder the ingestion path uses (worker
-  /// count, scheme, pinning — see WaitFreeBuilderOptions).
+  /// count, scheme, pinning — see WaitFreeBuilderOptions); the index's main
+  /// is built on options.threads workers.
   /// Throws PreconditionError when `initial_version` is 0.
   explicit BasicTableStore(Table initial,
                            WaitFreeBuilderOptions ingest_options = {},
@@ -82,12 +91,18 @@ class BasicTableStore {
     return publishes_.load(std::memory_order_relaxed);
   }
 
+  /// Ingests whose publish rebuilt the index's main. Monotonic.
+  [[nodiscard]] std::uint64_t index_rebuilds() const noexcept {
+    return rebuilds_.load(std::memory_order_relaxed);
+  }
+
  private:
   BasicSnapshotCell<K, Policy> current_;
   // wfbn-lint: allow(policy-purity) writer-side only; wfcheck models the reader/writer interplay via current_
   std::mutex ingest_mutex_;              ///< serializes writers only
   BasicWaitFreeBuilder<K> builder_;      ///< guarded by ingest_mutex_
   typename Policy::template Atomic<std::uint64_t> publishes_{1};
+  typename Policy::template Atomic<std::uint64_t> rebuilds_{0};
 };
 
 extern template class BasicTableStore<Key>;

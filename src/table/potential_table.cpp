@@ -21,17 +21,6 @@ std::uint64_t BasicPotentialTable<K>::count_of(
 }
 
 template <typename K>
-MarginalTable BasicPotentialTable<K>::marginalize_sequential(
-    std::span<const std::size_t> variables) const {
-  const typename Traits::Projector projector(codec_, variables);
-  MarginalTable out(projector.variables(), projector.cardinalities());
-  partitions_.for_each([&](K key, std::uint64_t count) {
-    out.add(projector.project(key), count);
-  });
-  return out;
-}
-
-template <typename K>
 bool BasicPotentialTable<K>::validate() const {
   if (partitions_.total_count() != samples_) return false;
   bool in_range = true;

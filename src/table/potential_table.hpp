@@ -74,12 +74,6 @@ class BasicPotentialTable {
   /// Occurrence count of a full state string.
   [[nodiscard]] std::uint64_t count_of(std::span<const State> states) const;
 
-  /// Sequential reference marginalization (the O(#entries · |V|) sweep of
-  /// Algorithm 3 run on one core). The parallel version lives in
-  /// core/marginalizer.hpp; tests compare the two.
-  [[nodiscard]] MarginalTable marginalize_sequential(
-      std::span<const std::size_t> variables) const;
-
   /// Internal consistency checks (counts sum to m; keys within state space).
   /// Used by tests and debug assertions; O(#entries).
   [[nodiscard]] bool validate() const;

@@ -32,10 +32,12 @@
 // entry planes (core/entry_planes.hpp): and_popcount(), Σ popcount(a[i] &
 // b[i]) over two bit planes, and and_into_popcount(), which also stores
 // a[i] & b[i] for the next level of the walk. The tree is built without
-// -mpopcnt, so the scalar level's std::popcount is the portable
-// (library-call) fallback; the AVX2 level counts 256 bits per step with the
-// nibble-lookup method (vpshufb + vpsadbw) behind `target("avx2,popcnt")`.
-// Both levels return the same integer and store the same words.
+// -mpopcnt, where std::popcount is a call into libgcc (__popcountdi2), so
+// the scalar level counts with popcount_word(), a SWAR bit count of shifts,
+// masks and adds that GCC inlines and vectorizes at baseline x86-64; the
+// AVX2 level counts 256 bits per step with the nibble-lookup method
+// (vpshufb + vpsadbw) behind `target("avx2,popcnt")`. Both levels return the
+// same integer and store the same words.
 #pragma once
 
 #include <algorithm>
@@ -203,14 +205,24 @@ __attribute__((target("avx2"))) inline void encode_tile_avx2_wide(
 
 #endif  // WFBN_AVX2_KERNELS
 
+/// Bits set in `x`, by SWAR: pair, nibble and byte sums, then the byte sums
+/// folded into the low byte. No library call and no POPCNT instruction.
+constexpr std::uint64_t popcount_word(std::uint64_t x) noexcept {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  x += x >> 8;
+  x += x >> 16;
+  x += x >> 32;
+  return x & 0x7f;
+}
+
 /// Portable AND-popcount: the scalar level.
 inline std::uint64_t and_popcount_scalar(const std::uint64_t* a,
                                          const std::uint64_t* b,
                                          std::size_t words) noexcept {
   std::uint64_t total = 0;
-  for (std::size_t i = 0; i < words; ++i) {
-    total += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
-  }
+  for (std::size_t i = 0; i < words; ++i) total += popcount_word(a[i] & b[i]);
   return total;
 }
 
@@ -222,7 +234,7 @@ inline std::uint64_t and_into_popcount_scalar(std::uint64_t* dst,
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < words; ++i) {
     dst[i] = a[i] & b[i];
-    total += static_cast<std::uint64_t>(std::popcount(dst[i]));
+    total += popcount_word(dst[i]);
   }
   return total;
 }

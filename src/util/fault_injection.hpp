@@ -40,8 +40,9 @@ enum class Point : int {
   kStage2Drain,       ///< phased builder stage 2, once per drained item
   kAppendCommit,      ///< append(), after staging and before the commit
   kMarginalizeSweep,  ///< marginalizer worker, once per swept partition
-  kMiSweep,           ///< entry-plane build, once per swept partition;
-                      ///< per-pair MI sweep, once per pair
+  kMiSweep,           ///< entry-plane build (MI, CI tests, counting-index
+                      ///< main), once per swept partition; per-pair MI
+                      ///< sweep, once per pair
   kServePublish,      ///< TableStore::ingest, after the shadow fold and
                       ///< before the atomic snapshot swap
   kServeCache,        ///< ResultCache::insert, before storing a computed

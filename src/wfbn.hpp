@@ -35,6 +35,7 @@
 
 // the paper's primitives + statistics + queries
 #include "core/all_pairs_mi.hpp"
+#include "core/counting_index.hpp"
 #include "core/entry_planes.hpp"
 #include "core/info_theory.hpp"
 #include "core/marginalizer.hpp"

@@ -1,7 +1,7 @@
 // Tests for the serving layer (src/serve): the versioned snapshot store, the
 // sharded result cache, and the ServeEngine front end.
 //
-// The three contracts under test mirror docs/SERVING.md:
+// The contracts under test mirror docs/SERVING.md:
 //  1. Publication atomicity — a reader concurrent with any number of
 //     publishes only ever observes complete versions, never a torn or
 //     partially appended table.
@@ -10,6 +10,10 @@
 //  3. Failure semantics — a failed publish (injected or real) leaves the
 //     served version untouched and retryable; a failed cache insert degrades
 //     to an uncached (still correct) answer.
+//  4. Exact answers — every served marginal, conditional and pair MI equals
+//     the counts of the raw rows of the version that answered it, whichever
+//     layers of the counting index counted it (the served-answer oracle at
+//     the end of this file).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,13 +21,17 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/info_theory.hpp"
 #include "core/query.hpp"
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
+#include "raw_rows.hpp"
 #include "serve/persist/durable_store.hpp"
 #include "serve/persist/format.hpp"
 #include "serve/persist/snapshot_reader.hpp"
@@ -33,6 +41,7 @@
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace wfbn {
 namespace {
@@ -213,9 +222,8 @@ TEST(ServeEngine, CachedAnswersMatchUncachedQueryEngine) {
     const ServeResult mi = engine.pair_mi(0, 1);
     EXPECT_EQ(mi.cache_hit, expect_hit);
     ASSERT_EQ(mi.values.size(), 1u);
-    const std::size_t pair[] = {0, 1};
-    const double expected_mi = mutual_information(
-        store.current()->table().marginalize_sequential(pair));
+    const double expected_mi =
+        mutual_information(testing_support::raw_marginal(data, {0, 1}));
     EXPECT_EQ(mi.values[0], expected_mi);
   }
 
@@ -496,10 +504,8 @@ TEST(WideServeEngine, CachedWideAnswersMatchUncached) {
     const ServeResult mi = engine.pair_mi(62, 63);
     EXPECT_EQ(mi.cache_hit, expect_hit);
     ASSERT_EQ(mi.values.size(), 1u);
-    const std::size_t pair[] = {62, 63};
-    EXPECT_EQ(mi.values[0],
-              mutual_information(
-                  store.current()->table().marginalize_sequential(pair)));
+    EXPECT_EQ(mi.values[0], mutual_information(
+                                testing_support::raw_marginal(data, {62, 63})));
   }
 
   const CacheStats stats = engine.cache_stats();
@@ -720,6 +726,320 @@ TEST(ServeRecovery, AsyncPersistNeverBlocksWaitFreeReaders) {
   EXPECT_EQ(store.version(), static_cast<std::uint64_t>(kIngests) + 1);
   EXPECT_EQ(store.last_durable_version(), store.version());
   EXPECT_EQ(store.persist_stats().failures, 0u);
+}
+
+// ------------------------------------------------ served-answer oracle
+
+/// Counts of `vars` over the rows of `parts` that match `evidence`, first
+/// variable fastest: no codec, no table, no index.
+MarginalTable raw_counts(const std::vector<const Dataset*>& parts,
+                         const std::vector<std::size_t>& vars,
+                         const std::vector<Evidence>& evidence = {}) {
+  const std::vector<std::uint32_t>& r = parts.front()->cardinalities();
+  std::vector<std::uint32_t> cards;
+  for (const std::size_t v : vars) cards.push_back(r[v]);
+  MarginalTable out(vars, cards);
+  for (const Dataset* part : parts) {
+    for (std::size_t i = 0; i < part->sample_count(); ++i) {
+      bool match = true;
+      for (const Evidence& e : evidence) match = match && part->at(i, e.variable) == e.state;
+      if (!match) continue;
+      std::uint64_t cell = 0;
+      std::uint64_t stride = 1;
+      for (std::size_t k = 0; k < vars.size(); ++k) {
+        cell += part->at(i, vars[k]) * stride;
+        stride *= cards[k];
+      }
+      out.add(cell, 1);
+    }
+  }
+  return out;
+}
+
+/// The distribution a served marginal or conditional must equal bit for bit.
+std::vector<double> raw_distribution(const MarginalTable& counts) {
+  const auto total = static_cast<double>(counts.total());
+  std::vector<double> out(counts.cell_count());
+  for (std::uint64_t c = 0; c < counts.cell_count(); ++c) {
+    out[c] = static_cast<double>(counts.count_at(c)) / total;
+  }
+  return out;
+}
+
+/// The rows of version v: the base rows plus batches 1..v−1.
+std::vector<const Dataset*> rows_of(std::uint64_t version, const Dataset& base,
+                                    const std::vector<Dataset>& batches) {
+  std::vector<const Dataset*> parts{&base};
+  for (std::uint64_t b = 0; b + 1 < version; ++b) parts.push_back(&batches.at(b));
+  return parts;
+}
+
+/// One served query and its raw-row answer for the rows of a version.
+struct OracleQuery {
+  QueryKind kind;
+  std::vector<std::size_t> variables;
+  std::vector<Evidence> evidence;
+
+  [[nodiscard]] std::vector<double> expected(
+      const std::vector<const Dataset*>& parts) const {
+    const MarginalTable counts = raw_counts(parts, variables, evidence);
+    if (kind == QueryKind::kPairMi) return {mutual_information(counts)};
+    return raw_distribution(counts);
+  }
+};
+
+/// Every single and pair marginal, every pair MI, P(X_i | X_j = s) for every
+/// ordered pair and the state s of most rows, conditionals with two query or
+/// two evidence variables, the triples {j + 1, i, j} of at most 4,096 cells,
+/// and conditionals whose V ∪ E has more cells than the table has entries
+/// (`wide_sets`).
+std::vector<OracleQuery> oracle_queries(
+    const Dataset& base, const std::vector<std::vector<std::size_t>>& wide_sets) {
+  const std::size_t n = base.variable_count();
+  std::vector<OracleQuery> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back({QueryKind::kMarginal, {i}, {}});
+    for (std::size_t j = i + 1; j < n; ++j) {
+      out.push_back({QueryKind::kMarginal, {i, j}, {}});
+      out.push_back({QueryKind::kPairMi, {i, j}, {}});
+      const std::vector<std::uint32_t>& r = base.cardinalities();
+      if (j + 1 < n && r[i] * r[j] * r[j + 1] <= 4096) {
+        out.push_back({QueryKind::kMarginal, {j + 1, i, j}, {}});
+      }
+    }
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const MarginalTable counts = raw_counts({&base}, {j});
+    State mode = 0;
+    for (std::uint64_t c = 1; c < counts.cell_count(); ++c) {
+      if (counts.count_at(c) > counts.count_at(mode)) mode = static_cast<State>(c);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i != j) out.push_back({QueryKind::kConditional, {i}, {{j, mode}}});
+    }
+    // Two query variables, then two evidence terms, the evidence at the
+    // states of the first row (so with support).
+    const std::size_t k = (j + 1) % n;
+    const std::size_t l = (j + 2) % n;
+    out.push_back({QueryKind::kConditional, {l, j}, {{k, base.at(0, k)}}});
+    out.push_back({QueryKind::kConditional, {j}, {{k, base.at(0, k)}, {l, base.at(0, l)}}});
+  }
+  for (const std::vector<std::size_t>& set : wide_sets) {
+    // The first half is V, the rest evidence at the states of the first row.
+    const auto half = static_cast<std::ptrdiff_t>(set.size() / 2);
+    OracleQuery q{QueryKind::kConditional, {set.begin(), set.begin() + half}, {}};
+    for (auto v = set.begin() + half; v != set.end(); ++v) {
+      q.evidence.push_back({*v, base.at(0, *v)});
+    }
+    out.push_back(std::move(q));
+  }
+  return out;
+}
+
+/// Serves `q`; `version` receives the version that answered it.
+template <typename K>
+std::vector<double> serve_query(serve::BasicServeEngine<K>& engine,
+                                const OracleQuery& q, std::uint64_t& version) {
+  ServeQuery query;
+  query.kind = q.kind;
+  query.variables = q.variables;
+  query.evidence = q.evidence;
+  const ServeResult result = engine.serve(query);
+  version = result.version;
+  return result.values;
+}
+
+/// Serves every query from the engine's current snapshot (version `version`)
+/// and compares it with the raw rows of that version, at the detected SIMD
+/// level and at the scalar level. Returns the mismatches.
+template <typename K>
+std::uint64_t check_every_answer(serve::BasicServeEngine<K>& engine,
+                                 const std::vector<OracleQuery>& queries,
+                                 std::uint64_t version, const Dataset& base,
+                                 const std::vector<Dataset>& batches) {
+  const std::vector<const Dataset*> parts = rows_of(version, base, batches);
+  std::uint64_t mismatches = 0;
+  for (const bool scalar : {false, true}) {
+    std::optional<simd::ScopedForceLevel> force;
+    if (scalar) force.emplace(simd::Level::kScalar);
+    for (const OracleQuery& q : queries) {
+      std::uint64_t served_version = 0;
+      const std::vector<double> served = serve_query(engine, q, served_version);
+      if (served_version != version || served != q.expected(parts)) {
+        ADD_FAILURE() << "version " << version << (scalar ? " scalar" : "")
+                      << ": query of kind " << static_cast<int>(q.kind)
+                      << " over " << q.variables.size() << " variables and "
+                      << q.evidence.size() << " evidence terms";
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+template <typename K>
+class ServedAnswerOracle : public ::testing::Test {
+ protected:
+  using Builder = BasicWaitFreeBuilder<K>;
+  using Durable = serve::persist::BasicDurableTableStore<K>;
+  using Engine = serve::BasicServeEngine<K>;
+
+  static BasicPotentialTable<K> build_table(const Dataset& data) {
+    WaitFreeBuilderOptions options;
+    options.threads = 3;
+    return Builder(options).build(data);
+  }
+
+  static serve::persist::DurableOptions durable_options() {
+    serve::persist::DurableOptions options;
+    options.ingest.threads = 2;
+    options.async = false;
+    return options;
+  }
+
+  /// The cache would hand back the first pass's answers to the second, so
+  /// the oracle's engines count every query.
+  static ServeOptions uncached() {
+    ServeOptions options;
+    options.cache_enabled = false;
+    return options;
+  }
+
+  static std::string width() {
+    return std::is_same_v<K, Key> ? "narrow" : "wide";
+  }
+};
+
+using OracleWidths = ::testing::Types<Key, WideKey>;
+TYPED_TEST_SUITE(ServedAnswerOracle, OracleWidths);
+
+// Every version a durable store publishes — the initial main with an empty
+// delta, a partial delta, a rebuilt main, the snapshot open() recovers and
+// the versions ingested after it — answers every query exactly.
+TYPED_TEST(ServedAnswerOracle, EveryVersionMatchesRawRows) {
+  // r = 3 over 10 correlated variables: 3^10 states, so the table holds
+  // light entries and repeated (heavy) ones.
+  const Dataset base = generate_chain_correlated(2000, 10, 3, 0.5, 0xD1);
+  std::vector<Dataset> batches;
+  for (std::uint64_t b = 0; b < 8; ++b) {
+    batches.push_back(generate_chain_correlated(90, 10, 3, 0.5, 0xD2 + b));
+  }
+  // V ∪ E of 3^8 cells: more than the table's entries, so these sweep.
+  const std::vector<OracleQuery> queries =
+      oracle_queries(base, {{0, 1, 2, 3, 4, 5, 6, 7}, {9, 8, 7, 6, 5, 4, 3, 2}});
+  const std::filesystem::path dir = recovery_dir("oracle_" + this->width());
+
+  bool saw_partial_delta = false;
+  bool saw_rebuilt_main = false;
+  {
+    typename TestFixture::Durable store(dir, TestFixture::build_table(base),
+                                        TestFixture::durable_options());
+    typename TestFixture::Engine engine(store.store(), TestFixture::uncached());
+    const auto& initial = store.current()->index().layers();
+    ASSERT_NE(initial.main, nullptr);
+    EXPECT_EQ(initial.delta_keys, 0u);
+    EXPECT_FALSE(initial.main->heavy().empty());
+    EXPECT_GT(initial.main->light_count(), 0u);
+    EXPECT_EQ(check_every_answer(engine, queries, 1, base, batches), 0u);
+    for (std::size_t b = 0; b < 5; ++b) {
+      const IngestStats stats = store.ingest(batches[b]);
+      const auto& layers = store.current()->index().layers();
+      ASSERT_NE(layers.main, nullptr);
+      saw_partial_delta = saw_partial_delta || layers.delta_keys > 0;
+      saw_rebuilt_main = saw_rebuilt_main || stats.index_rebuilt;
+      EXPECT_EQ(stats.index_rebuilt, layers.delta_keys == 0);
+      EXPECT_EQ(check_every_answer(engine, queries, stats.published_version, base,
+                                   batches),
+                0u);
+    }
+    EXPECT_GT(store.store().index_rebuilds(), 0u);
+    ASSERT_TRUE(store.flush());
+  }
+  EXPECT_TRUE(saw_partial_delta);
+  EXPECT_TRUE(saw_rebuilt_main);
+
+  // Recovery builds a fresh main from the recovered table, and ingestion
+  // goes on from it.
+  const auto reopened =
+      TestFixture::Durable::open(dir, TestFixture::durable_options());
+  ASSERT_NE(reopened, nullptr);
+  ASSERT_EQ(reopened->version(), 6u);
+  typename TestFixture::Engine engine(reopened->store(), TestFixture::uncached());
+  ASSERT_NE(reopened->current()->index().layers().main, nullptr);
+  EXPECT_EQ(check_every_answer(engine, queries, 6, base, batches), 0u);
+  for (std::size_t b = 5; b < batches.size(); ++b) {
+    const IngestStats stats = reopened->ingest(batches[b]);
+    EXPECT_EQ(check_every_answer(engine, queries, stats.published_version, base,
+                                 batches),
+              0u);
+  }
+}
+
+// Three r = 256 variables put the planes past the plane budget: the index
+// has no main, before and after an ingest, and every answer is the sweep's.
+TYPED_TEST(ServedAnswerOracle, OverBudgetTableSweepsEveryQuery) {
+  const std::vector<std::uint32_t> cards = {256, 3, 256, 2, 256, 4};
+  const Dataset base = generate_uniform(1500, cards, 0xD7);
+  const std::vector<Dataset> batches = {generate_uniform(200, cards, 0xD8)};
+  const std::vector<OracleQuery> queries = oracle_queries(base, {{0, 1, 2, 3}});
+  typename TestFixture::Durable store(
+      recovery_dir("oracle_budget_" + this->width()),
+      TestFixture::build_table(base), TestFixture::durable_options());
+  typename TestFixture::Engine engine(store.store(), TestFixture::uncached());
+  EXPECT_EQ(store.current()->index().layers().main, nullptr);
+  EXPECT_EQ(check_every_answer(engine, queries, 1, base, batches), 0u);
+  const IngestStats stats = store.ingest(batches[0]);
+  EXPECT_FALSE(stats.index_rebuilt);
+  EXPECT_EQ(store.current()->index().layers().main, nullptr);
+  EXPECT_TRUE(store.current()->index().layers().delta.empty());
+  EXPECT_EQ(check_every_answer(engine, queries, 2, base, batches), 0u);
+}
+
+// Readers query while the ingest thread publishes, extending the delta and
+// rebuilding main: each answer equals the raw rows of the version stamped on
+// it. scripts/sanitize.sh thread test_serve runs this under TSan.
+TYPED_TEST(ServedAnswerOracle, ReadersDuringPublishesMatchRawRows) {
+  const Dataset base = generate_chain_correlated(1500, 8, 3, 0.8, 0xDA);
+  std::vector<Dataset> batches;
+  for (std::uint64_t b = 0; b < 12; ++b) {
+    batches.push_back(generate_chain_correlated(25, 8, 3, 0.8, 0xDB + b));
+  }
+  const std::vector<OracleQuery> queries = oracle_queries(base, {});
+  typename TestFixture::Durable store(
+      recovery_dir("oracle_readers_" + this->width()),
+      TestFixture::build_table(base), TestFixture::durable_options());
+  typename TestFixture::Engine engine(store.store());
+
+  constexpr int kReaders = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> answers{0};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (std::size_t i = static_cast<std::size_t>(r) * 7;
+           !stop.load(std::memory_order_acquire); i += 13) {
+        const OracleQuery& q = queries[i % queries.size()];
+        std::uint64_t version = 0;
+        const std::vector<double> served = serve_query(engine, q, version);
+        if (served != q.expected(rows_of(version, base, batches))) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+        answers.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (const Dataset& batch : batches) {
+    (void)store.ingest(batch);
+    engine.note_published(store.version());
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(answers.load(), 0u);
+  EXPECT_GT(store.store().index_rebuilds(), 0u);
+  EXPECT_EQ(store.version(), batches.size() + 1);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Tests for PartitionedTable, MarginalTable and PotentialTable —
-// the layered potential-table representation of paper §IV-A.
+// the layered potential-table representation of paper §IV-A — and a hand
+// count through the counting index over a PotentialTable.
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "concurrent/thread_pool.hpp"
+#include "core/counting_index.hpp"
 #include "table/marginal_table.hpp"
 #include "table/partitioned_table.hpp"
 #include "table/potential_table.hpp"
@@ -207,14 +210,17 @@ TEST(PotentialTable, CountsAndValidation) {
   EXPECT_EQ(table.count_of(missing), 0u);
 }
 
-TEST(PotentialTable, SequentialMarginalizationMatchesHandComputation) {
+TEST(PotentialTable, IndexedMarginalMatchesHandComputation) {
   const PotentialTable table = small_potential();
+  ThreadPool pool(2);
+  const CountingIndex index(table, CountingIndex::build(table, pool));
+  ASSERT_NE(index.layers().main, nullptr);
   const std::size_t keep0[] = {0};
-  const MarginalTable x0 = table.marginalize_sequential(keep0);
+  const MarginalTable x0 = index.count(keep0);
   EXPECT_EQ(x0.count_at(0), 4u);  // (0,0)×3 + (0,1)×1
   EXPECT_EQ(x0.count_at(1), 2u);  // (1,2)×2
   const std::size_t keep1[] = {1};
-  const MarginalTable x1 = table.marginalize_sequential(keep1);
+  const MarginalTable x1 = index.count(keep1);
   EXPECT_EQ(x1.count_at(0), 3u);
   EXPECT_EQ(x1.count_at(1), 1u);
   EXPECT_EQ(x1.count_at(2), 2u);
