@@ -19,7 +19,6 @@
 #include "data/generators.hpp"
 #include "table/key_codec.hpp"
 #include "table/open_hash_table.hpp"
-#include "table/wide_key_codec.hpp"
 
 namespace {
 

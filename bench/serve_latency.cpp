@@ -94,8 +94,9 @@ struct ClassResult {
 };
 
 /// One open-loop generator: sends `make(i)` at due time i/rate for
-/// `duration` seconds, drains responses continuously, then collects
-/// stragglers. Latency of response id is receipt - due(id).
+/// `duration` seconds, waits on the socket between sends so every response
+/// is timestamped as it arrives, then collects stragglers. Latency of
+/// response id is receipt - due(id).
 template <typename MakeRequest>
 ClassResult run_generator(std::uint16_t port, double rate, double duration,
                           MakeRequest make, const std::string& cls) {
@@ -110,23 +111,23 @@ ClassResult run_generator(std::uint16_t port, double rate, double duration,
   net::ServeClient client(options);
 
   const Clock::time_point start = Clock::now();
+  const auto at = [&](double seconds) {
+    return start + std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double>(seconds));
+  };
   std::vector<double> due_s;  // due time of request id i, seconds from start
-  const auto drain = [&](int timeout_ms) {
-    while (std::optional<net::Response> r = client.try_receive(timeout_ms)) {
-      switch (r->status) {
-        case net::Status::kOk:
-          ++result.ok;
-          result.latencies_ms.push_back(
-              (now_seconds(start) - due_s[r->id]) * 1e3);
-          break;
-        case net::Status::kOverloaded:
-          ++result.overloaded;
-          break;
-        default:
-          ++result.errors;
-          break;
-      }
-      if (timeout_ms != 0) break;  // straggler mode: one at a time
+  const auto record = [&](const net::Response& r) {
+    switch (r.status) {
+      case net::Status::kOk:
+        ++result.ok;
+        result.latencies_ms.push_back((now_seconds(start) - due_s[r.id]) * 1e3);
+        break;
+      case net::Status::kOverloaded:
+        ++result.overloaded;
+        break;
+      default:
+        ++result.errors;
+        break;
     }
   };
 
@@ -142,11 +143,11 @@ ClassResult run_generator(std::uint16_t port, double rate, double duration,
       ++result.sent;
       ++next_id;
     }
-    drain(0);
-    const double next_due = static_cast<double>(next_id) / rate;
-    const double sleep_s = std::min(next_due - now_seconds(start), 1e-3);
-    if (sleep_s > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
+    // Take responses as they arrive until the next send is due.
+    const Clock::time_point next_send =
+        at(std::min(static_cast<double>(next_id) / rate, duration));
+    while (std::optional<net::Response> r = client.try_receive_until(next_send)) {
+      record(*r);
     }
   }
   // Collect stragglers (bounded: an unresponsive server must not hang the
@@ -156,7 +157,7 @@ ClassResult run_generator(std::uint16_t port, double rate, double duration,
   while (result.ok + result.overloaded + result.errors < result.sent &&
          Clock::now() < deadline) {
     try {
-      drain(50);
+      if (std::optional<net::Response> r = client.try_receive(50)) record(*r);
     } catch (const std::exception&) {
       break;
     }

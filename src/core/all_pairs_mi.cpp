@@ -118,7 +118,7 @@ void BasicAllPairsMi<K>::reset_stats(std::size_t n, std::size_t workers) {
 template <typename K>
 MiMatrix BasicAllPairsMi<K>::compute_pair_parallel(const Table& table,
                                                    ThreadPool& pool) {
-  const typename Traits::Codec& codec = table.codec();
+  const Codec& codec = table.codec();
   const std::size_t n = codec.variable_count();
   reset_stats(n, pool.size());
   const auto pairs = enumerate_pairs(n);
@@ -133,14 +133,14 @@ MiMatrix BasicAllPairsMi<K>::compute_pair_parallel(const Table& table,
       const auto [i, j] = pairs[k];
       const std::uint32_t r_i = codec.cardinality(i);
       const std::uint32_t r_j = codec.cardinality(j);
-      // Decode-of-interest recipes (Eq. 4) from the trait: the sweep never
+      // Decode-of-interest recipes (Eq. 4) from the codec: the sweep never
       // decodes more than the two variables of the pair.
-      const typename Traits::VarLeg leg_i = Traits::leg_of(codec, i);
-      const typename Traits::VarLeg leg_j = Traits::leg_of(codec, j);
+      const typename Codec::VarLeg leg_i = codec.leg_of(i);
+      const typename Codec::VarLeg leg_j = codec.leg_of(j);
       std::vector<std::uint64_t> counts(static_cast<std::size_t>(r_i) * r_j, 0);
       table.partitions().for_each([&](K key, std::uint64_t c) {
-        const auto a = static_cast<std::size_t>(Traits::decode_leg(leg_i, key));
-        const auto b = static_cast<std::size_t>(Traits::decode_leg(leg_j, key));
+        const auto a = static_cast<std::size_t>(Codec::decode_leg(leg_i, key));
+        const auto b = static_cast<std::size_t>(Codec::decode_leg(leg_j, key));
         counts[a + static_cast<std::size_t>(r_i) * b] += c;
         ++visited;
       });
@@ -155,7 +155,7 @@ MiMatrix BasicAllPairsMi<K>::compute_pair_parallel(const Table& table,
 template <typename K>
 MiMatrix BasicAllPairsMi<K>::compute_fused(const Planes& planes,
                                            ThreadPool& pool) {
-  const typename Traits::Codec& codec = planes.codec();
+  const Codec& codec = planes.codec();
   const std::size_t n = codec.variable_count();
   const std::size_t workers = pool.size();
   reset_stats(n, std::max(workers, planes.worker_seconds().size()));
@@ -179,9 +179,9 @@ MiMatrix BasicAllPairsMi<K>::compute_fused(const Planes& planes,
   const auto heavy_entries = planes.heavy();
   std::vector<std::vector<std::uint64_t>> heavy(workers);
   if (!heavy_entries.empty()) {
-    std::vector<typename Traits::VarLeg> legs;
+    std::vector<typename Codec::VarLeg> legs;
     legs.reserve(n);
-    for (std::size_t v = 0; v < n; ++v) legs.push_back(Traits::leg_of(codec, v));
+    for (std::size_t v = 0; v < n; ++v) legs.push_back(codec.leg_of(v));
     pool.run([&](std::size_t w) {
       Timer timer;
       const auto [lo, hi] =
@@ -194,7 +194,7 @@ MiMatrix BasicAllPairsMi<K>::compute_fused(const Planes& planes,
         const K key = heavy_entries[h].key;
         const std::uint64_t c = heavy_entries[h].count;
         for (std::size_t v = 0; v < n; ++v) {
-          states[v] = static_cast<State>(Traits::decode_leg(legs[v], key));
+          states[v] = static_cast<State>(Codec::decode_leg(legs[v], key));
         }
         for (std::size_t k = 0; k < pairs.size(); ++k) {
           const auto [i, j] = pairs[k];

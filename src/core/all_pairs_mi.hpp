@@ -29,7 +29,7 @@
 //                   them) passes them in, and pass 1 is not repeated.
 //
 // A template over the key type; both strategies decode single variables
-// through KeyTraits' VarLeg recipe, so they work at both key widths.
+// through the codec's VarLeg recipe, so they work at both key widths.
 #pragma once
 
 #include <cstdint>
@@ -91,7 +91,7 @@ struct AllPairsStats {
 template <typename K>
 class BasicAllPairsMi {
  public:
-  using Traits = KeyTraits<K>;
+  using Codec = BasicKeyCodec<K>;
   using Table = BasicPotentialTable<K>;
   using Planes = BasicEntryPlanes<K>;
 

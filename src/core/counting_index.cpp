@@ -30,7 +30,7 @@ constexpr double kPlaneBudget = 1.0;
 template <typename K>
 typename BasicCountingIndex<K>::Layers BasicCountingIndex<K>::build(
     const Table& table, ThreadPool& pool) {
-  const typename Traits::Codec& codec = table.codec();
+  const Codec& codec = table.codec();
   std::size_t planes = 0;
   for (std::size_t v = 0; v < codec.variable_count(); ++v) {
     planes += codec.cardinality(v) - 1;
@@ -77,7 +77,7 @@ template <typename K>
 MarginalTable BasicCountingIndex<K>::count(
     std::span<const std::size_t> variables,
     std::span<const Evidence> evidence) const {
-  const typename Traits::Codec& codec = table_->codec();
+  const Codec& codec = table_->codec();
   const std::size_t n = codec.variable_count();
   std::vector<std::size_t> joint(variables.begin(), variables.end());
   for (const Evidence& e : evidence) {
@@ -106,7 +106,7 @@ MarginalTable BasicCountingIndex<K>::count(
 
   MarginalTable counts = layers_.main->marginalize(joint, simd::detected());
   if (!layers_.delta.empty()) {
-    const typename Traits::Projector projector(codec, joint);
+    const BasicKeyProjector<K> projector(codec, joint);
     for (const std::shared_ptr<const Chunk>& chunk : layers_.delta) {
       for (const K key : *chunk) counts.add(projector.project(key), 1);
     }
@@ -136,23 +136,23 @@ template <typename K>
 MarginalTable BasicCountingIndex<K>::sweep(
     std::span<const std::size_t> variables,
     std::span<const Evidence> evidence) const {
-  const typename Traits::Codec& codec = table_->codec();
-  const typename Traits::Projector projector(codec, variables);
-  // The decode recipe and expected state of every evidence term (the VarLeg
-  // comes from the trait, so the filter works at any key width).
+  const Codec& codec = table_->codec();
+  const BasicKeyProjector<K> projector(codec, variables);
+  // The decode recipe and expected state of every evidence term (the
+  // codec's VarLeg, so the filter works at any key width).
   struct Filter {
-    typename Traits::VarLeg leg;
+    typename Codec::VarLeg leg;
     std::uint64_t state;
   };
   std::vector<Filter> filters;
   filters.reserve(evidence.size());
   for (const Evidence& e : evidence) {
-    filters.push_back(Filter{Traits::leg_of(codec, e.variable), e.state});
+    filters.push_back(Filter{codec.leg_of(e.variable), e.state});
   }
   MarginalTable out(projector.variables(), projector.cardinalities());
   table_->for_each([&](K key, std::uint64_t c) {
     for (const Filter& f : filters) {
-      if (Traits::decode_leg(f.leg, key) != f.state) return;
+      if (Codec::decode_leg(f.leg, key) != f.state) return;
     }
     out.add(projector.project(key), c);
   });

@@ -54,7 +54,7 @@ struct Evidence {
 template <typename K>
 class BasicCountingIndex {
  public:
-  using Traits = KeyTraits<K>;
+  using Codec = BasicKeyCodec<K>;
   using Table = BasicPotentialTable<K>;
   using Planes = BasicEntryPlanes<K>;
   using Chunk = std::vector<K>;  ///< the keys of one ingested batch's rows

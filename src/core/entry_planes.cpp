@@ -29,7 +29,7 @@ constexpr double kHeavyLegNs = 2.0;      ///< per heavy entry and variable
 template <typename K>
 BasicEntryPlanes<K>::BasicEntryPlanes(const Table& table, ThreadPool& pool)
     : codec_(table.codec()) {
-  const typename Traits::Codec& codec = codec_;
+  const Codec& codec = codec_;
   const auto& partitions = table.partitions();
   const std::size_t n = codec.variable_count();
   const std::size_t parts = partitions.partition_count();
@@ -63,9 +63,9 @@ BasicEntryPlanes<K>::BasicEntryPlanes(const Table& table, ThreadPool& pool)
   // the sweep. decode_leg extracts each variable independently of the others
   // with precomputed reciprocals, so the extractions pipeline instead of
   // forming decode_all's chain of dependent divisions.
-  std::vector<typename Traits::VarLeg> legs;
+  std::vector<typename Codec::VarLeg> legs;
   legs.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) legs.push_back(Traits::leg_of(codec, v));
+  for (std::size_t v = 0; v < n; ++v) legs.push_back(codec.leg_of(v));
 
   pool.run([&](std::size_t w) {
     Timer timer;
@@ -81,9 +81,9 @@ BasicEntryPlanes<K>::BasicEntryPlanes(const Table& table, ThreadPool& pool)
     const auto flush_tile = [&] {
       std::size_t p = 0;  // plane index of (v, a)
       for (std::size_t v = 0; v < n; ++v) {
-        const typename Traits::VarLeg& leg = legs[v];
+        const typename Codec::VarLeg& leg = legs[v];
         for (std::size_t e = 0; e < fill; ++e) {
-          lane[e] = static_cast<State>(Traits::decode_leg(leg, tile[e]));
+          lane[e] = static_cast<State>(Codec::decode_leg(leg, tile[e]));
         }
         const std::uint32_t r = codec.cardinality(v);
         for (std::uint32_t a = 1; a < r; ++a, ++p) {
@@ -252,7 +252,7 @@ MarginalTable BasicEntryPlanes<K>::marginalize(
 template <typename K>
 MarginalTable BasicEntryPlanes<K>::marginalize_lattice(
     std::span<const std::size_t> variables, simd::Level level) const {
-  const typename Traits::Projector projector(codec_, variables);
+  const BasicKeyProjector<K> projector(codec_, variables);
   std::vector<std::uint64_t> cells(projector.range_size());
   count_light_cells(variables, cells, level);
   MarginalTable out(projector.variables(), projector.cardinalities(),
@@ -264,7 +264,7 @@ MarginalTable BasicEntryPlanes<K>::marginalize_lattice(
 template <typename K>
 MarginalTable BasicEntryPlanes<K>::marginalize_scatter(
     std::span<const std::size_t> variables) const {
-  const typename Traits::Projector projector(codec_, variables);
+  const BasicKeyProjector<K> projector(codec_, variables);
   MarginalTable out(projector.variables(), projector.cardinalities());
 
   // One leg per (variable, state a >= 1): its plane and the cell offset a
@@ -302,7 +302,7 @@ MarginalTable BasicEntryPlanes<K>::marginalize_scatter(
 }
 
 template <typename K>
-void BasicEntryPlanes<K>::add_heavy(const typename Traits::Projector& projector,
+void BasicEntryPlanes<K>::add_heavy(const BasicKeyProjector<K>& projector,
                                     MarginalTable& out) const {
   for (const HeavyEntry& entry : heavy_) {
     out.add(projector.project(entry.key), entry.count);

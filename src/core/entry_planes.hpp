@@ -61,7 +61,7 @@ namespace wfbn {
 template <typename K>
 class BasicEntryPlanes {
  public:
-  using Traits = KeyTraits<K>;
+  using Codec = BasicKeyCodec<K>;
   using Table = BasicPotentialTable<K>;
 
   struct HeavyEntry {
@@ -81,7 +81,7 @@ class BasicEntryPlanes {
   BasicEntryPlanes(const Table& table, ThreadPool& pool);
 
   /// The codec of the table the planes were built from.
-  [[nodiscard]] const typename Traits::Codec& codec() const noexcept {
+  [[nodiscard]] const Codec& codec() const noexcept {
     return codec_;
   }
 
@@ -161,10 +161,10 @@ class BasicEntryPlanes {
 
   /// Adds every heavy entry's count to its cell of `out`, which has the
   /// projector's layout.
-  void add_heavy(const typename Traits::Projector& projector,
+  void add_heavy(const BasicKeyProjector<K>& projector,
                  MarginalTable& out) const;
 
-  typename Traits::Codec codec_;
+  Codec codec_;
   std::vector<std::size_t> plane_of_;  ///< first plane of each variable
   std::size_t words_ = 0;
   std::vector<std::uint64_t> bits_;    ///< Σ_v (r_v − 1) planes × words_

@@ -23,7 +23,7 @@ template <typename K>
 MarginalTable BasicMarginalizer<K>::marginalize(
     const Table& table, std::span<const std::size_t> variables,
     ThreadPool& pool) const {
-  const typename Traits::Projector projector(table.codec(), variables);
+  const BasicKeyProjector<K> projector(table.codec(), variables);
   const std::size_t workers = pool.size();
   const std::size_t parts = table.partitions().partition_count();
   worker_stats_.assign(workers, MarginalizeWorkerStats{});
@@ -59,11 +59,5 @@ MarginalTable BasicMarginalizer<K>::marginalize(
 
 template class BasicMarginalizer<Key>;
 template class BasicMarginalizer<WideKey>;
-
-MarginalTable wide_marginalize(const WidePotentialTable& table,
-                               std::span<const std::size_t> variables,
-                               std::size_t threads) {
-  return WideMarginalizer(threads).marginalize(table, variables);
-}
 
 }  // namespace wfbn

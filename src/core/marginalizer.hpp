@@ -8,8 +8,8 @@
 // cache-friendly — the data-parallelism claim of the paper.
 //
 // A template over the key type: Marginalizer sweeps narrow tables,
-// WideMarginalizer two-word tables, through the same kernel (the projector
-// type comes from KeyTraits).
+// WideMarginalizer two-word tables, through the same kernel and the same
+// BasicKeyProjector.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,6 @@ struct MarginalizeWorkerStats {
 template <typename K>
 class BasicMarginalizer {
  public:
-  using Traits = KeyTraits<K>;
   using Table = BasicPotentialTable<K>;
 
   explicit BasicMarginalizer(std::size_t threads = 1);
@@ -67,10 +66,5 @@ extern template class BasicMarginalizer<WideKey>;
 
 using Marginalizer = BasicMarginalizer<Key>;
 using WideMarginalizer = BasicMarginalizer<WideKey>;
-
-/// Historical free-function spelling of the wide-table marginalization.
-[[nodiscard]] MarginalTable wide_marginalize(const WidePotentialTable& table,
-                                             std::span<const std::size_t> variables,
-                                             std::size_t threads = 1);
 
 }  // namespace wfbn

@@ -148,12 +148,12 @@ std::vector<std::size_t> partition_owners(std::size_t parts,
 /// both m and the state space; for sparse data (the paper's regime) m
 /// dominates. A quarter of the bound is a reasonable starting size — the
 /// tables grow geometrically if it is exceeded.
-template <typename Traits>
+template <typename K>
 std::size_t expected_entries_per_partition(const Dataset& data,
-                                           const typename Traits::Codec& codec,
+                                           const BasicKeyCodec<K>& codec,
                                            std::size_t parts) {
   const std::uint64_t bound = std::min<std::uint64_t>(
-      data.sample_count(), Traits::state_space_bound(codec));
+      data.sample_count(), codec.state_space_bound());
   return static_cast<std::size_t>(bound / parts / 4 + 16);
 }
 
@@ -162,7 +162,7 @@ std::size_t expected_entries_per_partition(const Dataset& data,
 template <typename K>
 struct Kernel {
   using Traits = KeyTraits<K>;
-  using Codec = typename Traits::Codec;
+  using Codec = BasicKeyCodec<K>;
   using KeyFabric = QueueFabric<K>;
   using PairFabric = QueueFabric<KeyCount<K>, kPairChunkItems>;
 
@@ -467,10 +467,10 @@ BasicPotentialTable<K> BasicWaitFreeBuilder<K>::build(const Dataset& data,
                                                       ThreadPool& pool) {
   WFBN_EXPECT(data.sample_count() > 0, "cannot build a table from no data");
   const std::size_t P = pool.size();
-  const Codec codec = Traits::make_codec(data.cardinalities());
+  const Codec codec(data.cardinalities());
   BasicPartitionedTable<K> table(
-      P, Traits::state_space_bound(codec), options_.scheme,
-      expected_entries_per_partition<Traits>(data, codec, P));
+      P, codec.state_space_bound(), options_.scheme,
+      expected_entries_per_partition(data, codec, P));
   Timer total_timer;
   run_phased(data, codec, table, pool);
   stats_.total_seconds = total_timer.seconds();
@@ -500,7 +500,7 @@ void BasicWaitFreeBuilder<K>::append(const Dataset& data, Table& table) {
   // Any failure up to and including the kernel leaves `table` untouched.
   BasicPartitionedTable<K> scratch(
       parts, table.partitions().state_space(), table.partitions().scheme(),
-      expected_entries_per_partition<Traits>(data, table.codec(), parts));
+      expected_entries_per_partition(data, table.codec(), parts));
   run_phased(data, table.codec(), scratch, pool);
 
   WFBN_FAULT_POINT(fault::Point::kAppendCommit);

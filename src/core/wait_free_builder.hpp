@@ -107,7 +107,7 @@ template <typename K>
 class BasicWaitFreeBuilder {
  public:
   using Traits = KeyTraits<K>;
-  using Codec = typename Traits::Codec;
+  using Codec = BasicKeyCodec<K>;
   using Table = BasicPotentialTable<K>;
 
   explicit BasicWaitFreeBuilder(WaitFreeBuilderOptions options = {});

@@ -3,6 +3,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 
 #include "util/error.hpp"
@@ -42,6 +43,12 @@ void ServeClient::send(const Request& request) {
 }
 
 std::optional<Response> ServeClient::try_receive(int timeout_ms) {
+  return try_receive_until(std::chrono::steady_clock::now() +
+                           std::chrono::milliseconds(timeout_ms));
+}
+
+std::optional<Response> ServeClient::try_receive_until(
+    std::chrono::steady_clock::time_point deadline) {
   try {
     while (true) {
       if (std::optional<DecodedFrame> frame = decoder_.next()) {
@@ -52,11 +59,17 @@ std::optional<Response> ServeClient::try_receive(int timeout_ms) {
         return decode_response(frame->payload);
       }
       if (!fd_.valid()) throw NetError("receive on a closed client");
+      const auto wait = std::max(std::chrono::steady_clock::duration::zero(),
+                                 deadline - std::chrono::steady_clock::now());
+      const auto ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(wait).count();
+      const timespec timeout{static_cast<time_t>(ns / 1000000000),
+                             static_cast<long>(ns % 1000000000)};
       pollfd pfd{fd_.get(), POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, timeout_ms);
+      const int ready = ::ppoll(&pfd, 1, &timeout, nullptr);
       if (ready < 0) {
         if (errno == EINTR) continue;
-        throw NetError("poll()" + errno_string());
+        throw NetError("ppoll()" + errno_string());
       }
       if (ready == 0) return std::nullopt;
       WFBN_FAULT_POINT(fault::Point::kNetRead);

@@ -19,6 +19,7 @@
 // ordinary answers the caller inspects.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -56,8 +57,13 @@ class ServeClient {
   /// Polling receive: nullopt when no complete response arrives within
   /// `timeout_ms` (the connection stays usable — unlike receive(), a timeout
   /// is not an error). Transport/protocol failures still throw and close.
-  /// This is what the open-loop load generator drains with between sends.
   std::optional<Response> try_receive(int timeout_ms = 0);
+
+  /// try_receive() until `deadline`, waiting with nanosecond resolution —
+  /// what the open-loop load generator drains with between sends, so each
+  /// response is timestamped when it arrives, not when the next send is due.
+  std::optional<Response> try_receive_until(
+      std::chrono::steady_clock::time_point deadline);
 
   /// send() + receive(): the synchronous RPC shape.
   Response call(const Request& request);

@@ -48,8 +48,9 @@ Opcode scrape_opcode(std::span<const std::uint8_t> payload) {
 
 template <typename K>
 struct BasicServeServer<K>::Impl {
-  static constexpr KeyWidth kWidth =
-      std::is_same_v<K, Key> ? KeyWidth::kNarrow : KeyWidth::kWide;
+  // The wire numbers a key width by its word count less one.
+  static constexpr auto kWidth =
+      static_cast<KeyWidth>(KeyTraits<K>::kWords - 1);
 
   struct WorkItem {
     std::uint64_t conn_id = 0;
@@ -355,7 +356,7 @@ struct BasicServeServer<K>::Impl {
       response.opcode = request.opcode;
       response.status = Status::kBadRequest;
       response.error = std::string("server serves ") +
-                       (Impl::kWidth == KeyWidth::kNarrow ? "narrow" : "wide") +
+                       KeyTraits<K>::kWidthName +
                        " keys; request asked for the other width";
       respond_now(id, response);
       return true;

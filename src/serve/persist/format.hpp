@@ -55,8 +55,7 @@
 #include <string>
 
 #include "data/binary_io.hpp"
-#include "table/key_codec.hpp"
-#include "table/wide_key_codec.hpp"
+#include "table/key_traits.hpp"
 
 namespace wfbn::serve::persist {
 
@@ -67,35 +66,25 @@ inline constexpr std::uint32_t kFlagSectionChecksums = 1u << 0;
 inline constexpr const char* kManifestName = "MANIFEST";
 inline constexpr const char* kTempSuffix = ".tmp";
 
-/// How each key width serializes its entries. The width code in the header
-/// makes cross-width confusion (opening a wide store as narrow) a typed
-/// DataError instead of garbage keys.
+/// How each key width serializes its entries: its words in order (lo
+/// before hi), then the count. The width code in the header is the word
+/// count (1 = narrow, 2 = wide), which makes cross-width confusion (opening
+/// a wide store as narrow) a typed DataError instead of garbage keys.
 template <typename K>
-struct KeyIo;
-
-template <>
-struct KeyIo<Key> {
-  static constexpr std::uint32_t kWidthCode = 1;
-  static constexpr std::size_t kEntryBytes = 16;  // key u64 + count u64
-  static void put(std::vector<std::uint8_t>& buffer, Key key) {
-    bio::put_pod(buffer, key);
+struct KeyIo {
+  using Traits = KeyTraits<K>;
+  static constexpr auto kWidthCode = static_cast<std::uint32_t>(Traits::kWords);
+  static constexpr std::size_t kEntryBytes =
+      (Traits::kWords + 1) * sizeof(std::uint64_t);
+  static void put(std::vector<std::uint8_t>& buffer, K key) {
+    for (std::size_t w = 0; w < Traits::kWords; ++w) {
+      bio::put_pod(buffer, Traits::word(key, w));
+    }
   }
-  static Key get(bio::BufferReader& reader) { return reader.get<Key>(); }
-};
-
-template <>
-struct KeyIo<WideKey> {
-  static constexpr std::uint32_t kWidthCode = 2;
-  static constexpr std::size_t kEntryBytes = 24;  // lo u64 + hi u64 + count u64
-  static void put(std::vector<std::uint8_t>& buffer, WideKey key) {
-    bio::put_pod(buffer, key.lo);
-    bio::put_pod(buffer, key.hi);
-  }
-  static WideKey get(bio::BufferReader& reader) {
-    WideKey key;
-    key.lo = reader.get<std::uint64_t>();
-    key.hi = reader.get<std::uint64_t>();
-    return key;
+  static K get(bio::BufferReader& reader) {
+    std::uint64_t words[Traits::kWords] = {};
+    for (std::uint64_t& word : words) word = reader.get<std::uint64_t>();
+    return Traits::from_words(words);
   }
 };
 

@@ -144,7 +144,7 @@ SegmentData<K> parse_segment(const std::vector<std::uint8_t>& bytes) {
   // The codec constructor re-validates the cardinalities (each >= 1, joint
   // space within the width's bound) — corrupted schema bytes that survive
   // the checksum still become a typed error here.
-  typename Traits::Codec codec = Traits::make_codec(cards);
+  BasicKeyCodec<K> codec(cards);
   BasicPartitionedTable<K> partitions(
       static_cast<std::size_t>(partition_count), state_space, scheme);
 
@@ -167,7 +167,7 @@ SegmentData<K> parse_segment(const std::vector<std::uint8_t>& bytes) {
         throw DataError("segment entry with zero count in partition " +
                         std::to_string(p));
       }
-      if (!Traits::key_in_range(codec, key)) {
+      if (!codec.key_in_range(key)) {
         throw DataError("segment key out of state-space range in partition " +
                         std::to_string(p));
       }

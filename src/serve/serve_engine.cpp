@@ -39,10 +39,8 @@ CacheKey make_key(std::uint64_t version, QueryKind kind,
 }  // namespace
 
 template <typename K>
-BasicServeEngine<K>::BasicServeEngine(Store& store, ServeOptions options)
-    : store_(&store),
-      options_(options),
-      cache_(options.cache_shards, options.cache_entries_per_shard) {}
+BasicServeEngine<K>::BasicServeEngine(Store& store)
+    : store_(&store), cache_(kCacheShards, kCacheEntriesPerShard) {}
 
 template <typename K>
 std::vector<double> BasicServeEngine<K>::compute(
@@ -74,20 +72,15 @@ ServeResult BasicServeEngine<K>::answer(
   ServeResult result;
   result.version = snapshot->version();
 
-  CacheKey key;
-  if (options_.cache_enabled) {
-    key = make_key(snapshot->version(), kind, variables, evidence);
-    if (std::optional<std::vector<double>> hit = cache_.lookup(key)) {
-      result.cache_hit = true;
-      result.values = std::move(*hit);
-      return result;
-    }
+  const CacheKey key = make_key(snapshot->version(), kind, variables, evidence);
+  if (std::optional<std::vector<double>> hit = cache_.lookup(key)) {
+    result.cache_hit = true;
+    result.values = std::move(*hit);
+    return result;
   }
 
   result.values = compute(snapshot->index(), kind, variables, evidence);
-  if (options_.cache_enabled) {
-    cache_.insert(key, result.values);
-  }
+  cache_.insert(key, result.values);
   return result;
 }
 
@@ -223,19 +216,15 @@ LearnedStructure BasicServeEngine<K>::learn_structure(
 template <typename K>
 IngestStats BasicServeEngine<K>::ingest(const Dataset& batch) {
   const IngestStats stats = store_->ingest(batch);
-  if (options_.cache_enabled) {
-    // Reclaim answers of superseded versions. Version-keyed lookups already
-    // guarantee they can never be served again; this only frees the memory.
-    cache_.invalidate_before(stats.published_version);
-  }
+  // Reclaim answers of superseded versions. Version-keyed lookups already
+  // guarantee they can never be served again; this only frees the memory.
+  cache_.invalidate_before(stats.published_version);
   return stats;
 }
 
 template <typename K>
 void BasicServeEngine<K>::note_published(std::uint64_t version) {
-  if (options_.cache_enabled) {
-    cache_.invalidate_before(version);
-  }
+  cache_.invalidate_before(version);
 }
 
 template class BasicServeEngine<Key>;

@@ -36,12 +36,6 @@
 
 namespace wfbn::serve {
 
-struct ServeOptions {
-  bool cache_enabled = true;
-  std::size_t cache_shards = 16;
-  std::size_t cache_entries_per_shard = 4096;
-};
-
 enum class QueryKind : std::uint8_t {
   kMarginal,     ///< P(V) over `variables`
   kConditional,  ///< P(V | evidence)
@@ -108,7 +102,7 @@ class BasicServeEngine {
   using Table = BasicPotentialTable<K>;
 
   /// Borrows `store`; it must outlive the engine.
-  explicit BasicServeEngine(Store& store, ServeOptions options = {});
+  explicit BasicServeEngine(Store& store);
 
   /// P(V). Throws PreconditionError on invalid variables.
   ServeResult marginal(std::span<const std::size_t> variables);
@@ -155,9 +149,6 @@ class BasicServeEngine {
     return cache_.stats();
   }
   [[nodiscard]] const Store& store() const noexcept { return *store_; }
-  [[nodiscard]] const ServeOptions& options() const noexcept {
-    return options_;
-  }
 
  private:
   ServeResult answer(QueryKind kind, std::span<const std::size_t> variables,
@@ -167,8 +158,11 @@ class BasicServeEngine {
       std::span<const std::size_t> variables,
       std::span<const Evidence> evidence);
 
+  /// Result-cache geometry: 16 shards of 4096 answers each.
+  static constexpr std::size_t kCacheShards = 16;
+  static constexpr std::size_t kCacheEntriesPerShard = 4096;
+
   Store* store_;
-  ServeOptions options_;
   ResultCache cache_;
 };
 

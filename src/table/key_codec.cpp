@@ -1,8 +1,8 @@
 #include "table/key_codec.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -13,78 +13,138 @@
 namespace wfbn {
 
 namespace {
-// Keys must stay below 2^63 so that (a) the hashtables' all-ones empty
-// sentinel can never collide with a real key and (b) signed conversions in
-// downstream tooling stay safe.
-constexpr Key kMaxStateSpace = 1ULL << 63;
+// Each word holds at most 2^63 joint states, so that (a) the hashtables'
+// all-ones empty sentinel can never collide with a real key and (b) signed
+// conversions in downstream tooling stay safe.
+constexpr std::uint64_t kWordLimit = 1ULL << 63;
+
+// A marginal table is dense; MarginalTable enforces the same bound.
+constexpr std::uint64_t kMaxProjectedRange = 1ULL << 30;
+
+// GCC (12, -O3, baseline x86-64) vectorizes the chain loop below with
+// SSE2, emulating each 64-bit multiply with three pmuludq. One unrolled
+// scalar imul per variable is as fast at n = 11 r = 3 and faster at n = 30,
+// n = 37 and wide n = 100 (results/knob_prune.txt, "Codec fold"), so the
+// loop stays scalar.
+#if defined(__GNUC__) && !defined(__clang__)
+#define WFBN_SCALAR_LOOP __attribute__((optimize("no-tree-vectorize")))
+#else
+#define WFBN_SCALAR_LOOP
+#endif
+
+/// The row-major reference kernel (Eq. 3): run by run, one mixed-radix
+/// chain per row, added to the run's word of the row's key. Runs outside
+/// rows, so a run's bounds are read once per strip: read per row, they cost
+/// ~10% at n = 11.
+template <typename K, typename Run>
+WFBN_SCALAR_LOOP void encode_rows(const State* rows, std::size_t row_count,
+                                  std::size_t n, const std::uint64_t* strides,
+                                  std::span<const Run> runs, K* out) noexcept {
+  using Traits = KeyTraits<K>;
+  std::fill_n(out, row_count, K{});
+  for (const Run& run : runs) {
+    const std::size_t first = run.first;
+    const std::size_t last = run.last;
+    const std::size_t bank = simd_detail::bank_of<Traits::kWords>(run);
+    for (std::size_t i = 0; i < row_count; ++i) {
+      const State* states = rows + i * n;
+      std::uint64_t words[Traits::kWords] = {};
+      for (std::size_t w = 0; w < Traits::kWords; ++w) {
+        words[w] = Traits::word(out[i], w);
+      }
+#pragma GCC unroll 16
+      for (std::size_t j = first; j < last; ++j) {
+        words[bank] += static_cast<std::uint64_t>(states[j]) * strides[j];
+      }
+      out[i] = Traits::from_words(words);
+    }
+  }
+}
 }  // namespace
 
-KeyCodec::KeyCodec(std::vector<std::uint32_t> cardinalities)
+template <typename K>
+BasicKeyCodec<K>::BasicKeyCodec(std::vector<std::uint32_t> cardinalities)
     : cardinalities_(std::move(cardinalities)) {
   WFBN_EXPECT(!cardinalities_.empty(), "codec needs at least one variable");
+  extents_.fill(1);
   strides_.reserve(cardinalities_.size());
-  for (const std::uint32_t r : cardinalities_) {
+  for (std::size_t j = 0; j < cardinalities_.size(); ++j) {
+    const std::uint32_t r = cardinalities_[j];
     if (r == 0) throw DataError("variable cardinality must be >= 1");
-    strides_.push_back(total_states_);
-    if (total_states_ > kMaxStateSpace / r) {
+    // First-fit: the first word that still has room for r more states.
+    std::size_t word = 0;
+    while (word < kWords && extents_[word] > kWordLimit / r) ++word;
+    if (word == kWords) {
       throw DataError(
-          "joint state space exceeds 2^63 — use fewer variables or smaller "
-          "cardinalities (n=" +
+          "joint state space exceeds 2^" + std::to_string(63 * kWords) +
+          " — use fewer variables or smaller cardinalities (n=" +
           std::to_string(cardinalities_.size()) + ")");
     }
-    total_states_ *= r;
+    if (runs_.empty() || runs_.back().word != word) {
+      runs_.push_back(WordRun{j, j, static_cast<unsigned>(word)});
+    }
+    runs_.back().last = j + 1;
+    strides_.push_back(extents_[word]);
+    extents_[word] *= r;
   }
 }
 
-KeyCodec KeyCodec::uniform(std::size_t n, std::uint32_t r) {
-  return KeyCodec(std::vector<std::uint32_t>(n, r));
+template <typename K>
+BasicKeyCodec<K> BasicKeyCodec<K>::uniform(std::size_t n, std::uint32_t r) {
+  return BasicKeyCodec(std::vector<std::uint32_t>(n, r));
 }
 
-Key KeyCodec::encode(std::span<const State> states) const noexcept {
-  Key key = 0;
-  const std::size_t n = strides_.size();
-  for (std::size_t j = 0; j < n; ++j) {
-    key += static_cast<Key>(states[j]) * strides_[j];
+template <typename K>
+std::uint64_t BasicKeyCodec<K>::state_space_bound() const noexcept {
+  std::uint64_t bound = 1;
+  for (const std::uint64_t extent : extents_) {
+    if (bound > std::numeric_limits<std::uint64_t>::max() / extent) {
+      return std::numeric_limits<std::uint64_t>::max();
+    }
+    bound *= extent;
   }
+  return bound;
+}
+
+template <typename K>
+K BasicKeyCodec<K>::encode(std::span<const State> states) const noexcept {
+  K key{};
+  encode_rows(states.data(), 1, states.size(), strides_.data(),
+              std::span<const WordRun>(runs_), &key);
   return key;
 }
 
-void KeyCodec::encode_block(const State* rows, std::size_t row_count, Key* out,
-                            simd::Level level) const noexcept {
-  const std::size_t n = strides_.size();
+template <typename K>
+void BasicKeyCodec<K>::encode_block(const State* rows, std::size_t row_count,
+                                    K* out, simd::Level level) const noexcept {
+  const std::size_t n = cardinalities_.size();
+  const std::uint64_t* strides = strides_.data();
+  const std::span<const WordRun> runs(runs_);
   if (level == simd::Level::kScalar) {
-    // The reference kernel: row-major scan, one mixed-radix chain per row.
-    for (std::size_t i = 0; i < row_count; ++i) {
-      const State* row = rows + i * n;
-      Key key = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        key += static_cast<Key>(row[j]) * strides_[j];
-      }
-      out[i] = key;
-    }
+    encode_rows(rows, row_count, n, strides, runs, out);
     return;
   }
   // Vectorized path (level from simd::detected(), so the AVX2 tiles only run
   // on hosts that support them): full SoA tiles, portable-lane remainder.
-  const std::uint64_t* strides = strides_.data();
   std::size_t i = 0;
 #ifdef WFBN_AVX2_KERNELS
   for (; i + simd_detail::kRowTile <= row_count; i += simd_detail::kRowTile) {
-    simd_detail::encode_tile_avx2(rows + i * n, n, strides, out + i);
+    simd_detail::encode_tile_avx2(rows + i * n, n, strides, runs, out + i);
   }
 #else
   for (; i + simd_detail::kRowTile <= row_count; i += simd_detail::kRowTile) {
-    simd_detail::encode_tile_lanes(rows + i * n, n, strides,
+    simd_detail::encode_tile_lanes(rows + i * n, n, strides, runs,
                                    simd_detail::kRowTile, out + i);
   }
 #endif
   if (i < row_count) {
-    simd_detail::encode_tile_lanes(rows + i * n, n, strides, row_count - i,
-                                   out + i);
+    simd_detail::encode_tile_lanes(rows + i * n, n, strides, runs,
+                                   row_count - i, out + i);
   }
 }
 
-Key KeyCodec::encode_checked(std::span<const State> states) const {
+template <typename K>
+K BasicKeyCodec<K>::encode_checked(std::span<const State> states) const {
   if (states.size() != cardinalities_.size()) {
     throw DataError("state string length " + std::to_string(states.size()) +
                     " does not match variable count " +
@@ -100,16 +160,24 @@ Key KeyCodec::encode_checked(std::span<const State> states) const {
   return encode(states);
 }
 
-void KeyCodec::decode_all(Key key, std::span<State> out) const noexcept {
-  const std::size_t n = cardinalities_.size();
-  for (std::size_t j = 0; j < n; ++j) {
-    out[j] = static_cast<State>(key % cardinalities_[j]);
-    key /= cardinalities_[j];
+template <typename K>
+void BasicKeyCodec<K>::decode_all(K key, std::span<State> out) const noexcept {
+  // Within a word the variables come in stride order, so each word peels
+  // off its variables with one division chain, run after run.
+  std::uint64_t rest[kWords] = {};
+  for (std::size_t w = 0; w < kWords; ++w) rest[w] = Traits::word(key, w);
+  for (const WordRun& run : runs_) {
+    std::uint64_t& word = rest[simd_detail::bank_of<kWords>(run)];
+    for (std::size_t j = run.first; j < run.last; ++j) {
+      out[j] = static_cast<State>(word % cardinalities_[j]);
+      word /= cardinalities_[j];
+    }
   }
 }
 
-KeyProjector::KeyProjector(const KeyCodec& codec,
-                           std::span<const std::size_t> variables) {
+template <typename K>
+BasicKeyProjector<K>::BasicKeyProjector(const Codec& codec,
+                                        std::span<const std::size_t> variables) {
   WFBN_EXPECT(!variables.empty(), "projection needs at least one variable");
   std::unordered_set<std::size_t> seen;
   legs_.reserve(variables.size());
@@ -118,11 +186,17 @@ KeyProjector::KeyProjector(const KeyCodec& codec,
   for (const std::size_t v : variables) {
     WFBN_EXPECT(v < codec.variable_count(), "projection variable out of range");
     WFBN_EXPECT(seen.insert(v).second, "duplicate projection variable");
-    const std::uint64_t r = codec.cardinality(v);
-    legs_.push_back(Leg{Divisor(codec.stride(v)), Divisor(r), range_});
+    legs_.push_back(Leg{codec.leg_of(v), range_});
     cardinalities_.push_back(codec.cardinality(v));
-    range_ *= r;
+    range_ *= codec.cardinality(v);
+    WFBN_EXPECT(range_ <= kMaxProjectedRange,
+                "marginal table too large to be dense");
   }
 }
+
+template class BasicKeyCodec<Key>;
+template class BasicKeyCodec<WideKey>;
+template class BasicKeyProjector<Key>;
+template class BasicKeyProjector<WideKey>;
 
 }  // namespace wfbn

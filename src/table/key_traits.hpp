@@ -1,34 +1,47 @@
 // KeyTraits: the one place where the narrow (64-bit) and wide (two-word,
 // 2^126) key representations differ.
 //
-// Every layer above the codec — the open-addressing count tables, the
-// partitioned table, the wait-free builder, the marginalization / MI / query
-// sweeps, and the serving stack — is a template over the key type K and asks
-// KeyTraits<K> for the handful of operations that depend on the width:
+// Every layer built on keys — the codec and its projector, the
+// open-addressing count tables, the partitioned table, the wait-free
+// builder, the marginalization / MI / query sweeps, and the serving stack —
+// is a template over the key type K and asks KeyTraits<K> for what the
+// representation decides:
 //
-//   Codec / Projector   the Eq. 3/4 encode/decode machinery for K
-//   empty_key()         the hashtable's reserved empty-slot sentinel
-//   slot_hash()         hash for open-addressing slot selection
-//   supports()/owner()  which partition schemes exist and who owns a key
-//   state_space_bound() joint-state-space size, saturated to uint64
-//   key_in_range()      validity check for PotentialTable::validate()
-//   VarLeg / leg_of()   decode-of-interest: the (stride, cardinality[, word])
-//                       recipe for extracting one variable from a key without
-//                       decoding the whole state string (Eq. 4); both
-//                       divisors are precomputed Divisor reciprocals
+//   kWords / word()      how many 63-bit mixed-radix words a key holds, and
+//   from_words()         reading one word / assembling a key from its words
+//   empty_key()          the hashtable's reserved empty-slot sentinel
+//   slot_hash()          hash for open-addressing slot selection
+//   supports()/owner()   which partition schemes exist and who owns a key
+//   kWidthName           "narrow" / "wide", for messages and bench output
 //
-// Adding a third key width means specializing this struct — nothing else.
+// The Eq. 3/4 encoding itself is written once over kWords in
+// table/key_codec.hpp. Adding a third key width means specializing this
+// struct — nothing else.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <vector>
-
-#include "table/divisor.hpp"
-#include "table/key_codec.hpp"
-#include "table/wide_key_codec.hpp"
 
 namespace wfbn {
+
+using State = std::uint8_t;   ///< one observed variable state, 0 .. r_j - 1
+using Key = std::uint64_t;    ///< encoded state string, one word
+
+/// Encoded state string of up to 2^126 joint states: two 63-bit words.
+struct WideKey {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+
+  [[nodiscard]] bool operator==(const WideKey&) const = default;
+};
+
+/// Mixes both words; used for hashing and for partition ownership.
+[[nodiscard]] constexpr std::uint64_t wide_key_hash(WideKey key) noexcept {
+  std::uint64_t h = key.lo * 0x9E3779B97F4A7C15ULL;
+  h ^= (key.hi + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
+  h *= 0xBF58476D1CE4E5B9ULL;
+  return h ^ (h >> 29);
+}
 
 /// How encoded keys map to owning partitions.
 enum class PartitionScheme {
@@ -42,10 +55,15 @@ struct KeyTraits;
 
 template <>
 struct KeyTraits<Key> {
-  using Codec = KeyCodec;
-  using Projector = KeyProjector;
-
+  static constexpr std::size_t kWords = 1;
   static constexpr const char* kWidthName = "narrow";
+
+  static constexpr std::uint64_t word(Key key, std::size_t /*w*/) noexcept {
+    return key;
+  }
+  static constexpr Key from_words(const std::uint64_t* words) noexcept {
+    return words[0];
+  }
 
   static constexpr Key empty_key() noexcept { return ~0ULL; }
 
@@ -95,39 +113,20 @@ struct KeyTraits<Key> {
           (static_cast<__uint128_t>(keys[i]) * partitions) / state_space);
     }
   }
-
-  static Codec make_codec(const std::vector<std::uint32_t>& cardinalities) {
-    return Codec(cardinalities);
-  }
-
-  static std::uint64_t state_space_bound(const Codec& codec) noexcept {
-    return codec.state_space_size();
-  }
-
-  static bool key_in_range(const Codec& codec, Key key) noexcept {
-    return key < codec.state_space_size();
-  }
-
-  /// Decode-of-interest recipe for one variable (Eq. 4), with both divisors
-  /// precomputed so a decode is multiply-shift work, never a `div`.
-  struct VarLeg {
-    Divisor stride;
-    Divisor cardinality;
-  };
-  static VarLeg leg_of(const Codec& codec, std::size_t j) {
-    return VarLeg{Divisor(codec.stride(j)), Divisor(codec.cardinality(j))};
-  }
-  static std::uint64_t decode_leg(const VarLeg& leg, Key key) noexcept {
-    return leg.cardinality.modulo(leg.stride.divide(key));
-  }
 };
 
 template <>
 struct KeyTraits<WideKey> {
-  using Codec = WideKeyCodec;
-  using Projector = WideKeyProjector;
-
+  static constexpr std::size_t kWords = 2;
   static constexpr const char* kWidthName = "wide";
+
+  /// Word 0 is lo, word 1 is hi.
+  static constexpr std::uint64_t word(WideKey key, std::size_t w) noexcept {
+    return w == 0 ? key.lo : key.hi;
+  }
+  static constexpr WideKey from_words(const std::uint64_t* words) noexcept {
+    return WideKey{words[0], words[1]};
+  }
 
   /// All-ones in both words — unreachable because each encoded word stays
   /// below 2^63.
@@ -167,39 +166,6 @@ struct KeyTraits<WideKey> {
     for (std::size_t i = 0; i < count; ++i) {
       out[i] = static_cast<std::size_t>(wide_key_hash(keys[i]) % partitions);
     }
-  }
-
-  static Codec make_codec(const std::vector<std::uint32_t>& cardinalities) {
-    return Codec(cardinalities);
-  }
-
-  /// The wide joint space can exceed 2^64; saturate. Consumers only use the
-  /// bound via min(m, bound), where m always wins in the saturated case.
-  static std::uint64_t state_space_bound(const Codec& codec) noexcept {
-    const std::uint64_t lo = codec.word_extent(0);
-    const std::uint64_t hi = codec.word_extent(1);
-    if (hi > 1 && lo > std::numeric_limits<std::uint64_t>::max() / hi) {
-      return std::numeric_limits<std::uint64_t>::max();
-    }
-    return lo * hi;
-  }
-
-  static bool key_in_range(const Codec& codec, WideKey key) noexcept {
-    return key.lo < codec.word_extent(0) && key.hi < codec.word_extent(1);
-  }
-
-  struct VarLeg {
-    unsigned word;  ///< 0 = lo, 1 = hi
-    Divisor stride;
-    Divisor cardinality;
-  };
-  static VarLeg leg_of(const Codec& codec, std::size_t j) {
-    return VarLeg{codec.word_of(j), Divisor(codec.stride(j)),
-                  Divisor(codec.cardinality(j))};
-  }
-  static std::uint64_t decode_leg(const VarLeg& leg, WideKey key) noexcept {
-    const std::uint64_t word = leg.word == 0 ? key.lo : key.hi;
-    return leg.cardinality.modulo(leg.stride.divide(word));
   }
 };
 

@@ -25,7 +25,7 @@ bool BasicPotentialTable<K>::validate() const {
   if (partitions_.total_count() != samples_) return false;
   bool in_range = true;
   partitions_.for_each([&](K key, std::uint64_t count) {
-    if (!Traits::key_in_range(codec_, key) || count == 0) in_range = false;
+    if (!codec_.key_in_range(key) || count == 0) in_range = false;
   });
   return in_range;
 }

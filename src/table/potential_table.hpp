@@ -25,7 +25,7 @@ template <typename K>
 class BasicPotentialTable {
  public:
   using Traits = KeyTraits<K>;
-  using Codec = typename Traits::Codec;
+  using Codec = BasicKeyCodec<K>;
   using Partitions = BasicPartitionedTable<K>;
 
   BasicPotentialTable(Codec codec, Partitions partitions,

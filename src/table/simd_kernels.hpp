@@ -1,5 +1,6 @@
 // Internal SoA-tile kernels for the mixed-radix encode hot path (Eq. 3),
-// shared by KeyCodec and WideKeyCodec. Not part of the public API.
+// written once over the key's word count for BasicKeyCodec. Not part of the
+// public API.
 //
 // Layout: a strip of rows is processed in tiles of kRowTile rows. Within a
 // tile, variables are transposed kVarTile at a time into per-variable lanes
@@ -7,7 +8,11 @@
 // always fits the L1 cache), and each lane is folded into per-row key
 // accumulators with one multiply-add:
 //
-//     acc[i] += lane_j[i] * stride_j          for all i in the tile at once
+//     acc[w][i] += lane_j[i] * stride_j      for all i in the tile at once
+//
+// with one accumulator bank per key word w. The tiles walk the codec's word
+// runs (consecutive variables packed into one word), so the bank is chosen
+// once per run, never per variable; for one-word keys it is the constant 0.
 //
 // Neighboring rows are independent, so the lane loop has no carried
 // dependency and vectorizes: the portable kernels are written so the
@@ -19,7 +24,7 @@
 // AVX2 has no 64×64-bit vector multiply, but none is needed: a state is a
 // uint8, so with stride = hi·2³² + lo the term decomposes into two 32×32→64
 // multiplies, s·lo + ((s·hi) << 32) — exact mod 2⁶⁴, and every encoded word
-// stays below 2⁶³ by the codecs' construction-time bound. Most workloads
+// stays below 2⁶³ by the codec's construction-time bound. Most workloads
 // (uniform r=2..8, n ≤ 32) have every stride below 2³², where the hi
 // multiply is skipped entirely.
 //
@@ -45,8 +50,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 
-#include "table/wide_key_codec.hpp"
+#include "table/key_traits.hpp"
 #include "util/simd.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -73,50 +79,55 @@ inline void transpose_tile(const State* rows, std::size_t n, std::size_t j0,
   }
 }
 
-/// Portable SoA tile: any t <= kRowTile (the remainder-strip kernel, and the
-/// whole vectorized path on non-x86 builds). The i-loop is the
-/// auto-vectorizable multiply-add across lanes.
-inline void encode_tile_lanes(const State* rows, std::size_t n,
-                              const std::uint64_t* strides, std::size_t t,
-                              std::uint64_t* out) noexcept {
-  std::uint64_t acc[kRowTile] = {};
-  State lanes[kVarTile * kRowTile];
-  for (std::size_t j0 = 0; j0 < n; j0 += kVarTile) {
-    const std::size_t jn = std::min(kVarTile, n - j0);
-    transpose_tile(rows, n, j0, jn, t, lanes);
-    for (std::size_t jj = 0; jj < jn; ++jj) {
-      const std::uint64_t s = strides[j0 + jj];
-      const State* lane = lanes + jj * kRowTile;
-      for (std::size_t i = 0; i < t; ++i) {
-        acc[i] += static_cast<std::uint64_t>(lane[i]) * s;
-      }
-    }
+/// The accumulator bank of a codec word run: its word, the constant 0 for
+/// one-word keys.
+template <std::size_t W, typename Run>
+constexpr std::size_t bank_of(const Run& run) noexcept {
+  if constexpr (W == 1) {
+    return 0;
+  } else {
+    return run.word;
   }
-  for (std::size_t i = 0; i < t; ++i) out[i] = acc[i];
 }
 
-/// Portable SoA tile, two-word keys: one accumulator set per word, the
-/// variable's word (codec packing) selecting the target set.
-inline void encode_tile_lanes_wide(const State* rows, std::size_t n,
-                                   const std::uint64_t* strides,
-                                   const unsigned* words, std::size_t t,
-                                   WideKey* out) noexcept {
-  std::uint64_t acc_lo[kRowTile] = {};
-  std::uint64_t acc_hi[kRowTile] = {};
+/// Assembles the first t keys of a tile from its per-word accumulator banks.
+template <typename K>
+inline void store_keys(const std::uint64_t (*banks)[kRowTile], std::size_t t,
+                       K* out) noexcept {
+  for (std::size_t i = 0; i < t; ++i) {
+    std::uint64_t words[KeyTraits<K>::kWords] = {};
+    for (std::size_t w = 0; w < KeyTraits<K>::kWords; ++w) words[w] = banks[w][i];
+    out[i] = KeyTraits<K>::from_words(words);
+  }
+}
+
+/// Portable SoA tile: any t <= kRowTile (the remainder-strip kernel, and the
+/// whole vectorized path on non-x86 builds). The codec's word runs are
+/// walked in order, each into its word's accumulator bank; the i-loop is the
+/// auto-vectorizable multiply-add across lanes.
+template <typename K, typename Run>
+inline void encode_tile_lanes(const State* rows, std::size_t n,
+                              const std::uint64_t* strides,
+                              std::span<const Run> runs, std::size_t t,
+                              K* out) noexcept {
+  constexpr std::size_t W = KeyTraits<K>::kWords;
+  std::uint64_t acc[W][kRowTile] = {};
   State lanes[kVarTile * kRowTile];
-  for (std::size_t j0 = 0; j0 < n; j0 += kVarTile) {
-    const std::size_t jn = std::min(kVarTile, n - j0);
-    transpose_tile(rows, n, j0, jn, t, lanes);
-    for (std::size_t jj = 0; jj < jn; ++jj) {
-      const std::uint64_t s = strides[j0 + jj];
-      const State* lane = lanes + jj * kRowTile;
-      std::uint64_t* acc = words[j0 + jj] == 0 ? acc_lo : acc_hi;
-      for (std::size_t i = 0; i < t; ++i) {
-        acc[i] += static_cast<std::uint64_t>(lane[i]) * s;
+  for (const Run& run : runs) {
+    std::uint64_t* bank = acc[bank_of<W>(run)];
+    for (std::size_t j0 = run.first; j0 < run.last; j0 += kVarTile) {
+      const std::size_t jn = std::min(kVarTile, run.last - j0);
+      transpose_tile(rows, n, j0, jn, t, lanes);
+      for (std::size_t jj = 0; jj < jn; ++jj) {
+        const std::uint64_t s = strides[j0 + jj];
+        const State* lane = lanes + jj * kRowTile;
+        for (std::size_t i = 0; i < t; ++i) {
+          bank[i] += static_cast<std::uint64_t>(lane[i]) * s;
+        }
       }
     }
   }
-  for (std::size_t i = 0; i < t; ++i) out[i] = WideKey{acc_lo[i], acc_hi[i]};
+  store_keys(acc, t, out);
 }
 
 #ifdef WFBN_AVX2_KERNELS
@@ -145,62 +156,46 @@ __attribute__((target("avx2"))) inline __m256i mul_add_stride(
   return _mm256_add_epi64(acc, term);
 }
 
-/// AVX2 SoA tile, full kRowTile rows: 8 vector accumulators of 4 keys each.
+/// AVX2 SoA tile, full kRowTile rows: per key word, a bank of 8 vector
+/// accumulators of 4 keys each (bank w is acc[w * kVecs, (w + 1) * kVecs)),
+/// the word runs walked as in encode_tile_lanes.
+template <typename K, typename Run>
 __attribute__((target("avx2"))) inline void encode_tile_avx2(
     const State* rows, std::size_t n, const std::uint64_t* strides,
-    std::uint64_t* out) noexcept {
+    std::span<const Run> runs, K* out) noexcept {
+  constexpr std::size_t W = KeyTraits<K>::kWords;
   constexpr std::size_t kVecs = kRowTile / 4;
-  __m256i acc[kVecs];
-  for (std::size_t v = 0; v < kVecs; ++v) acc[v] = _mm256_setzero_si256();
+  __m256i acc[W * kVecs];
+  for (std::size_t v = 0; v < W * kVecs; ++v) acc[v] = _mm256_setzero_si256();
   State lanes[kVarTile * kRowTile];
-  for (std::size_t j0 = 0; j0 < n; j0 += kVarTile) {
-    const std::size_t jn = std::min(kVarTile, n - j0);
-    transpose_tile(rows, n, j0, jn, kRowTile, lanes);
-    for (std::size_t jj = 0; jj < jn; ++jj) {
-      const std::uint64_t s = strides[j0 + jj];
-      const State* lane = lanes + jj * kRowTile;
-      for (std::size_t v = 0; v < kVecs; ++v) {
-        acc[v] = mul_add_stride(acc[v], load4_lane_bytes(lane + v * 4), s);
+  for (const Run& run : runs) {
+    const std::size_t bank = bank_of<W>(run) * kVecs;
+    for (std::size_t j0 = run.first; j0 < run.last; j0 += kVarTile) {
+      const std::size_t jn = std::min(kVarTile, run.last - j0);
+      transpose_tile(rows, n, j0, jn, kRowTile, lanes);
+      for (std::size_t jj = 0; jj < jn; ++jj) {
+        const std::uint64_t s = strides[j0 + jj];
+        const State* lane = lanes + jj * kRowTile;
+        for (std::size_t v = 0; v < kVecs; ++v) {
+          acc[bank + v] =
+              mul_add_stride(acc[bank + v], load4_lane_bytes(lane + v * 4), s);
+        }
       }
     }
   }
-  for (std::size_t v = 0; v < kVecs; ++v) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + v * 4), acc[v]);
-  }
-}
-
-/// AVX2 SoA tile, two-word keys: two accumulator banks, interleaved into
-/// (lo, hi) pairs at the end.
-__attribute__((target("avx2"))) inline void encode_tile_avx2_wide(
-    const State* rows, std::size_t n, const std::uint64_t* strides,
-    const unsigned* words, WideKey* out) noexcept {
-  constexpr std::size_t kVecs = kRowTile / 4;
-  __m256i acc_lo[kVecs];
-  __m256i acc_hi[kVecs];
-  for (std::size_t v = 0; v < kVecs; ++v) {
-    acc_lo[v] = _mm256_setzero_si256();
-    acc_hi[v] = _mm256_setzero_si256();
-  }
-  State lanes[kVarTile * kRowTile];
-  for (std::size_t j0 = 0; j0 < n; j0 += kVarTile) {
-    const std::size_t jn = std::min(kVarTile, n - j0);
-    transpose_tile(rows, n, j0, jn, kRowTile, lanes);
-    for (std::size_t jj = 0; jj < jn; ++jj) {
-      const std::uint64_t s = strides[j0 + jj];
-      const State* lane = lanes + jj * kRowTile;
-      __m256i* acc = words[j0 + jj] == 0 ? acc_lo : acc_hi;
-      for (std::size_t v = 0; v < kVecs; ++v) {
-        acc[v] = mul_add_stride(acc[v], load4_lane_bytes(lane + v * 4), s);
-      }
+  if constexpr (W == 1) {
+    // One word: the bank is the keys.
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + v * 4), acc[v]);
     }
+  } else {
+    alignas(32) std::uint64_t banks[W][kRowTile];
+    for (std::size_t v = 0; v < W * kVecs; ++v) {
+      _mm256_store_si256(
+          reinterpret_cast<__m256i*>(banks[v / kVecs] + v % kVecs * 4), acc[v]);
+    }
+    store_keys(banks, kRowTile, out);
   }
-  alignas(32) std::uint64_t lo[kRowTile];
-  alignas(32) std::uint64_t hi[kRowTile];
-  for (std::size_t v = 0; v < kVecs; ++v) {
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lo + v * 4), acc_lo[v]);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(hi + v * 4), acc_hi[v]);
-  }
-  for (std::size_t i = 0; i < kRowTile; ++i) out[i] = WideKey{lo[i], hi[i]};
 }
 
 #endif  // WFBN_AVX2_KERNELS

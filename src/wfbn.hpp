@@ -31,7 +31,6 @@
 #include "table/open_hash_table.hpp"
 #include "table/partitioned_table.hpp"
 #include "table/potential_table.hpp"
-#include "table/wide_key_codec.hpp"
 
 // the paper's primitives + statistics + queries
 #include "core/all_pairs_mi.hpp"

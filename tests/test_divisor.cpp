@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "table/divisor.hpp"
-#include "table/key_traits.hpp"
+#include "table/key_codec.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -102,11 +102,8 @@ TEST(Divisor, DecodeLegMatchesCodecDecodeAtBothWidths) {
     const Key key = narrow.encode(states);
     const WideKey wide_key = wide.encode(states);
     for (std::size_t v = 0; v < states.size(); ++v) {
-      EXPECT_EQ(KeyTraits<Key>::decode_leg(KeyTraits<Key>::leg_of(narrow, v), key),
-                states[v]);
-      EXPECT_EQ(KeyTraits<WideKey>::decode_leg(
-                    KeyTraits<WideKey>::leg_of(wide, v), wide_key),
-                states[v]);
+      EXPECT_EQ(KeyCodec::decode_leg(narrow.leg_of(v), key), states[v]);
+      EXPECT_EQ(WideKeyCodec::decode_leg(wide.leg_of(v), wide_key), states[v]);
     }
   }
 }

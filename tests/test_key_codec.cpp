@@ -1,12 +1,14 @@
 // Unit + property tests for the mixed-radix key codec (paper Eq. 3/4) and
-// the KeyProjector used by the marginalization primitive.
+// the projector used by the marginalization primitive, at both key widths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "table/key_codec.hpp"
-#include "table/wide_key_codec.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -213,6 +215,109 @@ INSTANTIATE_TEST_SUITE_P(
       return "n" + std::to_string(std::get<0>(param_info.param)) + "_r" +
              std::to_string(std::get<1>(param_info.param));
     });
+
+TEST(KeyProjector, RangeAboveTwoToThirtyThrows) {
+  const KeyCodec codec = KeyCodec::uniform(40, 2);
+  std::vector<std::size_t> vars(30);
+  std::iota(vars.begin(), vars.end(), std::size_t{5});
+  EXPECT_EQ(KeyProjector(codec, vars).range_size(), 1ULL << 30);
+  vars.push_back(0);
+  EXPECT_THROW(KeyProjector(codec, vars), PreconditionError);
+}
+
+// The same bound at wide width, over a subset that spans both words.
+TEST(WideKeyProjector, RangeAboveTwoToThirtyThrows) {
+  const WideKeyCodec codec = WideKeyCodec::uniform(100, 2);
+  std::vector<std::size_t> vars(30);
+  std::iota(vars.begin(), vars.end(), std::size_t{50});
+  EXPECT_EQ(WideKeyProjector(codec, vars).range_size(), 1ULL << 30);
+  vars.push_back(99);
+  EXPECT_THROW(WideKeyProjector(codec, vars), PreconditionError);
+}
+
+// Property sweep over shapes that spill into the hi word: projecting a
+// subset with variables in both words equals decoding and re-encoding it.
+class WideKeyProjectorProperty
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint32_t>> {};
+
+TEST_P(WideKeyProjectorProperty, ProjectionAcrossWordsEqualsSubsetReencoding) {
+  const auto [n, r] = GetParam();
+  const WideKeyCodec codec = WideKeyCodec::uniform(n, r);
+  std::vector<std::size_t> lo_vars;
+  std::vector<std::size_t> hi_vars;
+  for (std::size_t j = 0; j < n; ++j) {
+    (codec.word_of(j) == 0 ? lo_vars : hi_vars).push_back(j);
+  }
+  ASSERT_FALSE(hi_vars.empty());
+  Xoshiro256 rng(2000 + n * 10 + r);
+  std::vector<State> states(n);
+  for (int trial = 0; trial < 200; ++trial) {
+    for (std::size_t j = 0; j < n; ++j) {
+      states[j] = static_cast<State>(rng.bounded(r));
+    }
+    const WideKey key = codec.encode(states);
+    // One variable from each word, then up to two more from anywhere, in
+    // random order.
+    std::vector<std::size_t> vars = {lo_vars[rng.bounded(lo_vars.size())],
+                                     hi_vars[rng.bounded(hi_vars.size())]};
+    const std::size_t size = 2 + rng.bounded(3);
+    while (vars.size() < size) {
+      const std::size_t v = static_cast<std::size_t>(rng.bounded(n));
+      if (std::find(vars.begin(), vars.end(), v) == vars.end()) vars.push_back(v);
+    }
+    if (rng.bounded(2) == 1) std::swap(vars[0], vars[1]);
+    const WideKeyProjector projector(codec, vars);
+    std::uint64_t expected = 0;
+    std::uint64_t stride = 1;
+    for (const std::size_t v : vars) {
+      expected += states[v] * stride;
+      stride *= r;
+    }
+    EXPECT_EQ(projector.project(key), expected);
+    EXPECT_EQ(projector.range_size(), stride);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SpillShapes, WideKeyProjectorProperty,
+    ::testing::Values(std::make_tuple(std::size_t{64}, 2u),
+                      std::make_tuple(std::size_t{80}, 2u),
+                      std::make_tuple(std::size_t{50}, 3u)),
+    [](const auto& param_info) {
+      return "n" + std::to_string(std::get<0>(param_info.param)) + "_r" +
+             std::to_string(std::get<1>(param_info.param));
+    });
+
+// Literal pin of the wide codec's first-fit packing: eight r = 200 variables
+// fill the lo word to 200^8, r = 5 spills to hi, r = 3 still fits lo
+// (3 * 200^8 < 2^63) and r = 7 goes hi again. A packing change moves every
+// stored wide key, so it must show here, not only in round trips.
+TEST(WideKeyCodec, FirstFitPackingIsPinned) {
+  std::vector<std::uint32_t> cards(8, 200);
+  cards.insert(cards.end(), {5, 3, 7});
+  const WideKeyCodec codec(cards);
+  const std::vector<unsigned> words = {0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1};
+  const std::vector<std::uint64_t> strides = {
+      1ULL,
+      200ULL,
+      40000ULL,
+      8000000ULL,
+      1600000000ULL,
+      320000000000ULL,
+      64000000000000ULL,
+      12800000000000000ULL,
+      1ULL,
+      2560000000000000000ULL,
+      5ULL};
+  for (std::size_t j = 0; j < cards.size(); ++j) {
+    EXPECT_EQ(codec.word_of(j), words[j]) << "variable " << j;
+    EXPECT_EQ(codec.stride(j), strides[j]) << "variable " << j;
+  }
+  EXPECT_EQ(codec.word_extent(0), 7680000000000000000ULL);
+  EXPECT_EQ(codec.word_extent(1), 35u);
+  const State states[] = {1, 2, 3, 4, 5, 6, 7, 8, 4, 2, 6};
+  EXPECT_EQ(codec.encode(states), (WideKey{5222849928032120401ULL, 34}));
+}
 
 // ---- encode_block dispatch levels (the SIMD hot path).
 //

@@ -8,6 +8,8 @@
 // version that was not durably published.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -133,6 +135,55 @@ TEST(SnapshotPersist, WideRoundTripIsByteIdentical) {
 
 TEST(SnapshotPersist, RoundTripWithoutSectionChecksumsStillValidates) {
   run_round_trip<Key>("nochecksum_rt", false);
+}
+
+// Literal pin of a persisted key record: the round trips above write and
+// read with the same code, so they cannot see a format change. A one-row
+// table serializes to the header, one entry count and one record, which
+// ends the segment: the key's words (lo before hi) and the count, native
+// byte order. The width code is the header's third u32.
+template <typename K>
+std::vector<std::uint8_t> one_record_segment(std::vector<std::uint32_t> cards,
+                                             std::vector<State> row) {
+  Dataset data(1, std::move(cards));
+  std::copy(row.begin(), row.end(), data.row(0).begin());
+  WaitFreeBuilderOptions options;
+  options.threads = 1;
+  const serve::BasicSnapshot<K> snap(BasicWaitFreeBuilder<K>(options).build(data),
+                                     3);
+  return persist::BasicSnapshotWriter<K>::serialize(snap, false);
+}
+
+TEST(SnapshotPersist, KeyRecordBytesArePinnedAtBothWidths) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "pins are written for a little-endian host";
+  }
+  // Narrow: 8 variables of r = 200, key 0x016d6576f1876e51.
+  const std::vector<std::uint8_t> narrow = one_record_segment<Key>(
+      std::vector<std::uint32_t>(8, 200), {1, 2, 3, 4, 5, 6, 7, 8});
+  const std::vector<std::uint8_t> narrow_record = {
+      0x51, 0x6e, 0x87, 0xf1, 0x76, 0x65, 0x6d, 0x01,   // key
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};  // count
+  ASSERT_GE(narrow.size(), 12 + narrow_record.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(narrow.begin() + 8, narrow.begin() + 12),
+            (std::vector<std::uint8_t>{1, 0, 0, 0}));
+  EXPECT_EQ(std::vector<std::uint8_t>(narrow.end() - 16, narrow.end()),
+            narrow_record);
+
+  // Wide: the codec of WideKeyCodec.FirstFitPackingIsPinned, key
+  // (lo 0x487b4a5673876e51, hi 34).
+  std::vector<std::uint32_t> cards(8, 200);
+  cards.insert(cards.end(), {5, 3, 7});
+  const std::vector<std::uint8_t> wide = one_record_segment<WideKey>(
+      cards, {1, 2, 3, 4, 5, 6, 7, 8, 4, 2, 6});
+  const std::vector<std::uint8_t> wide_record = {
+      0x51, 0x6e, 0x87, 0x73, 0x56, 0x4a, 0x7b, 0x48,   // lo
+      0x22, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,   // hi
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};  // count
+  ASSERT_GE(wide.size(), 12 + wide_record.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(wide.begin() + 8, wide.begin() + 12),
+            (std::vector<std::uint8_t>{2, 0, 0, 0}));
+  EXPECT_EQ(std::vector<std::uint8_t>(wide.end() - 24, wide.end()), wide_record);
 }
 
 TEST(SnapshotPersist, NewestValidSegmentWinsOverStaleManifest) {

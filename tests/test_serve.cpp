@@ -50,7 +50,6 @@ using serve::CacheStats;
 using serve::IngestStats;
 using serve::QueryKind;
 using serve::ServeEngine;
-using serve::ServeOptions;
 using serve::ServeQuery;
 using serve::ServeResult;
 using serve::SnapshotPtr;
@@ -849,11 +848,13 @@ std::vector<double> serve_query(serve::BasicServeEngine<K>& engine,
   return result.values;
 }
 
-/// Serves every query from the engine's current snapshot (version `version`)
+/// Serves every query from the store's current snapshot (version `version`)
 /// and compares it with the raw rows of that version, at the detected SIMD
-/// level and at the scalar level. Returns the mismatches.
+/// level and at the scalar level. Each level gets a fresh engine, so the
+/// scalar pass counts every query instead of reading the first pass's
+/// cached answers. Returns the mismatches.
 template <typename K>
-std::uint64_t check_every_answer(serve::BasicServeEngine<K>& engine,
+std::uint64_t check_every_answer(serve::BasicTableStore<K>& store,
                                  const std::vector<OracleQuery>& queries,
                                  std::uint64_t version, const Dataset& base,
                                  const std::vector<Dataset>& batches) {
@@ -862,6 +863,7 @@ std::uint64_t check_every_answer(serve::BasicServeEngine<K>& engine,
   for (const bool scalar : {false, true}) {
     std::optional<simd::ScopedForceLevel> force;
     if (scalar) force.emplace(simd::Level::kScalar);
+    serve::BasicServeEngine<K> engine(store);
     for (const OracleQuery& q : queries) {
       std::uint64_t served_version = 0;
       const std::vector<double> served = serve_query(engine, q, served_version);
@@ -897,17 +899,7 @@ class ServedAnswerOracle : public ::testing::Test {
     return options;
   }
 
-  /// The cache would hand back the first pass's answers to the second, so
-  /// the oracle's engines count every query.
-  static ServeOptions uncached() {
-    ServeOptions options;
-    options.cache_enabled = false;
-    return options;
-  }
-
-  static std::string width() {
-    return std::is_same_v<K, Key> ? "narrow" : "wide";
-  }
+  static std::string width() { return KeyTraits<K>::kWidthName; }
 };
 
 using OracleWidths = ::testing::Types<Key, WideKey>;
@@ -934,13 +926,12 @@ TYPED_TEST(ServedAnswerOracle, EveryVersionMatchesRawRows) {
   {
     typename TestFixture::Durable store(dir, TestFixture::build_table(base),
                                         TestFixture::durable_options());
-    typename TestFixture::Engine engine(store.store(), TestFixture::uncached());
     const auto& initial = store.current()->index().layers();
     ASSERT_NE(initial.main, nullptr);
     EXPECT_EQ(initial.delta_keys, 0u);
     EXPECT_FALSE(initial.main->heavy().empty());
     EXPECT_GT(initial.main->light_count(), 0u);
-    EXPECT_EQ(check_every_answer(engine, queries, 1, base, batches), 0u);
+    EXPECT_EQ(check_every_answer(store.store(), queries, 1, base, batches), 0u);
     for (std::size_t b = 0; b < 5; ++b) {
       const IngestStats stats = store.ingest(batches[b]);
       const auto& layers = store.current()->index().layers();
@@ -948,8 +939,8 @@ TYPED_TEST(ServedAnswerOracle, EveryVersionMatchesRawRows) {
       saw_partial_delta = saw_partial_delta || layers.delta_keys > 0;
       saw_rebuilt_main = saw_rebuilt_main || stats.index_rebuilt;
       EXPECT_EQ(stats.index_rebuilt, layers.delta_keys == 0);
-      EXPECT_EQ(check_every_answer(engine, queries, stats.published_version, base,
-                                   batches),
+      EXPECT_EQ(check_every_answer(store.store(), queries,
+                                   stats.published_version, base, batches),
                 0u);
     }
     EXPECT_GT(store.store().index_rebuilds(), 0u);
@@ -964,13 +955,12 @@ TYPED_TEST(ServedAnswerOracle, EveryVersionMatchesRawRows) {
       TestFixture::Durable::open(dir, TestFixture::durable_options());
   ASSERT_NE(reopened, nullptr);
   ASSERT_EQ(reopened->version(), 6u);
-  typename TestFixture::Engine engine(reopened->store(), TestFixture::uncached());
   ASSERT_NE(reopened->current()->index().layers().main, nullptr);
-  EXPECT_EQ(check_every_answer(engine, queries, 6, base, batches), 0u);
+  EXPECT_EQ(check_every_answer(reopened->store(), queries, 6, base, batches), 0u);
   for (std::size_t b = 5; b < batches.size(); ++b) {
     const IngestStats stats = reopened->ingest(batches[b]);
-    EXPECT_EQ(check_every_answer(engine, queries, stats.published_version, base,
-                                 batches),
+    EXPECT_EQ(check_every_answer(reopened->store(), queries,
+                                 stats.published_version, base, batches),
               0u);
   }
 }
@@ -985,14 +975,13 @@ TYPED_TEST(ServedAnswerOracle, OverBudgetTableSweepsEveryQuery) {
   typename TestFixture::Durable store(
       recovery_dir("oracle_budget_" + this->width()),
       TestFixture::build_table(base), TestFixture::durable_options());
-  typename TestFixture::Engine engine(store.store(), TestFixture::uncached());
   EXPECT_EQ(store.current()->index().layers().main, nullptr);
-  EXPECT_EQ(check_every_answer(engine, queries, 1, base, batches), 0u);
+  EXPECT_EQ(check_every_answer(store.store(), queries, 1, base, batches), 0u);
   const IngestStats stats = store.ingest(batches[0]);
   EXPECT_FALSE(stats.index_rebuilt);
   EXPECT_EQ(store.current()->index().layers().main, nullptr);
   EXPECT_TRUE(store.current()->index().layers().delta.empty());
-  EXPECT_EQ(check_every_answer(engine, queries, 2, base, batches), 0u);
+  EXPECT_EQ(check_every_answer(store.store(), queries, 2, base, batches), 0u);
 }
 
 // Readers query while the ingest thread publishes, extending the delta and

@@ -305,7 +305,7 @@ template <typename K>
 CountMap brute_force_counts(std::initializer_list<const Dataset*> datasets) {
   CountMap counts;
   for (const Dataset* data : datasets) {
-    const auto codec = KeyTraits<K>::make_codec(data->cardinalities());
+    const BasicKeyCodec<K> codec(data->cardinalities());
     for (std::size_t i = 0; i < data->sample_count(); ++i) {
       ++counts[words_of<K>(codec.encode(data->row(i)))];
     }

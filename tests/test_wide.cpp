@@ -100,7 +100,7 @@ TEST(WideBuilder, MatchesNarrowBuilderWhereBothApply) {
   EXPECT_EQ(wide.total_count(), narrow.partitions().total_count());
   // Spot-check marginals agree exactly.
   const std::size_t vars[] = {0, 7};
-  const MarginalTable wide_marg = wide_marginalize(wide, vars, 4);
+  const MarginalTable wide_marg = WideMarginalizer(4).marginalize(wide, vars);
   const MarginalTable narrow_marg = testing_support::raw_marginal(data, {0, 7});
   for (std::uint64_t cell = 0; cell < wide_marg.cell_count(); ++cell) {
     EXPECT_EQ(wide_marg.count_at(cell), narrow_marg.count_at(cell));
@@ -119,7 +119,7 @@ TEST(WideBuilder, HandlesHundredVariableNetworks) {
   // Marginals across the word boundary (variables 62 and 63 live in
   // different words).
   const std::size_t boundary[] = {62, 63};
-  const MarginalTable joint = wide_marginalize(table, boundary, 4);
+  const MarginalTable joint = WideMarginalizer(4).marginalize(table, boundary);
   EXPECT_EQ(joint.total(), 20000u);
   // Chain correlation: strong dependence between adjacent variables.
   EXPECT_GT(mutual_information(joint), 0.1);
