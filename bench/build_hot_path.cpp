@@ -1,9 +1,6 @@
 // Hot-path bench of the two-stage construction kernel: wall clock and
-// critical path of WaitFreeBuilder::build over the settings that exist —
-// the encode dispatch level (--simd: scalar forces the scalar reference
-// kernels with simd::ScopedForceLevel, auto runs whatever the host
-// resolves) and the workload — at P = --threads workers. Two kinds of
-// workload:
+// critical path of WaitFreeBuilder::build, one leg per workload, at
+// P = --threads workers. Two kinds of workload:
 //
 //   uniform  --samples rows of --variables variables at each --cardinality
 //            r (a sweep list); at the default n=30 these do not compress, so
@@ -18,27 +15,19 @@
 // code involved); the bench exits non-zero on any divergence, so a faster
 // build of a different table can never be reported.
 //
-// Reported per configuration over --reps repetitions: the median, min and
-// max of the wall clock, of the critical path max_p(stage1_p) +
-// max_p(stage2_p) and of its two terms, rows/s at the median critical path,
-// the effective SIMD level, the share of rows absorbed by stage-1 combiner
-// hits, and the ratio of the scalar leg's median critical path to this
-// one's. Repetitions run
-// round-robin over the configurations, so drift of a shared host spreads
-// over all of them alike. The JSON is stamped with the host block (nproc,
-// CPU model, SIMD level, THP mode); path via --json-out, empty string
-// disables the file.
+// Reported per workload over --reps repetitions: the median, min and max of
+// the wall clock, of the critical path max_p(stage1_p) + max_p(stage2_p) and
+// of its two terms, rows/s at the median critical path, and the share of
+// rows absorbed by stage-1 combiner hits. The JSON is stamped with the host
+// block (nproc, CPU model, SIMD level, THP mode); path via --json-out, empty
+// string disables the file.
 //
 //   ./build_hot_path --samples 2000000 --variables 30 --threads 4
-//       --cardinality 2,4 --sachs-samples 10000000 --simd scalar,auto
-//       --reps 9
+//       --cardinality 2,4 --sachs-samples 10000000 --reps 9
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "../pipeline_e2e/bench_schema.hpp"
 #include "bn/repository.hpp"
@@ -46,7 +35,6 @@
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
 #include "util/cli.hpp"
-#include "util/simd.hpp"
 #include "util/table_printer.hpp"
 
 namespace {
@@ -78,9 +66,7 @@ bool matches(const PotentialTable& table, const Counts& reference) {
   return all_match;
 }
 
-struct Config {
-  bool scalar = false;  ///< force the scalar reference kernels
-  simd::Level level = simd::Level::kScalar;  ///< effective, from BuildStats
+struct Leg {
   Samples wall;
   Samples critical;
   Samples stage1;  ///< max_p(stage1_p)
@@ -89,31 +75,28 @@ struct Config {
   bool correct = true;
 };
 
-/// One checked build; appends its timings to `config` unless `warm_up`.
+/// One checked build; appends its timings to `leg` unless `warm_up`.
 void run_once(const Dataset& data, std::size_t threads, const Counts& reference,
-              Config& config, bool warm_up) {
-  std::optional<simd::ScopedForceLevel> force;
-  if (config.scalar) force.emplace(simd::Level::kScalar);
+              Leg& leg, bool warm_up) {
   WaitFreeBuilderOptions options;
   options.threads = threads;
   WaitFreeBuilder builder(options);
   const PotentialTable table = builder.build(data);
-  config.correct = config.correct && matches(table, reference);
-  config.level = builder.stats().simd_level;
-  config.combined_share =
+  leg.correct = leg.correct && matches(table, reference);
+  leg.combined_share =
       static_cast<double>(builder.stats().total_combined_rows()) /
       static_cast<double>(data.sample_count());
   if (warm_up) return;
-  config.wall.add(builder.stats().total_seconds);
-  config.critical.add(builder.stats().critical_path_seconds());
+  leg.wall.add(builder.stats().total_seconds);
+  leg.critical.add(builder.stats().critical_path_seconds());
   double stage1 = 0.0;
   double stage2 = 0.0;
   for (const WorkerStats& w : builder.stats().workers) {
     stage1 = std::max(stage1, w.stage1_seconds);
     stage2 = std::max(stage2, w.stage2_seconds);
   }
-  config.stage1.add(stage1);
-  config.stage2.add(stage2);
+  leg.stage1.add(stage1);
+  leg.stage2.add(stage2);
 }
 
 void spread(JsonWriter& json, const std::string& name, const Samples& s) {
@@ -131,98 +114,55 @@ std::string range_ms(const Samples& s) {
          TablePrinter::fmt(s.quantile(1.0) * 1e3, 1) + "]";
 }
 
-std::vector<bool> parse_simd_list(const std::string& text) {
-  std::vector<bool> scalar;
-  std::size_t at = 0;
-  while (at <= text.size()) {
-    const std::size_t comma = std::min(text.find(',', at), text.size());
-    const std::string token = text.substr(at, comma - at);
-    if (token != "scalar" && token != "auto") {
-      std::printf("unknown --simd value '%s' (want scalar|auto)\n",
-                  token.c_str());
-      std::exit(1);
-    }
-    scalar.push_back(token == "scalar");
-    at = comma + 1;
-  }
-  return scalar;
-}
-
-/// Times every simd configuration on `data` and appends one sweep object
-/// (`label` fields first) to the JSON. Returns false if any build diverged
-/// from the brute-force counts.
+/// Times the build of `data` (one warm-up, then `reps` builds) and appends
+/// one sweep object (`label` fields first) to the JSON. Returns false if any
+/// build diverged from the brute-force counts.
 template <typename Label>
 bool run_sweep(const Dataset& data, std::size_t threads, std::size_t reps,
-               const std::vector<bool>& simd_legs, const std::string& title,
-               Label&& label, JsonWriter& json) {
+               const std::string& title, Label&& label, JsonWriter& json) {
   const Counts reference = brute_force_counts(data);
-  std::vector<Config> configs;
-  for (const bool scalar : simd_legs) {
-    Config config;
-    config.scalar = scalar;
-    configs.push_back(std::move(config));
-  }
-  for (Config& config : configs) run_once(data, threads, reference, config, true);
+  Leg leg;
+  run_once(data, threads, reference, leg, true);
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    for (Config& config : configs) {
-      run_once(data, threads, reference, config, false);
-    }
+    run_once(data, threads, reference, leg, false);
   }
 
-  TablePrinter table({"simd", "level", "wall ms [min-max]",
-                      "critical ms [min-max]", "stage1 ms", "stage2 ms",
-                      "rows/s", "combined", "vs scalar", "brute-force"});
+  const double critical = leg.critical.median();
+  const double rows_per_sec =
+      critical > 0.0 ? static_cast<double>(data.sample_count()) / critical
+                     : 0.0;
+  TablePrinter table({"wall ms [min-max]", "critical ms [min-max]",
+                      "stage1 ms", "stage2 ms", "rows/s", "combined",
+                      "brute-force"});
+  table.add_row({range_ms(leg.wall), range_ms(leg.critical),
+                 range_ms(leg.stage1), range_ms(leg.stage2),
+                 TablePrinter::fmt(rows_per_sec, 0),
+                 TablePrinter::fmt(leg.combined_share, 3),
+                 leg.correct ? "match" : "DIVERGED"});
+  table.print("build_hot_path — " + title + " (P=" + std::to_string(threads) +
+              ", " + std::to_string(reps) + " reps)");
+
   json.begin_object();
   label(json);
   json.integer("samples", data.sample_count());
   json.integer("distinct_keys", reference.size());
-  json.begin_array("results");
-  bool all_correct = true;
-  for (const Config& config : configs) {
-    const double critical = config.critical.median();
-    const double rows_per_sec =
-        critical > 0.0 ? static_cast<double>(data.sample_count()) / critical
-                       : 0.0;
-    std::optional<double> vs_scalar;
-    for (const Config& other : configs) {
-      if (other.scalar && critical > 0.0) {
-        vs_scalar = other.critical.median() / critical;
-      }
-    }
-    table.add_row({config.scalar ? "scalar" : "auto",
-                   simd::level_name(config.level), range_ms(config.wall),
-                   range_ms(config.critical), range_ms(config.stage1),
-                   range_ms(config.stage2), TablePrinter::fmt(rows_per_sec, 0),
-                   TablePrinter::fmt(config.combined_share, 3),
-                   vs_scalar ? TablePrinter::fmt(*vs_scalar, 2) : "-",
-                   config.correct ? "match" : "DIVERGED"});
-    json.begin_object();
-    json.string("simd", config.scalar ? "scalar" : "auto");
-    json.string("simd_level", simd::level_name(config.level));
-    spread(json, "wall_seconds", config.wall);
-    spread(json, "critical_path_seconds", config.critical);
-    spread(json, "stage1_seconds", config.stage1);
-    spread(json, "stage2_seconds", config.stage2);
-    json.measured("rows_per_sec", rows_per_sec);
-    json.number("combined_share", config.combined_share);
-    if (vs_scalar) json.measured("speedup_vs_scalar", *vs_scalar);
-    json.boolean("matches_brute_force", config.correct);
-    json.end_object();
-    all_correct = all_correct && config.correct;
-  }
-  json.end_array();
+  spread(json, "wall_seconds", leg.wall);
+  spread(json, "critical_path_seconds", leg.critical);
+  spread(json, "stage1_seconds", leg.stage1);
+  spread(json, "stage2_seconds", leg.stage2);
+  json.measured("rows_per_sec", rows_per_sec);
+  json.number("combined_share", leg.combined_share);
+  json.boolean("matches_brute_force", leg.correct);
   json.end_object();
-  table.print("build_hot_path — " + title + " (P=" + std::to_string(threads) +
-              ", " + std::to_string(reps) + " reps)");
-  return all_correct;
+  return leg.correct;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli(
-      "build_hot_path — encode level x workload sweep of the two-stage "
-      "construction kernel");
+      "build_hot_path — workload sweep of the two-stage construction "
+      "kernel");
   cli.add_option("samples", "2000000", "Training rows m");
   cli.add_option("variables", "30", "Variables n");
   cli.add_option("cardinality", "2,4",
@@ -230,9 +170,7 @@ int main(int argc, char** argv) {
   cli.add_option("sachs-samples", "10000000",
                  "Rows of the compressing SACHS leg (0 skips it)");
   cli.add_option("threads", "4", "Workers (= partitions) P");
-  cli.add_option("simd", "scalar,auto",
-                 "Encode levels to sweep: scalar (forced) and/or auto");
-  cli.add_option("reps", "5", "Timed repetitions per configuration");
+  cli.add_option("reps", "5", "Timed repetitions per workload");
   cli.add_option("seed", "42", "Workload seed");
   cli.add_option("json-out", "BENCH_build_hot_path.json",
                  "JSON datapoint path (empty disables the file)");
@@ -246,7 +184,6 @@ int main(int argc, char** argv) {
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const std::string json_out = cli.get("json-out");
-  const std::vector<bool> simd_legs = parse_simd_list(cli.get("simd"));
 
   const HostInfo host = HostInfo::probe();
   std::printf("host: %u cores, %s, simd=%s, thp=%s\n", host.nproc,
@@ -275,7 +212,7 @@ int main(int argc, char** argv) {
     const Dataset data = generate_uniform(
         samples, variables, static_cast<std::uint32_t>(r), seed);
     all_correct &= run_sweep(
-        data, threads, reps, simd_legs, "uniform r=" + std::to_string(r),
+        data, threads, reps, "uniform r=" + std::to_string(r),
         [&](JsonWriter& j) {
           j.string("workload", "uniform");
           j.integer("cardinality", static_cast<std::uint64_t>(r));
@@ -288,7 +225,7 @@ int main(int argc, char** argv) {
         load_network(RepositoryNetwork::kSachs, 42), sachs_samples, seed,
         threads);
     all_correct &= run_sweep(
-        data, threads, reps, simd_legs, "SACHS",
+        data, threads, reps, "SACHS",
         [](JsonWriter& j) { j.string("workload", "sachs"); }, json);
   }
   json.end_array();

@@ -1,25 +1,31 @@
 // Snapshot save/load throughput for the durability layer.
 //
 // For each (width, checksums on/off) configuration: serialize + atomically
-// write a published snapshot `repeat` times (save MB/s), then parse + fully
-// validate it back `repeat` times (load MB/s). The segment byte size is the
-// numerator on both sides, so the two rates are directly comparable and the
-// checksum on/off delta isolates the FNV-1a cost from the IO cost.
+// write a published snapshot --repeat times (save MB/s), then parse + fully
+// validate it back --repeat times (load MB/s), each rep timed on its own.
+// The segment byte size is the numerator on both sides, so the two rates are
+// directly comparable and the checksum on/off delta isolates the FNV-1a cost
+// from the IO cost. Each rate is reported as the median, min and max over
+// the reps.
 //
 // The sweep runs at both key widths from the same binary — narrow entries
 // are 16 bytes on disk, wide entries 24 — so the trajectory tracks the
 // wide-key serialization overhead alongside the narrow baseline.
 //
-// Machine-readable output: a BENCH_persist.json datapoint (path configurable
-// with --json-out, empty string disables), plus the same JSON on stdout.
+// Every load is checked against the snapshot it was saved from (sample
+// count), and the bench exits non-zero on a mismatch. Machine-readable
+// output: a BENCH_persist.json datapoint stamped with the host block
+// (nproc, CPU model, SIMD level, THP mode; path configurable with
+// --json-out, empty string disables), plus the same JSON on stdout.
 //
-//   ./persist_throughput --samples 200000 --repeat 5
+//   ./persist_throughput --samples 200000 --repeat 9
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "../pipeline_e2e/bench_schema.hpp"
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
 #include "serve/persist/format.hpp"
@@ -41,22 +47,8 @@ struct ConfigResult {
   std::size_t variables = 0;
   std::uint64_t distinct_keys = 0;
   std::size_t segment_bytes = 0;
-  double save_seconds = 0.0;  ///< serialize + atomic write + fsync, summed
-  double load_seconds = 0.0;  ///< read + parse + full validation, summed
-  int repeat = 1;
-
-  [[nodiscard]] double save_mb_per_sec() const {
-    return save_seconds == 0.0
-               ? 0.0
-               : static_cast<double>(segment_bytes) *
-                     static_cast<double>(repeat) / save_seconds / 1e6;
-  }
-  [[nodiscard]] double load_mb_per_sec() const {
-    return load_seconds == 0.0
-               ? 0.0
-               : static_cast<double>(segment_bytes) *
-                     static_cast<double>(repeat) / load_seconds / 1e6;
-  }
+  bench::Samples save_mb_per_sec;  ///< serialize + atomic write + fsync
+  bench::Samples load_mb_per_sec;  ///< read + parse + full validation
 };
 
 struct SweepConfig {
@@ -93,32 +85,46 @@ void run_sweep(const SweepConfig& config, std::vector<ConfigResult>& results) {
     cr.checksums = checksums;
     cr.variables = config.variables;
     cr.distinct_keys = snap.table().distinct_keys();
-    cr.repeat = config.repeat;
 
     writer.write(snap);  // warm-up write; also sizes the segment
     cr.segment_bytes = static_cast<std::size_t>(
         std::filesystem::file_size(dir / persist::segment_name(1)));
+    const double megabytes = static_cast<double>(cr.segment_bytes) / 1e6;
 
-    {
+    for (int i = 0; i < config.repeat; ++i) {
       Timer timer;
-      for (int i = 0; i < config.repeat; ++i) writer.write(snap);
-      cr.save_seconds = timer.seconds();
+      writer.write(snap);
+      cr.save_mb_per_sec.add(megabytes / timer.seconds());
     }
-    {
+    for (int i = 0; i < config.repeat; ++i) {
       Timer timer;
-      for (int i = 0; i < config.repeat; ++i) {
-        const auto loaded =
-            persist::read_segment<K>(dir / persist::segment_name(1));
-        if (loaded.table.sample_count() != snap.table().sample_count()) {
-          std::fprintf(stderr, "load verification failed\n");
-          std::exit(1);
-        }
+      const auto loaded =
+          persist::read_segment<K>(dir / persist::segment_name(1));
+      cr.load_mb_per_sec.add(megabytes / timer.seconds());
+      if (loaded.table.sample_count() != snap.table().sample_count()) {
+        std::fprintf(stderr, "load verification failed\n");
+        std::exit(1);
       }
-      cr.load_seconds = timer.seconds();
     }
     results.push_back(cr);
     std::filesystem::remove_all(dir);
   }
+}
+
+void spread(bench::JsonWriter& json, const std::string& name,
+            const bench::Samples& s) {
+  json.begin_object("measured_" + name);
+  json.number("median", s.median());
+  json.number("min", s.quantile(0.0));
+  json.number("max", s.quantile(1.0));
+  json.integer("n", s.n());
+  json.end_object();
+}
+
+std::string range(const bench::Samples& s) {
+  return TablePrinter::fmt(s.median(), 1) + " [" +
+         TablePrinter::fmt(s.quantile(0.0), 1) + "-" +
+         TablePrinter::fmt(s.quantile(1.0), 1) + "]";
 }
 
 }  // namespace
@@ -130,7 +136,7 @@ int main(int argc, char** argv) {
   cli.add_option("wide-variables", "100",
                  "Binary variables for the wide-key sweep (0 disables it)");
   cli.add_option("threads", "4", "Builder threads (= table partitions)");
-  cli.add_option("repeat", "5", "Timed save/load iterations per config");
+  cli.add_option("repeat", "5", "Timed save/load reps per config");
   cli.add_option("fsync", "1", "fsync on every atomic write (0 disables)");
   cli.add_option("seed", "42", "Workload seed");
   cli.add_option("dir", "", "Scratch directory (default: a temp dir)");
@@ -163,49 +169,52 @@ int main(int argc, char** argv) {
   }
 
   TablePrinter table({"width", "checksums", "vars", "keys", "segment MB",
-                      "save MB/s", "load MB/s"});
+                      "save MB/s [min-max]", "load MB/s [min-max]"});
   for (const ConfigResult& cr : results) {
     table.add_row({cr.width, cr.checksums ? "on" : "off",
                    std::to_string(cr.variables),
                    std::to_string(cr.distinct_keys),
                    TablePrinter::fmt(
                        static_cast<double>(cr.segment_bytes) / 1e6, 2),
-                   TablePrinter::fmt(cr.save_mb_per_sec(), 1),
-                   TablePrinter::fmt(cr.load_mb_per_sec(), 1)});
+                   range(cr.save_mb_per_sec), range(cr.load_mb_per_sec)});
   }
-  table.print("persist_throughput — snapshot save/load");
+  table.print("persist_throughput — snapshot save/load (" +
+              std::to_string(config.repeat) + " reps)");
 
-  std::string json = "{\n  \"bench\": \"persist_throughput\",\n";
-  json += "  \"host_cores\": " +
-          std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  json += "  \"config\": {\"samples\": " + std::to_string(config.samples) +
-          ", \"variables\": " + std::to_string(config.variables) +
-          ", \"wide_variables\": " + std::to_string(wide_n) +
-          ", \"partitions\": " + std::to_string(config.threads) +
-          ", \"repeat\": " + std::to_string(config.repeat) +
-          ", \"fsync\": " + (config.fsync ? "true" : "false") +
-          ", \"seed\": " + std::to_string(config.seed) + "},\n";
-  json += "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ConfigResult& cr = results[i];
-    char row[320];
-    std::snprintf(row, sizeof row,
-                  "    {\"width\": \"%s\", \"checksums\": %s, "
-                  "\"variables\": %zu, \"distinct_keys\": %llu, "
-                  "\"segment_bytes\": %zu, \"save_mb_per_sec\": %.1f, "
-                  "\"load_mb_per_sec\": %.1f}%s\n",
-                  cr.width, cr.checksums ? "true" : "false", cr.variables,
-                  static_cast<unsigned long long>(cr.distinct_keys),
-                  cr.segment_bytes, cr.save_mb_per_sec(), cr.load_mb_per_sec(),
-                  i + 1 == results.size() ? "" : ",");
-    json += row;
+  const bench::HostInfo host = bench::HostInfo::probe();
+  bench::JsonWriter json;
+  json.begin_object();
+  json.string("bench", "persist_throughput");
+  json.host(host);
+  json.integer("host_cores", host.nproc);
+  json.begin_object("config");
+  json.integer("samples", config.samples);
+  json.integer("variables", config.variables);
+  json.integer("wide_variables", wide_n);
+  json.integer("partitions", config.threads);
+  json.integer("repeat", static_cast<std::uint64_t>(config.repeat));
+  json.boolean("fsync", config.fsync);
+  json.integer("seed", config.seed);
+  json.end_object();
+  json.begin_array("results");
+  for (const ConfigResult& cr : results) {
+    json.begin_object();
+    json.string("width", cr.width);
+    json.boolean("checksums", cr.checksums);
+    json.integer("variables", cr.variables);
+    json.integer("distinct_keys", cr.distinct_keys);
+    json.integer("segment_bytes", cr.segment_bytes);
+    spread(json, "save_mb_per_sec", cr.save_mb_per_sec);
+    spread(json, "load_mb_per_sec", cr.load_mb_per_sec);
+    json.end_object();
   }
-  json += "  ]\n}\n";
+  json.end_array();
+  json.end_object();
 
-  std::printf("\n-- JSON --\n%s", json.c_str());
+  std::printf("\n-- JSON --\n%s\n", json.str().c_str());
   if (!json_out.empty()) {
     if (std::FILE* f = std::fopen(json_out.c_str(), "w")) {
-      std::fputs(json.c_str(), f);
+      std::fprintf(f, "%s\n", json.str().c_str());
       std::fclose(f);
       std::printf("wrote %s\n", json_out.c_str());
     } else {

@@ -5,7 +5,6 @@
 
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
-#include "util/simd.hpp"
 #include "util/timer.hpp"
 
 namespace wfbn {
@@ -165,7 +164,6 @@ MiMatrix BasicAllPairsMi<K>::compute_fused(const Planes& planes,
   std::copy(planes.worker_entries().begin(), planes.worker_entries().end(),
             stats_.worker_entries_visited.begin());
   const auto pairs = enumerate_pairs(n);
-  const simd::Level level = simd::detected();
 
   // Pass 2, heavy entries: the per-entry update of every pair table, the
   // heavy list block-distributed over the workers. Each worker's pair tables
@@ -222,7 +220,7 @@ MiMatrix BasicAllPairsMi<K>::compute_fused(const Planes& planes,
       const std::uint32_t r_j = codec.cardinality(j);
       cells.resize(static_cast<std::size_t>(r_i) * r_j);
       const std::size_t pair_vars[] = {i, j};
-      planes.count_light_cells(pair_vars, cells, level);
+      planes.count_light_cells(pair_vars, cells);
       for (const std::vector<std::uint64_t>& counts : heavy) {
         if (counts.empty()) continue;
         for (std::size_t c = 0; c < cells.size(); ++c) {

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/error.hpp"
-#include "util/simd.hpp"
 
 namespace wfbn {
 
@@ -104,7 +103,7 @@ MarginalTable BasicCountingIndex<K>::count(
     return sweep(variables, evidence);
   }
 
-  MarginalTable counts = layers_.main->marginalize(joint, simd::detected());
+  MarginalTable counts = layers_.main->marginalize(joint);
   if (!layers_.delta.empty()) {
     const BasicKeyProjector<K> projector(codec, joint);
     for (const std::shared_ptr<const Chunk>& chunk : layers_.delta) {

@@ -7,6 +7,7 @@
 #include "table/simd_kernels.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
+#include "util/simd.hpp"
 #include "util/timer.hpp"
 
 namespace wfbn {
@@ -134,8 +135,8 @@ BasicEntryPlanes<K>::BasicEntryPlanes(const Table& table, ThreadPool& pool)
 
 template <typename K>
 void BasicEntryPlanes<K>::count_light_cells(
-    std::span<const std::size_t> variables, std::span<std::uint64_t> cells,
-    simd::Level level) const {
+    std::span<const std::size_t> variables,
+    std::span<std::uint64_t> cells) const {
   const std::size_t k = variables.size();
   WFBN_EXPECT(k >= 1, "a marginal needs at least one variable");
   struct Axis {
@@ -160,6 +161,7 @@ void BasicEntryPlanes<K>::count_light_cells(
   // `n` is their number. A zero count prunes the subtree: every cell below
   // it is 0. An axis below the last needs its AND for its children, so it
   // stores it; the last axis only counts.
+  const simd::Level level = simd::detected();
   thread_local std::vector<std::uint64_t> scratch;
   if (k > 2 && scratch.size() < (k - 2) * words_) scratch.resize((k - 2) * words_);
   std::uint64_t* const buffers = scratch.data();
@@ -213,7 +215,7 @@ void BasicEntryPlanes<K>::count_light_cells(
 
 template <typename K>
 typename BasicEntryPlanes<K>::Cost BasicEntryPlanes<K>::cost(
-    std::span<const std::size_t> variables, simd::Level level) const {
+    std::span<const std::size_t> variables) const {
   // The lattice visits the partial assignments whose fixed states all have
   // light entries: Π(1 + live_v) of them, where live_v counts the states
   // a >= 1 of v with a nonzero plane total. The empty one and the
@@ -234,9 +236,9 @@ typename BasicEntryPlanes<K>::Cost BasicEntryPlanes<K>::cost(
   }
   const double heavy = static_cast<double>(heavy_.size()) *
                        static_cast<double>(variables.size()) * kHeavyLegNs;
-  const double lattice = (nodes - 1.0 - single) * static_cast<double>(words_) *
-                             kLatticeWordNs[static_cast<int>(level)] +
-                         heavy;
+  const double word_ns = kLatticeWordNs[static_cast<int>(simd::detected())];
+  const double lattice =
+      (nodes - 1.0 - single) * static_cast<double>(words_) * word_ns + heavy;
   const double scatter = static_cast<double>(light_count_) * kScatterEntryNs +
                          bits * kScatterBitNs + heavy;
   return lattice <= scatter ? Cost{lattice, true} : Cost{scatter, false};
@@ -244,17 +246,17 @@ typename BasicEntryPlanes<K>::Cost BasicEntryPlanes<K>::cost(
 
 template <typename K>
 MarginalTable BasicEntryPlanes<K>::marginalize(
-    std::span<const std::size_t> variables, simd::Level level) const {
-  return cost(variables, level).lattice ? marginalize_lattice(variables, level)
-                                        : marginalize_scatter(variables);
+    std::span<const std::size_t> variables) const {
+  return cost(variables).lattice ? marginalize_lattice(variables)
+                                 : marginalize_scatter(variables);
 }
 
 template <typename K>
 MarginalTable BasicEntryPlanes<K>::marginalize_lattice(
-    std::span<const std::size_t> variables, simd::Level level) const {
+    std::span<const std::size_t> variables) const {
   const BasicKeyProjector<K> projector(codec_, variables);
   std::vector<std::uint64_t> cells(projector.range_size());
-  count_light_cells(variables, cells, level);
+  count_light_cells(variables, cells);
   MarginalTable out(projector.variables(), projector.cardinalities(),
                     std::move(cells));
   add_heavy(projector, out);

@@ -54,7 +54,6 @@
 #include "concurrent/thread_pool.hpp"
 #include "table/marginal_table.hpp"
 #include "table/potential_table.hpp"
-#include "util/simd.hpp"
 
 namespace wfbn {
 
@@ -119,22 +118,22 @@ class BasicEntryPlanes {
   }
 
   /// The cost rule: estimated nanoseconds of counting `variables` by the
-  /// lattice and by the scatter at `level`, and which of the two is cheaper.
-  [[nodiscard]] Cost cost(std::span<const std::size_t> variables,
-                          simd::Level level) const;
+  /// lattice at the detected SIMD level and by the scatter, and which of the
+  /// two is cheaper.
+  [[nodiscard]] Cost cost(std::span<const std::size_t> variables) const;
 
   /// Exact marginal counts of `variables` (their order is the layout, as for
   /// KeyProjector) by the routine cost() picks; equal to sweeping the table.
-  [[nodiscard]] MarginalTable marginalize(std::span<const std::size_t> variables,
-                                          simd::Level level) const;
+  [[nodiscard]] MarginalTable marginalize(
+      std::span<const std::size_t> variables) const;
 
   /// Exact marginal counts of `variables` (their order is the layout, as for
   /// KeyProjector; a variable may appear once) by the AND-popcount lattice
-  /// at dispatch level `level`; equal to sweeping the table. Runs on the
-  /// calling thread, with at most (|S| − 2)·words() words of thread-local
-  /// scratch.
+  /// at the level simd::detected() returns; equal to sweeping the table.
+  /// Runs on the calling thread, with at most (|S| − 2)·words() words of
+  /// thread-local scratch.
   [[nodiscard]] MarginalTable marginalize_lattice(
-      std::span<const std::size_t> variables, simd::Level level) const;
+      std::span<const std::size_t> variables) const;
 
   /// The same counts by the set-bit scatter.
   [[nodiscard]] MarginalTable marginalize_scatter(
@@ -144,8 +143,7 @@ class BasicEntryPlanes {
   /// every cell (first variable fastest) into `cells`, which must hold
   /// Π r_v words.
   void count_light_cells(std::span<const std::size_t> variables,
-                         std::span<std::uint64_t> cells,
-                         simd::Level level) const;
+                         std::span<std::uint64_t> cells) const;
 
   /// Per build worker: busy seconds and table entries visited.
   [[nodiscard]] const std::vector<double>& worker_seconds() const noexcept {

@@ -23,9 +23,9 @@ namespace {
 // fast path" and "Stage-1 pre-aggregation", has the numbers). The stage-2
 // probe group is OpenHashTable's kProbeGroup.
 
-/// Rows encoded per stage-1 strip before any routing, so the codec's
-/// mixed-radix multiply chains pipeline instead of alternating with table
-/// and queue traffic. One AVX2 encode tile.
+/// Rows encoded per stage-1 strip (one BasicKeyCodec::encode_block call)
+/// before any routing, so the codec's mixed-radix multiply chains pipeline
+/// instead of alternating with table and queue traffic.
 constexpr std::size_t kEncodeStripRows = 32;
 /// Foreign keys staged per destination before the router flushes them into
 /// the SPSC fabric with one bulk publish (SpscQueue::push_block).
@@ -172,7 +172,6 @@ struct Kernel {
         codec(key_codec),
         table(target),
         workers(worker_count),
-        level(simd::detected()),
         part_owner(partition_owners(target.partition_count(), worker_count)),
         keys(worker_count),
         pairs(worker_count) {}
@@ -181,8 +180,6 @@ struct Kernel {
   const Codec& codec;
   BasicPartitionedTable<K>& table;
   std::size_t workers;
-  /// Resolved once per build: the whole kernel runs one dispatch level.
-  simd::Level level;
   std::vector<std::size_t> part_owner;
   KeyFabric keys;
   PairFabric pairs;
@@ -222,17 +219,15 @@ class Stage1Worker {
   void scan(std::size_t i, std::size_t stop) {
     while (i < stop) {
       const std::size_t count = std::min(kEncodeStripRows, stop - i);
+      // builder.stage1_row fires once per row, all before the strip's keys
+      // exist, so a throw never leaves a key of the strip routed.
       if (inject_) {
-        // Scalar fallback keeps the once-per-row fault-point semantics the
-        // injection sweeps rely on.
         for (std::size_t r = 0; r < count; ++r) {
           fault::fire(fault::Point::kStage1Row);
-          keys_[r] = kernel_.codec.encode(kernel_.data.row(i + r));
         }
-      } else {
-        kernel_.codec.encode_block(kernel_.data.row(i).data(), count,
-                                   keys_.data(), kernel_.level);
       }
+      kernel_.codec.encode_block(kernel_.data.row(i).data(), count,
+                                 keys_.data());
       ws_.rows_encoded += count;
       if (slots_.empty()) {
         route_strip(count);
@@ -543,7 +538,6 @@ void BasicWaitFreeBuilder<K>::run_phased(const Dataset& data,
   stats_.workers.assign(W, WorkerStats{});
   stats_.requested_workers = pool.degradation().requested_threads;
   stats_.effective_workers = W;
-  stats_.simd_level = kernel.level;
   std::atomic<std::size_t> pin_failures{0};
   std::vector<double> barrier_waits(W, 0.0);
   const std::size_t m = data.sample_count();

@@ -35,7 +35,6 @@
 #include "data/dataset.hpp"
 #include "table/partitioned_table.hpp"
 #include "table/potential_table.hpp"
-#include "util/simd.hpp"
 
 namespace wfbn {
 
@@ -80,10 +79,6 @@ struct BuildStats {
   std::size_t requested_workers = 0;
   std::size_t effective_workers = 0;
   std::size_t pin_failures = 0;
-
-  /// Encode dispatch level of the build: the best level the host supports,
-  /// after the WFBN_SIMD ceiling and any ScopedForceLevel (util/simd.hpp).
-  simd::Level simd_level = simd::Level::kScalar;
 
   [[nodiscard]] bool degraded() const noexcept {
     return effective_workers < requested_workers || pin_failures > 0;

@@ -6,7 +6,6 @@
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
-#include "util/simd.hpp"
 
 namespace wfbn {
 
@@ -175,15 +174,14 @@ template <typename K>
 std::shared_ptr<const MarginalTable> BasicCiTester<K>::count_marginal(
     std::span<const std::size_t> vars) const {
   if (auto hit = cache_.find(vars)) return hit;
-  const simd::Level level = simd::detected();
-  const typename Planes::Cost cost = planes_.cost(vars, level);
+  const typename Planes::Cost cost = planes_.cost(vars);
   if (const auto superset = cache_.find_superset(vars)) {
     if (static_cast<double>(superset->cell_count()) * kProjectCellNs < cost.ns) {
       return cache_.insert(vars, superset->sum_out_to(vars),
                            MarginalSource::kProjected);
     }
   }
-  return cache_.insert(vars, planes_.marginalize(vars, level),
+  return cache_.insert(vars, planes_.marginalize(vars),
                        cost.lattice ? MarginalSource::kLattice
                                     : MarginalSource::kScatter);
 }

@@ -7,7 +7,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "table/simd_kernels.hpp"
 #include "util/error.hpp"
 
 namespace wfbn {
@@ -32,10 +31,20 @@ constexpr std::uint64_t kMaxProjectedRange = 1ULL << 30;
 #define WFBN_SCALAR_LOOP
 #endif
 
-/// The row-major reference kernel (Eq. 3): run by run, one mixed-radix
-/// chain per row, added to the run's word of the row's key. Runs outside
-/// rows, so a run's bounds are read once per strip: read per row, they cost
-/// ~10% at n = 11.
+/// The word a codec word run adds into: its word, the constant 0 for
+/// one-word keys.
+template <std::size_t W, typename Run>
+constexpr std::size_t bank_of(const Run& run) noexcept {
+  if constexpr (W == 1) {
+    return 0;
+  } else {
+    return run.word;
+  }
+}
+
+/// The encode kernel (Eq. 3): run by run, one mixed-radix chain per row,
+/// added to the run's word of the row's key. Runs outside rows, so a run's
+/// bounds are read once per strip: read per row, they cost ~10% at n = 11.
 template <typename K, typename Run>
 WFBN_SCALAR_LOOP void encode_rows(const State* rows, std::size_t row_count,
                                   std::size_t n, const std::uint64_t* strides,
@@ -45,7 +54,7 @@ WFBN_SCALAR_LOOP void encode_rows(const State* rows, std::size_t row_count,
   for (const Run& run : runs) {
     const std::size_t first = run.first;
     const std::size_t last = run.last;
-    const std::size_t bank = simd_detail::bank_of<Traits::kWords>(run);
+    const std::size_t bank = bank_of<Traits::kWords>(run);
     for (std::size_t i = 0; i < row_count; ++i) {
       const State* states = rows + i * n;
       std::uint64_t words[Traits::kWords] = {};
@@ -116,31 +125,9 @@ K BasicKeyCodec<K>::encode(std::span<const State> states) const noexcept {
 
 template <typename K>
 void BasicKeyCodec<K>::encode_block(const State* rows, std::size_t row_count,
-                                    K* out, simd::Level level) const noexcept {
-  const std::size_t n = cardinalities_.size();
-  const std::uint64_t* strides = strides_.data();
-  const std::span<const WordRun> runs(runs_);
-  if (level == simd::Level::kScalar) {
-    encode_rows(rows, row_count, n, strides, runs, out);
-    return;
-  }
-  // Vectorized path (level from simd::detected(), so the AVX2 tiles only run
-  // on hosts that support them): full SoA tiles, portable-lane remainder.
-  std::size_t i = 0;
-#ifdef WFBN_AVX2_KERNELS
-  for (; i + simd_detail::kRowTile <= row_count; i += simd_detail::kRowTile) {
-    simd_detail::encode_tile_avx2(rows + i * n, n, strides, runs, out + i);
-  }
-#else
-  for (; i + simd_detail::kRowTile <= row_count; i += simd_detail::kRowTile) {
-    simd_detail::encode_tile_lanes(rows + i * n, n, strides, runs,
-                                   simd_detail::kRowTile, out + i);
-  }
-#endif
-  if (i < row_count) {
-    simd_detail::encode_tile_lanes(rows + i * n, n, strides, runs,
-                                   row_count - i, out + i);
-  }
+                                    K* out) const noexcept {
+  encode_rows(rows, row_count, cardinalities_.size(), strides_.data(),
+              std::span<const WordRun>(runs_), out);
 }
 
 template <typename K>
@@ -167,7 +154,7 @@ void BasicKeyCodec<K>::decode_all(K key, std::span<State> out) const noexcept {
   std::uint64_t rest[kWords] = {};
   for (std::size_t w = 0; w < kWords; ++w) rest[w] = Traits::word(key, w);
   for (const WordRun& run : runs_) {
-    std::uint64_t& word = rest[simd_detail::bank_of<kWords>(run)];
+    std::uint64_t& word = rest[bank_of<kWords>(run)];
     for (std::size_t j = run.first; j < run.last; ++j) {
       out[j] = static_cast<State>(word % cardinalities_[j]);
       word /= cardinalities_[j];

@@ -14,9 +14,10 @@
 // fits r_j more, and its stride counts within that word. Each variable lives
 // entirely in one word, so single-variable decoding stays O(1). The word
 // count is a compile-time constant. With one word every variable's word is
-// the constant 0, so encode, the tiles, decode and project select no word;
-// with two, encode and the tiles walk runs of consecutive variables packed
-// into one word, and decode and project read the word from their VarLeg.
+// the constant 0, so encode, decode and project select no word; with two,
+// encode and decode_all walk runs of consecutive variables packed into one
+// word, and decode and project read the word from their VarLeg. encode and
+// encode_block run one kernel, a row or a strip at a time.
 #pragma once
 
 #include <array>
@@ -26,7 +27,6 @@
 
 #include "table/divisor.hpp"
 #include "table/key_traits.hpp"
-#include "util/simd.hpp"
 
 namespace wfbn {
 
@@ -93,8 +93,9 @@ class BasicKeyCodec {
     return true;
   }
 
-  /// Eq. 3: encodes a full state string. Precondition (checked in debug
-  /// builds): states.size() == variable_count() and states[j] < r_j.
+  /// Eq. 3: encodes a full state string. Precondition, unchecked:
+  /// states.size() == variable_count() and states[j] < r_j (encode_checked
+  /// validates both).
   [[nodiscard]] K encode(std::span<const State> states) const noexcept;
 
   /// Eq. 3 with validation — throws DataError on out-of-range states. Used on
@@ -103,20 +104,13 @@ class BasicKeyCodec {
 
   /// Eq. 3 over a contiguous row-major strip of `row_count` state strings
   /// (row_count * variable_count() states at `rows`), writing one key per
-  /// row into `out`. Encoding a strip back to back keeps the mixed-radix
-  /// multiply-add chain pipelined instead of alternating with hashtable and
-  /// queue traffic — the stage-1 fast path of the wait-free builder.
-  ///
-  /// `level` selects the kernel (util/simd.hpp): kScalar is the row-major
-  /// reference loop; kAvx2 transposes the strip into per-variable SoA lanes
-  /// and runs the mixed-radix multiply-add across 4 rows per vector, one
-  /// accumulator bank per word (with a portable lane-structured fallback on
-  /// non-x86 builds). Both walk the word runs, so no variable selects a
-  /// word. Every level computes bit-identical keys — callers resolve the
-  /// level once per build via simd::detected() and sweeps are oracle-gated
-  /// against kScalar.
-  void encode_block(const State* rows, std::size_t row_count, K* out,
-                    simd::Level level = simd::Level::kScalar) const noexcept;
+  /// row into `out`: the stage-1 encode of the wait-free builder. The rows
+  /// run back to back through the same kernel as encode(), word run by word
+  /// run, so the mixed-radix multiply-add chains of neighboring rows
+  /// pipeline instead of alternating with hashtable and queue traffic. Same
+  /// unchecked precondition per row as encode().
+  void encode_block(const State* rows, std::size_t row_count,
+                    K* out) const noexcept;
 
   /// Decode-of-interest recipe for one variable (Eq. 4): its word and both
   /// divisors, precomputed so a decode is multiply-shift work, never a `div`.

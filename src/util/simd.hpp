@@ -1,16 +1,18 @@
-// Runtime SIMD capability probe and dispatch policy for the vectorized
-// build hot path (encode / hash / probe kernels) and the all-pairs MI
-// AND-popcount kernel.
+// Runtime SIMD capability probe and dispatch policy for the AND-popcount
+// kernels (table/simd_kernels.hpp) of the entry planes' lattice, which
+// counts all-pairs MI pass 2 and, where the cost rule picks it, the CI
+// tests' marginals and the counting index's answers.
 //
 // Kernels are compiled per *level* — kScalar always, kAvx2 behind a GCC/clang
-// `target("avx2")` function attribute on x86-64 — and selected at runtime so
-// one binary runs correctly on any host. The builder and the MI kernel run
-// at detected():
+// `target("avx2,popcnt")` function attribute on x86-64 — and selected at
+// runtime so one binary runs correctly on any host. BasicEntryPlanes reads
+// the level once per counting call, and its cost rule prices a plane word
+// per level. The level is
 //
 //   host capability (cpuid, cached)
 //     ∧ WFBN_SIMD environment ceiling (CI force-disable leg)
 //     ∧ ScopedForceLevel test override (forced-downgrade coverage)
-//   = effective level, reported in BuildStats::simd_level
+//   = detected()
 //
 // Downgrades are silent and graceful by design: a host without AVX2 runs
 // the scalar kernels, bit-identically (the oracle tests pin this down at

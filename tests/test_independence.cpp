@@ -264,7 +264,7 @@ void expect_matches_raw_rows(const Dataset& data, Mix mix) {
       std::optional<simd::ScopedForceLevel> force;
       if (scalar) force.emplace(simd::Level::kScalar);
       for (std::size_t i = 0; i < joints.size(); ++i) {
-        EXPECT_EQ(planes.marginalize_lattice(joints[i], simd::detected()).raw_counts(),
+        EXPECT_EQ(planes.marginalize_lattice(joints[i]).raw_counts(),
                   raw[i].raw_counts())
             << "lattice P=" << p << " scalar=" << scalar << " query=" << i;
         EXPECT_EQ(planes.marginalize_scatter(joints[i]).raw_counts(), raw[i].raw_counts())

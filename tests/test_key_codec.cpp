@@ -319,11 +319,11 @@ TEST(WideKeyCodec, FirstFitPackingIsPinned) {
   EXPECT_EQ(codec.encode(states), (WideKey{5222849928032120401ULL, 34}));
 }
 
-// ---- encode_block dispatch levels (the SIMD hot path).
+// ---- encode_block, the stage-1 strip kernel.
 //
-// Every level must compute bit-identical keys to per-row encode(), at every
-// strip shape — including row counts off the kRowTile=32 grid (1, 31, 33)
-// and strips large enough to cross many tiles (4097).
+// A strip must encode to the same keys as per-row encode(), at every strip
+// shape: one row, row counts on and off the builder's 32-row strip (31, 32,
+// 33), and strips of many of them (4097).
 
 constexpr std::size_t kStripSweep[] = {1, 31, 32, 33, 100, 4097};
 
@@ -339,57 +339,48 @@ std::vector<State> random_rows(Xoshiro256& rng,
   return data;
 }
 
-TEST(KeyCodecBlock, AllDispatchLevelsMatchPerRowEncode) {
-  Xoshiro256 rng(99);
-  // Mixed radices with multi-byte strides so the AVX2 hi-word multiply runs.
-  const std::vector<std::uint32_t> cards = {2, 5, 3, 2, 7, 4, 2,
-                                            3, 6, 2, 3, 2, 5, 4};
-  const KeyCodec codec(cards);
+/// Encodes random rows of `cards` as one strip per kStripSweep row count and
+/// compares every key with per-row encode(). The output starts as all-ones
+/// words, so a key the strip fails to write shows.
+template <typename K>
+void expect_strips_match_rows(const std::vector<std::uint32_t>& cards,
+                              std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const BasicKeyCodec<K> codec(cards);
   const std::size_t n = cards.size();
   for (const std::size_t rows : kStripSweep) {
     const std::vector<State> data = random_rows(rng, cards, rows);
-    std::vector<Key> expected(rows);
+    std::vector<K> expected(rows);
     for (std::size_t i = 0; i < rows; ++i) {
       expected[i] = codec.encode({data.data() + i * n, n});
     }
-    for (const simd::Level level :
-         {simd::Level::kScalar, simd::detected()}) {
-      std::vector<Key> got(rows, ~0ULL);
-      codec.encode_block(data.data(), rows, got.data(), level);
-      EXPECT_EQ(got, expected)
-          << "rows=" << rows << " level=" << simd::level_name(level);
-    }
+    std::vector<K> got(rows, KeyTraits<K>::empty_key());
+    codec.encode_block(data.data(), rows, got.data());
+    EXPECT_EQ(got, expected) << "n=" << n << " rows=" << rows;
   }
+}
+
+TEST(KeyCodecBlock, AllDispatchLevelsMatchPerRowEncode) {
+  // Mixed radices with strides past 2^32.
+  expect_strips_match_rows<Key>({2, 5, 3, 2, 7, 4, 2, 3, 6, 2, 3, 2, 5, 4}, 99);
 }
 
 TEST(KeyCodecBlock, ZeroRowStripIsANoOp) {
   const KeyCodec codec = KeyCodec::uniform(8, 3);
   Key sentinel = 12345;
-  codec.encode_block(nullptr, 0, &sentinel, simd::detected());
+  codec.encode_block(nullptr, 0, &sentinel);
   EXPECT_EQ(sentinel, 12345u);
 }
 
 TEST(WideKeyCodecBlock, AllDispatchLevelsMatchPerRowEncode) {
-  Xoshiro256 rng(101);
-  // 80 binary variables: spills into the hi word, so both accumulator banks
-  // and the word-selection path are exercised.
-  const std::vector<std::uint32_t> cards(80, 2);
-  const WideKeyCodec codec(cards);
-  const std::size_t n = cards.size();
-  for (const std::size_t rows : kStripSweep) {
-    const std::vector<State> data = random_rows(rng, cards, rows);
-    std::vector<WideKey> expected(rows);
-    for (std::size_t i = 0; i < rows; ++i) {
-      expected[i] = codec.encode({data.data() + i * n, n});
-    }
-    for (const simd::Level level :
-         {simd::Level::kScalar, simd::detected()}) {
-      std::vector<WideKey> got(rows);
-      codec.encode_block(data.data(), rows, got.data(), level);
-      EXPECT_EQ(got, expected)
-          << "rows=" << rows << " level=" << simd::level_name(level);
-    }
-  }
+  // 80 binary variables: two word runs, lo then hi.
+  expect_strips_match_rows<WideKey>(std::vector<std::uint32_t>(80, 2), 101);
+  // The codec of FirstFitPackingIsPinned: variable 9 (r = 3) back-fills lo
+  // between two variables packed into hi, so the strip walks four word
+  // runs, lo, hi, lo, hi.
+  std::vector<std::uint32_t> cards(8, 200);
+  cards.insert(cards.end(), {5, 3, 7});
+  expect_strips_match_rows<WideKey>(cards, 103);
 }
 
 TEST(KeyCodecBlock, ForcedDowngradeCapsResolutionAtScalar) {
@@ -398,17 +389,6 @@ TEST(KeyCodecBlock, ForcedDowngradeCapsResolutionAtScalar) {
   EXPECT_EQ(simd::resolve(simd::Policy::kAuto), simd::Level::kScalar);
   // An explicit AVX2 request degrades silently instead of erroring.
   EXPECT_EQ(simd::resolve(simd::Policy::kAvx2), simd::Level::kScalar);
-
-  Xoshiro256 rng(7);
-  const std::vector<std::uint32_t> cards = {3, 2, 4, 5, 2, 3};
-  const KeyCodec codec(cards);
-  const std::vector<State> data = random_rows(rng, cards, 65);
-  std::vector<Key> scalar(65);
-  std::vector<Key> resolved(65);
-  codec.encode_block(data.data(), 65, scalar.data(), simd::Level::kScalar);
-  codec.encode_block(data.data(), 65, resolved.data(),
-                     simd::resolve(simd::Policy::kAvx2));
-  EXPECT_EQ(resolved, scalar);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include <initializer_list>
 #include <map>
-#include <optional>
 #include <type_traits>
 #include <utility>
 
@@ -16,7 +15,6 @@
 #include "data/generators.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
-#include "util/simd.hpp"
 
 namespace wfbn {
 namespace {
@@ -347,38 +345,14 @@ TYPED_TEST(BlockRoutingOracle, BatchedBuildIsByteIdenticalToScalarBuild) {
 TYPED_TEST(BlockRoutingOracle, SimdSweepMatchesBruteForceCounts) {
   const Dataset base = generate_uniform(30000, 12, 3, 25);
   const Dataset batch = generate_uniform(7001, 12, 3, 28);
-  const CountMap built = brute_force_counts<TypeParam>({&base});
-  const CountMap appended = brute_force_counts<TypeParam>({&base, &batch});
-  // The forced leg runs the scalar encode reference even on an AVX2 host;
-  // the native leg runs whatever the host resolves to. 7001 rows leave a
-  // remainder sub-tile in the last strip of every worker's block.
-  for (const bool forced : {true, false}) {
-    std::optional<simd::ScopedForceLevel> force;
-    if (forced) force.emplace(simd::Level::kScalar);
-    const simd::Level expected_level =
-        forced ? simd::Level::kScalar : simd::detected();
-    BasicWaitFreeBuilder<TypeParam> builder(four_workers());
-    auto table = builder.build(base);
-    EXPECT_EQ(snapshot_of(table), built) << "forced=" << forced;
-    EXPECT_EQ(builder.stats().simd_level, expected_level);
-    builder.append(batch, table);
-    EXPECT_EQ(snapshot_of(table), appended) << "append forced=" << forced;
-    EXPECT_EQ(table.sample_count(), 37001u);
-    EXPECT_EQ(builder.stats().simd_level, expected_level);
-  }
-}
-
-TYPED_TEST(BlockRoutingOracle, ForcedSimdDowngradeBuildsIdenticalTables) {
-  const Dataset data = generate_uniform(20000, 10, 3, 26);
-  BasicWaitFreeBuilder<TypeParam> native(four_workers());
-  const auto native_table = native.build(data);
-
-  simd::ScopedForceLevel force(simd::Level::kScalar);
-  BasicWaitFreeBuilder<TypeParam> forced(four_workers());
-  const auto forced_table = forced.build(data);
-  // The downgrade is silent, reported, and bit-exact.
-  EXPECT_EQ(forced.stats().simd_level, simd::Level::kScalar);
-  EXPECT_EQ(snapshot_of(forced_table), snapshot_of(native_table));
+  // 7001 rows leave a remainder strip, shorter than 32 rows, at the end of
+  // every worker's block.
+  BasicWaitFreeBuilder<TypeParam> builder(four_workers());
+  auto table = builder.build(base);
+  EXPECT_EQ(snapshot_of(table), brute_force_counts<TypeParam>({&base}));
+  builder.append(batch, table);
+  EXPECT_EQ(snapshot_of(table), brute_force_counts<TypeParam>({&base, &batch}));
+  EXPECT_EQ(table.sample_count(), 37001u);
 }
 
 TYPED_TEST(BlockRoutingOracle, BatchedAppendIsByteIdenticalToScalarAppend) {
@@ -462,26 +436,19 @@ TYPED_TEST(PreAggregationOracle, SachsCombinesOnEveryWorkerInBuildAndAppend) {
   // At P=4: more than 4 windows per worker for the build, 1 for the append.
   const Dataset base = sachs_rows(4 * 4 * kWindow + 123, 51);
   const Dataset batch = sachs_rows(4 * kWindow + 7, 52);
-  const CountMap built = brute_force_counts<TypeParam>({&base});
-  const CountMap appended = brute_force_counts<TypeParam>({&base, &batch});
-  for (const bool forced : {true, false}) {
-    std::optional<simd::ScopedForceLevel> force;
-    if (forced) force.emplace(simd::Level::kScalar);
-    SCOPED_TRACE(::testing::Message() << "forced=" << forced);
-    BasicWaitFreeBuilder<TypeParam> builder(four_workers());
-    auto table = builder.build(base);
-    EXPECT_EQ(snapshot_of(table), built);
-    expect_conserved(builder.stats(), base.sample_count());
-    expect_every_worker_combined(builder.stats());
-    // Combining is what the build mostly did, not a side path.
-    EXPECT_GT(builder.stats().total_combined_rows(), base.sample_count() / 2);
+  BasicWaitFreeBuilder<TypeParam> builder(four_workers());
+  auto table = builder.build(base);
+  EXPECT_EQ(snapshot_of(table), brute_force_counts<TypeParam>({&base}));
+  expect_conserved(builder.stats(), base.sample_count());
+  expect_every_worker_combined(builder.stats());
+  // Combining is what the build mostly did, not a side path.
+  EXPECT_GT(builder.stats().total_combined_rows(), base.sample_count() / 2);
 
-    builder.append(batch, table);
-    EXPECT_EQ(snapshot_of(table), appended);
-    EXPECT_EQ(table.sample_count(), base.sample_count() + batch.sample_count());
-    expect_conserved(builder.stats(), batch.sample_count());
-    expect_every_worker_combined(builder.stats());
-  }
+  builder.append(batch, table);
+  EXPECT_EQ(snapshot_of(table), brute_force_counts<TypeParam>({&base, &batch}));
+  EXPECT_EQ(table.sample_count(), base.sample_count() + batch.sample_count());
+  expect_conserved(builder.stats(), batch.sample_count());
+  expect_every_worker_combined(builder.stats());
 }
 
 TYPED_TEST(PreAggregationOracle, SkewedHotKeyAboveHalfTheRowsStaysExact) {
