@@ -130,31 +130,29 @@ void run_sparse_candidate_ablation(std::uint64_t seed) {
   // MI-derived candidate-parent sets on a sampled CHILD network.
   const BayesianNetwork truth = load_network(RepositoryNetwork::kChild);
   const Dataset data = forward_sample(truth, 60000, seed, 4);
-  WaitFreeBuilderOptions builder_options;
-  builder_options.threads = 4;
-  WaitFreeBuilder builder(builder_options);
-  const PotentialTable table = builder.build(data);
+  ThreadPool pool(4);
+  const PotentialTable table = WaitFreeBuilder().build(data, pool);
 
   TablePrinter out({"search space", "families evaluated", "moves", "BIC",
-                    "skeleton F1"});
-  auto report = [&](const char* label, const HillClimbResult& result) {
+                    "skeleton F1", "climb_s"});
+  auto report = [&](const char* label, const HillClimbOptions& options) {
+    Timer timer;
+    const HillClimbResult result = hill_climb(table, pool, options);
+    const double seconds = timer.seconds();
     const SkeletonMetrics m =
         compare_skeletons(result.dag.skeleton(), truth.dag().skeleton());
     out.add_row({label, TablePrinter::fmt(result.families_evaluated),
                  TablePrinter::fmt(static_cast<std::uint64_t>(result.moves)),
-                 TablePrinter::fmt(result.score, 1), TablePrinter::fmt(m.f1, 3)});
+                 TablePrinter::fmt(result.score, 1), TablePrinter::fmt(m.f1, 3),
+                 TablePrinter::fmt(seconds, 3)});
   };
 
-  HillClimbOptions unpruned;
-  unpruned.threads = 4;
-  report("all parents", hill_climb(table, unpruned));
+  report("all parents", HillClimbOptions{});
 
   AllPairsMi all_pairs(AllPairsOptions{4, AllPairsStrategy::kFused});
-  const MiMatrix mi = all_pairs.compute(table);
   HillClimbOptions pruned;
-  pruned.threads = 4;
-  pruned.candidate_parents = sparse_candidates(mi, 5);
-  report("top-5 MI candidates", hill_climb(table, pruned));
+  pruned.candidate_parents = sparse_candidates(all_pairs.compute(table, pool), 5);
+  report("top-5 MI candidates", pruned);
 
   out.print("ABL-SPARSE — MI-based search-space pruning (paper §III)");
 }

@@ -71,9 +71,9 @@ int main(int argc, char** argv) {
   const Dataset data = forward_sample(truth, samples, seed + 2, threads);
 
   ChengOptions options;
-  options.ci.threads = threads;
   options.ci.mi_threshold = cli.get_double("epsilon");
-  const ChengResult result = ChengLearner(options).learn(data);
+  ThreadPool pool(threads);
+  const ChengResult result = ChengLearner(options, pool).learn(data);
 
   const SkeletonMetrics metrics =
       compare_skeletons(result.skeleton, truth.dag().skeleton());

@@ -22,6 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -76,6 +77,15 @@ int main(int argc, char** argv) {
       std::filesystem::temp_directory_path() / "wfbn_serve_over_network";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
+  // Deletes the snapshot directory on the way out, after the store that
+  // writes into it (declared below, so destroyed first).
+  struct RemoveOnExit {
+    std::filesystem::path dir;
+    ~RemoveOnExit() {
+      std::error_code ignored;
+      std::filesystem::remove_all(dir, ignored);
+    }
+  } const remove_on_exit{dir};
 
   // Version 1: built locally, persisted by the durable store's constructor.
   WaitFreeBuilderOptions build_options;

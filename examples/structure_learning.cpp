@@ -73,14 +73,16 @@ int main(int argc, char** argv) {
 
   const std::string learner = cli.get("learner");
   const bool all = learner == "all";
+  // Every learner runs on this one pool: the table build, the MI matrix and
+  // the CI tests or family scores are all scheduled across it.
+  ThreadPool pool(threads);
   Timer timer;
 
   if (all || learner == "cheng") {
     ChengOptions options;
-    options.ci.threads = threads;
     options.ci.mi_threshold = epsilon;
     timer.reset();
-    const ChengResult result = ChengLearner(options).learn(data);
+    const ChengResult result = ChengLearner(options, pool).learn(data);
     report("cheng", truth, result.oriented, timer.seconds());
     std::printf(
         "  phases: draft=%zu edges, thickening +%zu, thinning -%zu, CI "
@@ -92,20 +94,17 @@ int main(int argc, char** argv) {
   }
   if (all || learner == "pc") {
     PcStableOptions options;
-    options.ci.threads = threads;
     options.ci.mi_threshold = epsilon;
     timer.reset();
-    const PcStableResult result = PcStableLearner(options).learn(data);
+    const PcStableResult result = PcStableLearner(options, pool).learn(data);
     report("pc-stable", truth, result.oriented, timer.seconds());
     std::printf("  levels=%zu, CI tests=%llu\n", result.levels_run,
                 static_cast<unsigned long long>(result.ci_tests));
     if (cli.get_bool("edges")) print_edges(truth, result.oriented);
   }
   if (all || learner == "hillclimb") {
-    HillClimbOptions options;
-    options.threads = threads;
     timer.reset();
-    const HillClimbResult result = hill_climb_sparse(data, 5, options);
+    const HillClimbResult result = hill_climb_sparse(data, 5, pool);
     report("hillclimb(BIC, top-5 MI candidates)", truth, result.dag,
            timer.seconds());
     std::printf("  moves=%zu, families evaluated=%llu (cache hits %llu)\n",

@@ -58,22 +58,4 @@ BootstrapResult bootstrap_edges(
   return result;
 }
 
-template <typename K>
-BootstrapResult bootstrap_cheng(const Dataset& data, ChengOptions cheng,
-                                BootstrapOptions options) {
-  if (options.threads > 1 && cheng.ci.threads <= 1) {
-    cheng.ci.threads = options.threads;
-  }
-  const BasicChengLearner<K> learner(cheng);
-  return bootstrap_edges(
-      data,
-      [&](const Dataset& resampled) { return learner.learn(resampled).skeleton; },
-      options);
-}
-
-template BootstrapResult bootstrap_cheng<Key>(const Dataset&, ChengOptions,
-                                              BootstrapOptions);
-template BootstrapResult bootstrap_cheng<WideKey>(const Dataset&, ChengOptions,
-                                                  BootstrapOptions);
-
 }  // namespace wfbn

@@ -1,8 +1,9 @@
 // Bootstrap edge confidence (Friedman-style model averaging, the standard
 // bnlearn workflow): learn the structure on `replicates` resampled datasets
 // and report the fraction of replicates in which each edge appears. The
-// per-replicate learns run the full wait-free phase-1 pipeline, so this is
-// also a realistic heavy consumer of the primitives.
+// caller supplies the per-replicate learner — typically a Cheng or PC-stable
+// learner over the caller's pool, which builds each replicate's table with
+// the wait-free primitive.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +12,6 @@
 
 #include "bn/dag.hpp"
 #include "data/dataset.hpp"
-#include "learn/cheng.hpp"
 #include "util/rng.hpp"
 
 namespace wfbn {
@@ -19,7 +19,6 @@ namespace wfbn {
 struct BootstrapOptions {
   std::size_t replicates = 20;
   std::uint64_t seed = 1;
-  std::size_t threads = 1;  ///< threads inside each replicate's learner
 };
 
 struct BootstrapResult {
@@ -49,21 +48,5 @@ struct BootstrapResult {
 /// in `rng`.
 [[nodiscard]] Dataset resample_with_replacement(const Dataset& data,
                                                 Xoshiro256& rng);
-
-/// Convenience: bootstrap_edges with a Cheng learner per replicate, at either
-/// key width (narrow by default; bootstrap_cheng<WideKey> for wide tables).
-/// Each replicate runs the learner's full parallel pipeline with
-/// cheng.ci.threads workers.
-template <typename K = Key>
-[[nodiscard]] BootstrapResult bootstrap_cheng(const Dataset& data,
-                                              ChengOptions cheng = {},
-                                              BootstrapOptions options = {});
-
-extern template BootstrapResult bootstrap_cheng<Key>(const Dataset&,
-                                                     ChengOptions,
-                                                     BootstrapOptions);
-extern template BootstrapResult bootstrap_cheng<WideKey>(const Dataset&,
-                                                         ChengOptions,
-                                                         BootstrapOptions);
 
 }  // namespace wfbn

@@ -76,33 +76,15 @@ struct PairOutcome {
 }  // namespace
 
 template <typename K>
-BasicChengLearner<K>::BasicChengLearner(ChengOptions options)
-    : options_(options) {
-  WFBN_EXPECT(options_.max_cutset_size >= 1, "cut-set cap must be >= 1");
-}
-
-template <typename K>
 BasicChengLearner<K>::BasicChengLearner(ChengOptions options, ThreadPool& pool)
-    : BasicChengLearner(options) {
-  pool_ = &pool;
+    : options_(options), pool_(pool) {
+  WFBN_EXPECT(options_.max_cutset_size >= 1, "cut-set cap must be >= 1");
 }
 
 template <typename K>
 ChengResult BasicChengLearner<K>::learn(const Dataset& data) const {
   Timer timer;
-  ChengResult result = [&] {
-    if (pool_ != nullptr) {
-      BasicWaitFreeBuilder<K> builder;
-      const Table table = builder.build(data, *pool_);
-      return learn_with_pool(table, *pool_);
-    }
-    WaitFreeBuilderOptions builder_options;
-    builder_options.threads = options_.ci.threads;
-    BasicWaitFreeBuilder<K> builder(builder_options);
-    ThreadPool pool(options_.ci.threads);
-    const Table table = builder.build(data, pool);
-    return learn_with_pool(table, pool);
-  }();
+  ChengResult result = learn(BasicWaitFreeBuilder<K>().build(data, pool_));
   result.timings.table_construction = timer.seconds() - result.timings.drafting -
                                       result.timings.thickening -
                                       result.timings.thinning -
@@ -112,31 +94,21 @@ ChengResult BasicChengLearner<K>::learn(const Dataset& data) const {
 
 template <typename K>
 ChengResult BasicChengLearner<K>::learn(const Table& table) const {
-  if (pool_ != nullptr) return learn_with_pool(table, *pool_);
-  ThreadPool pool(options_.ci.threads);
-  return learn_with_pool(table, pool);
-}
-
-template <typename K>
-ChengResult BasicChengLearner<K>::learn_with_pool(const Table& table,
-                                                  ThreadPool& pool) const {
   const std::size_t n = table.codec().variable_count();
   ChengResult result{UndirectedGraph(n), Dag(n), MiMatrix(n), 0, 0, 0,
                      0, PhaseTimings{}, {}, CiScheduleStats{}};
-  BasicCiScheduler<K> scheduler(pool);
+  BasicCiScheduler<K> scheduler(pool_);
 
   // ---------- Phase 1: drafting ----------
   // The table is decoded once, into the planes of the column MI kernel's
   // pass 1; the drafting MI and every later CI test count from them.
   Timer phase_timer;
-  const BasicEntryPlanes<K> planes(table, pool);
-  AllPairsOptions ap;
-  ap.threads = options_.ci.threads;
-  ap.strategy = options_.all_pairs_strategy;
-  BasicAllPairsMi<K> all_pairs(ap);
-  result.mi = ap.strategy == AllPairsStrategy::kFused
-                  ? all_pairs.compute(planes, pool)
-                  : all_pairs.compute(table, pool);
+  const BasicEntryPlanes<K> planes(table, pool_);
+  BasicAllPairsMi<K> all_pairs(
+      AllPairsOptions{1, options_.all_pairs_strategy});
+  result.mi = options_.all_pairs_strategy == AllPairsStrategy::kFused
+                  ? all_pairs.compute(planes, pool_)
+                  : all_pairs.compute(table, pool_);
 
   const double epsilon = options_.ci.method == CiMethod::kMiThreshold
                              ? options_.ci.mi_threshold
@@ -179,10 +151,7 @@ ChengResult BasicChengLearner<K>::learn_with_pool(const Table& table,
       thicken[i].connect = true;
       return;
     }
-    if (options_.minimize_cutsets && z.size() > 1) {
-      z = minimize_cutset(tester, pair.i, pair.j, std::move(z));
-    }
-    thicken[i].sepset = std::move(z);
+    thicken[i].sepset = minimize_cutset(tester, pair.i, pair.j, std::move(z));
   });
   for (std::size_t i = 0; i < deferred.size(); ++i) {
     if (thicken[i].connect) {
@@ -222,10 +191,7 @@ ChengResult BasicChengLearner<K>::learn_with_pool(const Table& table,
         thin[i].connect = true;
         return;
       }
-      if (options_.minimize_cutsets && z.size() > 1) {
-        z = minimize_cutset(tester, e.from, e.to, std::move(z));
-      }
-      thin[i].sepset = std::move(z);
+      thin[i].sepset = minimize_cutset(tester, e.from, e.to, std::move(z));
     });
     for (std::size_t i = 0; i < edges.size(); ++i) {
       if (thin[i].connect) continue;
@@ -240,14 +206,7 @@ ChengResult BasicChengLearner<K>::learn_with_pool(const Table& table,
 
   // ---------- Orientation ----------
   phase_timer.reset();
-  if (options_.orient) {
-    result.oriented = orient_skeleton(graph, result.sepsets);
-  } else {
-    // Unoriented fallback: low → high.
-    Dag dag(n);
-    for (const Edge& e : graph.edges()) dag.add_edge(e.from, e.to);
-    result.oriented = std::move(dag);
-  }
+  result.oriented = orient_skeleton(graph, result.sepsets);
   result.timings.orientation = phase_timer.seconds();
   result.ci_tests = tester.tests_performed();
   scheduler.absorb_cache_stats(tester);

@@ -17,7 +17,7 @@
 // Orientation: v-structures from recorded separating sets, then Meek rules.
 //
 // Parallel CI scheduling: phases 2 and 3 batch their tests through a
-// CiScheduler over a borrowed (or learner-owned) ThreadPool. Each batch is
+// CiScheduler over the caller's ThreadPool. Each batch is
 // built from a *frozen* view of the graph — thickening tests all deferred
 // pairs against the post-draft graph, each thinning round tests all edges
 // against that round's snapshot — and the collected decisions are applied
@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "bn/dag.hpp"
@@ -46,10 +45,6 @@ struct ChengOptions {
   /// Cut-sets are truncated to this size (keeps conditioning tables dense and
   /// counts statistically meaningful).
   std::size_t max_cutset_size = 6;
-  /// Greedily drop cut-set members that are not needed for separation (the
-  /// paper's reference algorithm minimizes cut-sets; costs extra CI tests).
-  bool minimize_cutsets = true;
-  bool orient = true;
 };
 
 struct PhaseTimings {
@@ -83,12 +78,8 @@ class BasicChengLearner {
  public:
   using Table = BasicPotentialTable<K>;
 
-  explicit BasicChengLearner(ChengOptions options = {});
-
-  /// Borrowed-pool constructor (the BasicQueryEngine pattern): drafting,
-  /// thickening, and thinning all schedule their work across `pool`, which
-  /// must outlive the learner. Without it the learner owns a pool of
-  /// options.ci.threads workers per learn() call.
+  /// Drafting, thickening, and thinning all schedule their work across
+  /// `pool`, which must outlive the learner.
   BasicChengLearner(ChengOptions options, ThreadPool& pool);
 
   /// Learns from raw data: builds the potential table with the wait-free
@@ -101,11 +92,8 @@ class BasicChengLearner {
   [[nodiscard]] const ChengOptions& options() const noexcept { return options_; }
 
  private:
-  [[nodiscard]] ChengResult learn_with_pool(const Table& table,
-                                            ThreadPool& pool) const;
-
   ChengOptions options_;
-  ThreadPool* pool_ = nullptr;  ///< borrowed; null → own pool per learn()
+  ThreadPool& pool_;
 };
 
 extern template class BasicChengLearner<Key>;

@@ -137,14 +137,6 @@ CiDecision decide_from_joint(const MarginalTable& joint, std::size_t x,
 
 namespace {
 
-template <typename K>
-std::unique_ptr<const BasicEntryPlanes<K>> build_planes(
-    const BasicPotentialTable<K>& table, const CiOptions& options) {
-  WFBN_EXPECT(options.threads >= 1, "need at least one thread");
-  ThreadPool pool(options.threads);
-  return std::make_unique<const BasicEntryPlanes<K>>(table, pool);
-}
-
 /// Validates the test thresholds.
 const CiOptions& checked(const CiOptions& options) {
   WFBN_EXPECT(options.mi_threshold >= 0.0, "MI threshold must be >= 0");
@@ -159,12 +151,6 @@ const CiOptions& checked(const CiOptions& options) {
 constexpr double kProjectCellNs = 2.5;
 
 }  // namespace
-
-template <typename K>
-BasicCiTester<K>::BasicCiTester(const Table& table, CiOptions options)
-    : owned_planes_(build_planes(table, options)),
-      planes_(*owned_planes_),
-      options_(checked(options)) {}
 
 template <typename K>
 BasicCiTester<K>::BasicCiTester(const Planes& planes, CiOptions options)

@@ -49,7 +49,6 @@
 
 #include "core/entry_planes.hpp"
 #include "core/info_theory.hpp"
-#include "table/potential_table.hpp"
 
 namespace wfbn {
 
@@ -62,11 +61,6 @@ struct CiOptions {
   CiMethod method = CiMethod::kMiThreshold;
   double mi_threshold = 0.01;  ///< ε (nats) for kMiThreshold
   double alpha = 0.01;         ///< significance level for kGTest
-  /// DEPRECATED alias: worker count for the learner-owned pool when no
-  /// ThreadPool is borrowed, and for the plane build of a tester constructed
-  /// from a table. New code should hand the learner a ThreadPool& instead —
-  /// one pool per learn call, tests scheduled across it.
-  std::size_t threads = 1;
   /// Cooperative cancellation: polled at the top of every CI test; a set
   /// flag makes the tester throw OperationCancelled (learners surface it as
   /// a clean error, never a torn graph). Borrowed, may be null.
@@ -167,15 +161,10 @@ class MarginalReuseCache {
 template <typename K>
 class BasicCiTester {
  public:
-  using Table = BasicPotentialTable<K>;
   using Planes = BasicEntryPlanes<K>;
 
-  /// Builds and owns the planes of `table`, on a pool of options.threads
-  /// workers.
-  BasicCiTester(const Table& table, CiOptions options);
-
-  /// Counts from planes built elsewhere (once per learn), which must outlive
-  /// the tester.
+  /// Counts from planes the caller built (once per learn, on its own pool),
+  /// which must outlive the tester.
   BasicCiTester(const Planes& planes, CiOptions options);
 
   /// Tests X ⟂ Y | Z. Z may be empty (marginal independence, Eq. 1).
@@ -199,7 +188,6 @@ class BasicCiTester {
   [[nodiscard]] std::shared_ptr<const MarginalTable> count_marginal(
       std::span<const std::size_t> vars) const;
 
-  std::unique_ptr<const Planes> owned_planes_;  ///< null when borrowed
   const Planes& planes_;
   CiOptions options_;
   mutable MarginalReuseCache cache_;

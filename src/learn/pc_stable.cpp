@@ -51,46 +51,24 @@ struct SearchOutcome {
 }  // namespace
 
 template <typename K>
-BasicPcStableLearner<K>::BasicPcStableLearner(PcStableOptions options)
-    : options_(options) {}
-
-template <typename K>
 BasicPcStableLearner<K>::BasicPcStableLearner(PcStableOptions options,
                                               ThreadPool& pool)
-    : BasicPcStableLearner(options) {
-  pool_ = &pool;
-}
+    : options_(options), pool_(pool) {}
 
 template <typename K>
 PcStableResult BasicPcStableLearner<K>::learn(const Dataset& data) const {
-  if (pool_ != nullptr) {
-    BasicWaitFreeBuilder<K> builder;
-    return learn_with_pool(builder.build(data, *pool_), *pool_);
-  }
-  WaitFreeBuilderOptions builder_options;
-  builder_options.threads = options_.ci.threads;
-  BasicWaitFreeBuilder<K> builder(builder_options);
-  ThreadPool pool(options_.ci.threads);
-  return learn_with_pool(builder.build(data, pool), pool);
+  return learn(BasicWaitFreeBuilder<K>().build(data, pool_));
 }
 
 template <typename K>
 PcStableResult BasicPcStableLearner<K>::learn(const Table& table) const {
-  if (pool_ != nullptr) return learn_with_pool(table, *pool_);
-  ThreadPool pool(options_.ci.threads);
-  return learn_with_pool(table, pool);
-}
-
-template <typename K>
-PcStableResult BasicPcStableLearner<K>::learn_with_pool(const Table& table,
-                                                        ThreadPool& pool) const {
   const std::size_t n = table.codec().variable_count();
   PcStableResult result{UndirectedGraph(n), Dag(n), {}, 0, 0, CiScheduleStats{}};
   // The table is decoded once into planes that every CI test counts from;
   // tests count on their worker, parallelism comes from pairs in flight.
-  const BasicEntryPlanes<K> planes(table, pool);
+  const BasicEntryPlanes<K> planes(table, pool_);
   const BasicCiTester<K> tester(planes, options_.ci);
-  BasicCiScheduler<K> scheduler(pool);
+  BasicCiScheduler<K> scheduler(pool_);
 
   // Start from the complete graph.
   UndirectedGraph& graph = result.skeleton;
@@ -158,13 +136,7 @@ PcStableResult BasicPcStableLearner<K>::learn_with_pool(const Table& table,
     }
   }
 
-  if (options_.orient) {
-    result.oriented = orient_skeleton(graph, result.sepsets);
-  } else {
-    Dag dag(n);
-    for (const Edge& e : graph.edges()) dag.add_edge(e.from, e.to);
-    result.oriented = std::move(dag);
-  }
+  result.oriented = orient_skeleton(graph, result.sepsets);
   result.ci_tests = tester.tests_performed();
   scheduler.absorb_cache_stats(tester);
   result.schedule = scheduler.stats();

@@ -35,7 +35,6 @@ struct PcStableOptions {
   /// Largest conditioning-set size to try (caps both runtime and the size of
   /// the marginal tables the tests build).
   std::size_t max_level = 3;
-  bool orient = true;
 };
 
 struct PcStableResult {
@@ -54,11 +53,8 @@ class BasicPcStableLearner {
  public:
   using Table = BasicPotentialTable<K>;
 
-  explicit BasicPcStableLearner(PcStableOptions options = {});
-
-  /// Borrowed-pool constructor: every level's subset searches are scheduled
-  /// across `pool`, which must outlive the learner. Without it the learner
-  /// owns a pool of options.ci.threads workers per learn() call.
+  /// Every level's subset searches are scheduled across `pool`, which must
+  /// outlive the learner.
   BasicPcStableLearner(PcStableOptions options, ThreadPool& pool);
 
   /// Learns from raw data (builds the potential table with the wait-free
@@ -71,11 +67,8 @@ class BasicPcStableLearner {
   }
 
  private:
-  [[nodiscard]] PcStableResult learn_with_pool(const Table& table,
-                                               ThreadPool& pool) const;
-
   PcStableOptions options_;
-  ThreadPool* pool_ = nullptr;  ///< borrowed; null → own pool per learn()
+  ThreadPool& pool_;
 };
 
 extern template class BasicPcStableLearner<Key>;

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
-#include "core/marginalizer.hpp"
+#include "core/all_pairs_mi.hpp"
 #include "core/wait_free_builder.hpp"
 #include "learn/sparse_candidate.hpp"
 #include "util/error.hpp"
@@ -11,27 +12,13 @@
 namespace wfbn {
 
 template <typename K>
-BasicFamilyScorer<K>::BasicFamilyScorer(const Table& table, std::size_t threads)
-    : table_(table), threads_(threads) {
-  WFBN_EXPECT(threads >= 1, "scorer needs at least one thread");
-}
-
-template <typename K>
-BasicFamilyScorer<K>::BasicFamilyScorer(const Table& table, ThreadPool& pool)
-    : table_(table), threads_(pool.size()), pool_(&pool) {}
-
-template <typename K>
-MarginalTable BasicFamilyScorer<K>::sweep(
-    std::span<const std::size_t> vars) const {
-  const BasicMarginalizer<K> marginalizer(threads_);
-  if (pool_ != nullptr) return marginalizer.marginalize(table_, vars, *pool_);
-  return marginalizer.marginalize(table_, vars);
-}
+BasicFamilyScorer<K>::BasicFamilyScorer(const Planes& planes)
+    : planes_(planes) {}
 
 template <typename K>
 double BasicFamilyScorer<K>::family_score(std::size_t v,
                                           std::vector<std::size_t> parents) const {
-  WFBN_EXPECT(v < table_.codec().variable_count(), "node out of range");
+  WFBN_EXPECT(v < planes_.codec().variable_count(), "node out of range");
   std::sort(parents.begin(), parents.end());
   WFBN_EXPECT(std::adjacent_find(parents.begin(), parents.end()) ==
                   parents.end(),
@@ -46,39 +33,26 @@ double BasicFamilyScorer<K>::family_score(std::size_t v,
   }
   ++evaluations_;
 
-  const double m = static_cast<double>(table_.sample_count());
-  const std::uint32_t r = table_.codec().cardinality(v);
-
+  // Joint over (v, parents...): v is the first (fastest) variable, so the
+  // parent configuration is cell / r (a root has the one configuration 0,
+  // whose total is m).
+  std::vector<std::size_t> vars{v};
+  vars.insert(vars.end(), parents.begin(), parents.end());
+  const MarginalTable joint = planes_.marginalize(vars);
+  const double m = static_cast<double>(joint.total());
+  const std::uint32_t r = planes_.codec().cardinality(v);
+  const std::uint64_t parent_configs = joint.cell_count() / r;
+  std::vector<std::uint64_t> config_totals(parent_configs, 0);
+  for (std::uint64_t cell = 0; cell < joint.cell_count(); ++cell) {
+    config_totals[cell / r] += joint.count_at(cell);
+  }
   double log_likelihood = 0.0;
-  std::uint64_t parent_configs = 1;
-  if (parents.empty()) {
-    const std::size_t vars[] = {v};
-    const MarginalTable counts = sweep(vars);
-    for (std::uint64_t cell = 0; cell < counts.cell_count(); ++cell) {
-      const std::uint64_t c = counts.count_at(cell);
-      if (c != 0) {
-        log_likelihood +=
-            static_cast<double>(c) * std::log(static_cast<double>(c) / m);
-      }
-    }
-  } else {
-    // Joint over (v, parents...): v is the first (fastest) variable, so the
-    // parent configuration is cell / r.
-    std::vector<std::size_t> vars{v};
-    vars.insert(vars.end(), parents.begin(), parents.end());
-    const MarginalTable joint = sweep(vars);
-    parent_configs = joint.cell_count() / r;
-    std::vector<std::uint64_t> config_totals(parent_configs, 0);
-    for (std::uint64_t cell = 0; cell < joint.cell_count(); ++cell) {
-      config_totals[cell / r] += joint.count_at(cell);
-    }
-    for (std::uint64_t cell = 0; cell < joint.cell_count(); ++cell) {
-      const std::uint64_t c = joint.count_at(cell);
-      if (c != 0) {
-        log_likelihood += static_cast<double>(c) *
-                          std::log(static_cast<double>(c) /
-                                   static_cast<double>(config_totals[cell / r]));
-      }
+  for (std::uint64_t cell = 0; cell < joint.cell_count(); ++cell) {
+    const std::uint64_t c = joint.count_at(cell);
+    if (c != 0) {
+      log_likelihood += static_cast<double>(c) *
+                        std::log(static_cast<double>(c) /
+                                 static_cast<double>(config_totals[cell / r]));
     }
   }
 
@@ -91,7 +65,7 @@ double BasicFamilyScorer<K>::family_score(std::size_t v,
 
 template <typename K>
 double BasicFamilyScorer<K>::total_score(const Dag& dag) const {
-  WFBN_EXPECT(dag.node_count() == table_.codec().variable_count(),
+  WFBN_EXPECT(dag.node_count() == planes_.codec().variable_count(),
               "DAG does not match the table's variables");
   double total = 0.0;
   for (NodeId v = 0; v < dag.node_count(); ++v) {
@@ -116,18 +90,17 @@ bool is_candidate(const HillClimbOptions& options, NodeId parent, NodeId child) 
   return std::find(c.begin(), c.end(), parent) != c.end();
 }
 
-}  // namespace
-
+/// The greedy search over the families of `planes`.
 template <typename K>
-HillClimbResult hill_climb(const BasicPotentialTable<K>& table,
-                           const HillClimbOptions& options) {
-  const std::size_t n = table.codec().variable_count();
+HillClimbResult climb(const BasicEntryPlanes<K>& planes,
+                      const HillClimbOptions& options) {
+  const std::size_t n = planes.codec().variable_count();
   WFBN_EXPECT(options.max_parents >= 1, "max_parents must be >= 1");
   WFBN_EXPECT(options.candidate_parents.empty() ||
                   options.candidate_parents.size() == n,
               "candidate_parents must have one entry per node");
 
-  const BasicFamilyScorer<K> scorer(table, options.threads);
+  const BasicFamilyScorer<K> scorer(planes);
   HillClimbResult result{Dag(n), 0.0, 0, 0, 0};
   Dag& dag = result.dag;
 
@@ -214,31 +187,37 @@ HillClimbResult hill_climb(const BasicPotentialTable<K>& table,
   return result;
 }
 
+}  // namespace
+
+template <typename K>
+HillClimbResult hill_climb(const BasicPotentialTable<K>& table,
+                           ThreadPool& pool, const HillClimbOptions& options) {
+  return climb(BasicEntryPlanes<K>(table, pool), options);
+}
+
 template <typename K>
 HillClimbResult hill_climb_sparse(const Dataset& data,
                                   std::size_t candidates_per_node,
-                                  HillClimbOptions options) {
-  WaitFreeBuilderOptions builder_options;
-  builder_options.threads = options.threads == 0 ? 1 : options.threads;
-  BasicWaitFreeBuilder<K> builder(builder_options);
-  const BasicPotentialTable<K> table = builder.build(data);
-
-  BasicAllPairsMi<K> all_pairs(AllPairsOptions{builder_options.threads});
-  const MiMatrix mi = all_pairs.compute(table);
+                                  ThreadPool& pool, HillClimbOptions options) {
+  const BasicEntryPlanes<K> planes(BasicWaitFreeBuilder<K>().build(data, pool),
+                                   pool);
+  const MiMatrix mi = BasicAllPairsMi<K>().compute(planes, pool);
   options.candidate_parents = sparse_candidates(mi, candidates_per_node);
-  return hill_climb(table, options);
+  return climb(planes, options);
 }
 
 template class BasicFamilyScorer<Key>;
 template class BasicFamilyScorer<WideKey>;
 
 template HillClimbResult hill_climb<Key>(const BasicPotentialTable<Key>&,
-                                         const HillClimbOptions&);
+                                         ThreadPool&, const HillClimbOptions&);
 template HillClimbResult hill_climb<WideKey>(const BasicPotentialTable<WideKey>&,
+                                             ThreadPool&,
                                              const HillClimbOptions&);
 template HillClimbResult hill_climb_sparse<Key>(const Dataset&, std::size_t,
-                                                HillClimbOptions);
+                                                ThreadPool&, HillClimbOptions);
 template HillClimbResult hill_climb_sparse<WideKey>(const Dataset&, std::size_t,
+                                                    ThreadPool&,
                                                     HillClimbOptions);
 
 }  // namespace wfbn

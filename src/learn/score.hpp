@@ -6,41 +6,39 @@
 // efficient tool to help reduce the search space of other structure learning
 // algorithms").
 //
-// The BIC score decomposes over families (node + parent set); family scores
-// are computed by marginalizing the potential table with the parallel
-// primitive and cached, so the climb never touches the raw data twice for
-// the same family. Templated over KeyTraits like the rest of the learner
-// layer: FamilyScorer / hill_climb work on narrow tables, the Wide aliases
-// and explicit <WideKey> calls on two-word tables.
+// The BIC score decomposes over families (node + parent set). Each family
+// {v, parents...} is counted from the table's entry planes by
+// BasicEntryPlanes::marginalize — the lattice-or-scatter cost rule the CI
+// tests and the serving layer count with — and its score is cached, so the
+// climb counts each family once. hill_climb decodes the table into planes
+// once, on the caller's pool. Templated over KeyTraits like the rest of the
+// learner layer: FamilyScorer / hill_climb work on narrow tables, the Wide
+// aliases and explicit <WideKey> calls on two-word tables.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "bn/dag.hpp"
 #include "concurrent/thread_pool.hpp"
-#include "core/all_pairs_mi.hpp"
+#include "core/entry_planes.hpp"
 #include "data/dataset.hpp"
 #include "table/potential_table.hpp"
 
 namespace wfbn {
 
 /// Decomposable family score: log-likelihood of X_v given its parents minus
-/// the BIC complexity penalty (0.5 · log m · #free parameters).
+/// the BIC complexity penalty (0.5 · log m · #free parameters), m the
+/// family table's total count.
 template <typename K>
 class BasicFamilyScorer {
  public:
-  using Table = BasicPotentialTable<K>;
+  using Planes = BasicEntryPlanes<K>;
 
-  /// Borrows `table`; it must outlive the scorer. `threads` parallelizes the
-  /// marginalizations that produce the family counts.
-  explicit BasicFamilyScorer(const Table& table, std::size_t threads = 1);
-
-  /// Borrowed-pool constructor: family-count marginalizations run across
-  /// `pool` (which must outlive the scorer) instead of per-call threads.
-  BasicFamilyScorer(const Table& table, ThreadPool& pool);
+  /// Borrows `planes`; they must outlive the scorer. Family counts run on
+  /// the calling thread.
+  explicit BasicFamilyScorer(const Planes& planes);
 
   /// BIC score of the family (v | parents). Parents need not be sorted;
   /// results are cached under the sorted set.
@@ -56,11 +54,7 @@ class BasicFamilyScorer {
   [[nodiscard]] std::uint64_t cache_hits() const noexcept { return cache_hits_; }
 
  private:
-  [[nodiscard]] MarginalTable sweep(std::span<const std::size_t> vars) const;
-
-  const Table& table_;
-  std::size_t threads_;
-  ThreadPool* pool_ = nullptr;  ///< borrowed; null → per-call threads
+  const Planes& planes_;
   mutable std::map<std::pair<std::size_t, std::vector<std::size_t>>, double>
       cache_;
   mutable std::uint64_t evaluations_ = 0;
@@ -74,7 +68,6 @@ using FamilyScorer = BasicFamilyScorer<Key>;
 using WideFamilyScorer = BasicFamilyScorer<WideKey>;
 
 struct HillClimbOptions {
-  std::size_t threads = 1;
   /// Cap on parents per node (keeps family tables dense and counts honest).
   std::size_t max_parents = 3;
   /// Per-node candidate parents (e.g. from sparse_candidates()); empty means
@@ -94,28 +87,35 @@ struct HillClimbResult {
 };
 
 /// Greedy hill climbing over add-edge / remove-edge / reverse-edge moves,
-/// starting from the empty graph. K is deduced from the table.
+/// starting from the empty graph. Builds the table's entry planes once on
+/// `pool`; the climb itself runs on the calling thread. K is deduced from
+/// the table.
 template <typename K>
 [[nodiscard]] HillClimbResult hill_climb(const BasicPotentialTable<K>& table,
+                                         ThreadPool& pool,
                                          const HillClimbOptions& options = {});
 
-/// Convenience: builds the table with the wait-free primitive, derives
-/// candidate parents from all-pairs MI (top-k per node), then climbs.
-/// Narrow by default; call hill_climb_sparse<WideKey>(...) for wide tables.
+/// Convenience: builds the table with the wait-free primitive and its entry
+/// planes on `pool`, derives candidate parents from the all-pairs MI of those
+/// planes (top-k per node), then climbs on the same planes. Narrow by
+/// default; call hill_climb_sparse<WideKey>(...) for wide tables.
 template <typename K = Key>
 [[nodiscard]] HillClimbResult hill_climb_sparse(const Dataset& data,
                                                 std::size_t candidates_per_node,
+                                                ThreadPool& pool,
                                                 HillClimbOptions options = {});
 
 extern template HillClimbResult hill_climb<Key>(const BasicPotentialTable<Key>&,
+                                                ThreadPool&,
                                                 const HillClimbOptions&);
 extern template HillClimbResult hill_climb<WideKey>(
-    const BasicPotentialTable<WideKey>&, const HillClimbOptions&);
+    const BasicPotentialTable<WideKey>&, ThreadPool&, const HillClimbOptions&);
 extern template HillClimbResult hill_climb_sparse<Key>(const Dataset&,
-                                                       std::size_t,
+                                                       std::size_t, ThreadPool&,
                                                        HillClimbOptions);
 extern template HillClimbResult hill_climb_sparse<WideKey>(const Dataset&,
                                                            std::size_t,
+                                                           ThreadPool&,
                                                            HillClimbOptions);
 
 }  // namespace wfbn

@@ -168,7 +168,6 @@ LearnedStructure BasicServeEngine<K>::learn_structure(
   ci.method = request.method;
   ci.mi_threshold = request.mi_threshold;
   ci.alpha = request.alpha;
-  ci.threads = request.threads;
   ci.cancel = request.cancel;
 
   switch (request.algorithm) {

@@ -18,17 +18,17 @@ ChengResult learn_network(const BayesianNetwork& truth, std::size_t samples,
                           double epsilon, std::uint64_t seed) {
   const Dataset data = forward_sample(truth, samples, seed, 4);
   ChengOptions options;
-  options.ci.threads = 4;
+  ThreadPool pool(4);
   options.ci.mi_threshold = epsilon;
-  return ChengLearner(options).learn(data);
+  return ChengLearner(options, pool).learn(data);
 }
 
 TEST(Cheng, RecoversChainSkeletonExactly) {
   const Dataset data = generate_chain_correlated(60000, 6, 2, 0.85, 71);
   ChengOptions options;
-  options.ci.threads = 4;
+  ThreadPool pool(4);
   options.ci.mi_threshold = 0.01;
-  const ChengResult result = ChengLearner(options).learn(data);
+  const ChengResult result = ChengLearner(options, pool).learn(data);
   UndirectedGraph expected(6);
   for (NodeId v = 0; v + 1 < 6; ++v) expected.add_edge(v, v + 1);
   const SkeletonMetrics m = compare_skeletons(result.skeleton, expected);
@@ -39,8 +39,8 @@ TEST(Cheng, RecoversChainSkeletonExactly) {
 TEST(Cheng, UniformDataYieldsEmptyGraph) {
   const Dataset data = generate_uniform(40000, 8, 2, 72);
   ChengOptions options;
-  options.ci.threads = 2;
-  const ChengResult result = ChengLearner(options).learn(data);
+  ThreadPool pool(2);
+  const ChengResult result = ChengLearner(options, pool).learn(data);
   EXPECT_EQ(result.skeleton.edge_count(), 0u);
   EXPECT_EQ(result.oriented.edge_count(), 0u);
 }
@@ -107,8 +107,8 @@ TEST(Cheng, PhaseBookkeepingIsConsistent) {
 TEST(Cheng, LearnFromTableMatchesLearnFromData) {
   const Dataset data = generate_chain_correlated(30000, 5, 2, 0.8, 73);
   ChengOptions options;
-  options.ci.threads = 2;
-  const ChengLearner learner(options);
+  ThreadPool pool(2);
+  const ChengLearner learner(options, pool);
   WaitFreeBuilderOptions builder_options;
   builder_options.threads = 2;
   WaitFreeBuilder builder(builder_options);
@@ -132,9 +132,9 @@ TEST(Cheng, OrientationFindsCollider) {
                     {0.95, 0.05, 0.35, 0.65, 0.65, 0.35, 0.05, 0.95}));
   const Dataset data = forward_sample(bn, 80000, 74);
   ChengOptions options;
-  options.ci.threads = 2;
+  ThreadPool pool(2);
   options.ci.mi_threshold = 0.005;
-  const ChengResult result = ChengLearner(options).learn(data);
+  const ChengResult result = ChengLearner(options, pool).learn(data);
   ASSERT_TRUE(result.skeleton.has_edge(0, 2));
   ASSERT_TRUE(result.skeleton.has_edge(1, 2));
   ASSERT_FALSE(result.skeleton.has_edge(0, 1));
@@ -148,9 +148,9 @@ TEST(Cheng, ThinningRemovesRedundantTriangleEdge) {
   // be reduced to the true chain.
   const Dataset data = generate_chain_correlated(120000, 3, 2, 0.9, 75);
   ChengOptions options;
-  options.ci.threads = 2;
+  ThreadPool pool(2);
   options.ci.mi_threshold = 0.005;
-  const ChengResult result = ChengLearner(options).learn(data);
+  const ChengResult result = ChengLearner(options, pool).learn(data);
   EXPECT_TRUE(result.skeleton.has_edge(0, 1));
   EXPECT_TRUE(result.skeleton.has_edge(1, 2));
   EXPECT_FALSE(result.skeleton.has_edge(0, 2));
@@ -159,8 +159,8 @@ TEST(Cheng, ThinningRemovesRedundantTriangleEdge) {
 TEST(Cheng, SepsetsRecordedForSeparatedPairs) {
   const Dataset data = generate_chain_correlated(60000, 3, 2, 0.85, 76);
   ChengOptions options;
-  options.ci.threads = 2;
-  const ChengResult result = ChengLearner(options).learn(data);
+  ThreadPool pool(2);
+  const ChengResult result = ChengLearner(options, pool).learn(data);
   const auto it = result.sepsets.find({0, 2});
   ASSERT_NE(it, result.sepsets.end());
   EXPECT_EQ(it->second, std::vector<std::size_t>{1});
@@ -169,10 +169,10 @@ TEST(Cheng, SepsetsRecordedForSeparatedPairs) {
 TEST(Cheng, GTestMethodAlsoRecoversStructure) {
   const Dataset data = generate_chain_correlated(60000, 5, 2, 0.85, 77);
   ChengOptions options;
-  options.ci.threads = 2;
+  ThreadPool pool(2);
   options.ci.method = CiMethod::kGTest;
   options.ci.alpha = 1e-4;
-  const ChengResult result = ChengLearner(options).learn(data);
+  const ChengResult result = ChengLearner(options, pool).learn(data);
   UndirectedGraph expected(5);
   for (NodeId v = 0; v + 1 < 5; ++v) expected.add_edge(v, v + 1);
   const SkeletonMetrics m = compare_skeletons(result.skeleton, expected);
@@ -182,12 +182,11 @@ TEST(Cheng, GTestMethodAlsoRecoversStructure) {
 
 TEST(Cheng, DeterministicAcrossThreadCounts) {
   const Dataset data = generate_chain_correlated(30000, 6, 2, 0.8, 78);
-  ChengOptions one;
-  one.ci.threads = 1;
-  ChengOptions eight;
-  eight.ci.threads = 8;
-  const ChengResult a = ChengLearner(one).learn(data);
-  const ChengResult b = ChengLearner(eight).learn(data);
+  const ChengOptions options;
+  ThreadPool one(1);
+  ThreadPool eight(8);
+  const ChengResult a = ChengLearner(options, one).learn(data);
+  const ChengResult b = ChengLearner(options, eight).learn(data);
   EXPECT_EQ(a.skeleton.edges(), b.skeleton.edges());
   EXPECT_EQ(a.oriented.edges(), b.oriented.edges());
 }

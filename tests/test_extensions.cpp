@@ -148,9 +148,8 @@ TEST(Discretize, PreservesDependenceForTheLearner) {
     values.push_back(x + 0.1 * rng.uniform01());
   }
   const Dataset data = discretize(values, 30000, 2, {});
-  ChengOptions options;
-  options.ci.threads = 2;
-  const ChengResult result = ChengLearner(options).learn(data);
+  ThreadPool pool(2);
+  const ChengResult result = ChengLearner(ChengOptions{}, pool).learn(data);
   EXPECT_TRUE(result.skeleton.has_edge(0, 1));
 }
 
@@ -178,13 +177,11 @@ TEST(Bootstrap, TrueEdgesGetHighConfidenceNoiseGetsLow) {
   const Dataset data = generate_chain_correlated(20000, 5, 2, 0.8, 612);
   BootstrapOptions options;
   options.replicates = 10;
-  options.threads = 2;
+  ThreadPool pool(2);
   const BootstrapResult result = bootstrap_edges(
       data,
-      [](const Dataset& d) {
-        ChengOptions learn_options;
-        learn_options.ci.threads = 2;
-        return ChengLearner(learn_options).learn(d).skeleton;
+      [&](const Dataset& d) {
+        return ChengLearner(ChengOptions{}, pool).learn(d).skeleton;
       },
       options);
   ASSERT_EQ(result.nodes, 5u);
@@ -199,13 +196,13 @@ TEST(Bootstrap, TrueEdgesGetHighConfidenceNoiseGetsLow) {
 
 TEST(Bootstrap, ConfidenceMatrixIsSymmetricWithUnitRange) {
   const Dataset data = generate_uniform(5000, 4, 2, 613);
+  ThreadPool pool(1);
   const BootstrapResult result = bootstrap_edges(
       data,
-      [](const Dataset& d) {
-        ChengOptions learn_options;
-        return ChengLearner(learn_options).learn(d).skeleton;
+      [&](const Dataset& d) {
+        return ChengLearner(ChengOptions{}, pool).learn(d).skeleton;
       },
-      BootstrapOptions{5, 2, 1});
+      BootstrapOptions{5, 2});
   for (NodeId i = 0; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(result.confidence(i, i), 0.0);
     for (NodeId j = 0; j < 4; ++j) {
@@ -218,12 +215,12 @@ TEST(Bootstrap, ConfidenceMatrixIsSymmetricWithUnitRange) {
 
 TEST(Bootstrap, DeterministicInSeed) {
   const Dataset data = generate_chain_correlated(5000, 4, 2, 0.7, 614);
-  auto learner = [](const Dataset& d) {
-    ChengOptions learn_options;
-    return ChengLearner(learn_options).learn(d).skeleton;
+  ThreadPool pool(1);
+  auto learner = [&](const Dataset& d) {
+    return ChengLearner(ChengOptions{}, pool).learn(d).skeleton;
   };
-  const BootstrapResult a = bootstrap_edges(data, learner, {5, 99, 1});
-  const BootstrapResult b = bootstrap_edges(data, learner, {5, 99, 1});
+  const BootstrapResult a = bootstrap_edges(data, learner, {5, 99});
+  const BootstrapResult b = bootstrap_edges(data, learner, {5, 99});
   EXPECT_EQ(a.edge_confidence, b.edge_confidence);
 }
 
@@ -231,9 +228,9 @@ TEST(Bootstrap, ValidatesArguments) {
   const Dataset data = generate_uniform(100, 3, 2, 615);
   EXPECT_THROW((void)bootstrap_edges(
                    data, [](const Dataset& d) { return UndirectedGraph(d.variable_count()); },
-                   BootstrapOptions{0, 1, 1}),
+                   BootstrapOptions{0, 1}),
                PreconditionError);
-  EXPECT_THROW((void)bootstrap_edges(data, nullptr, BootstrapOptions{1, 1, 1}),
+  EXPECT_THROW((void)bootstrap_edges(data, nullptr, BootstrapOptions{1, 1}),
                PreconditionError);
 }
 

@@ -22,6 +22,7 @@
 #include "learn/cheng.hpp"
 #include "learn/pc_stable.hpp"
 #include "raw_rows.hpp"
+#include "scratch_dir.hpp"
 #include "serve/persist/format.hpp"
 #include "serve/persist/snapshot_reader.hpp"
 #include "serve/persist/snapshot_writer.hpp"
@@ -189,17 +190,17 @@ TEST(FaultInjection, PcStablePlaneBuildThrowsTypedErrorOrCompletes) {
   WaitFreeBuilderOptions options;
   options.threads = 4;
   const PotentialTable table = WaitFreeBuilder(options).build(data);
-  PcStableOptions pc;
-  pc.ci.threads = 4;
-  const PcStableResult clean = PcStableLearner(pc).learn(table);
+  ThreadPool pool(4);
+  const PcStableLearner learner(PcStableOptions{}, pool);
+  const PcStableResult clean = learner.learn(table);
   const std::size_t hits = table.partitions().partition_count();
   for (std::size_t fire_on = 1; fire_on <= hits + 1; ++fire_on) {
     fault::ScopedFaultInjection injection;
     fault::arm(fault::Point::kMiSweep, fire_on);
     if (fire_on <= hits) {
-      EXPECT_THROW((void)PcStableLearner(pc).learn(table), InjectedFault) << fire_on;
+      EXPECT_THROW((void)learner.learn(table), InjectedFault) << fire_on;
     } else {
-      const PcStableResult result = PcStableLearner(pc).learn(table);
+      const PcStableResult result = learner.learn(table);
       EXPECT_EQ(result.skeleton.edges(), clean.skeleton.edges());
       EXPECT_EQ(result.oriented.edges(), clean.oriented.edges());
       EXPECT_EQ(result.sepsets, clean.sepsets);
@@ -628,9 +629,8 @@ TEST(PersistFaults, RandomFaultSchedulesNeverCorruptRecovery) {
   const std::map<Key, std::uint64_t> ref1 = snapshot(t1);
   const std::map<Key, std::uint64_t> ref2 = snapshot(t2);
 
-  const std::filesystem::path root =
-      std::filesystem::path(::testing::TempDir()) / "wfbn_persist_fuzz";
-  std::filesystem::remove_all(root);
+  const testing_support::ScratchDir scratch("wfbn_persist_fuzz");
+  const std::filesystem::path& root = scratch.path();
 
   int completed = 0;
   int faulted = 0;
@@ -683,10 +683,8 @@ TEST(PersistFaults, RecoverChecksumFaultForcesFallbackOneVersion) {
   const PotentialTable t1 = builder.build(base);
   const PotentialTable t2 = builder.build(more);
 
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "wfbn_recover_checksum";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const testing_support::ScratchDir scratch("wfbn_recover_checksum");
+  const std::filesystem::path& dir = scratch.path();
   serve::persist::SnapshotWriter writer(dir);
   writer.write(serve::Snapshot(t1, 1));
   writer.write(serve::Snapshot(t2, 2));
@@ -712,14 +710,14 @@ TEST(LearnFaults, ArmedLearnPointsAbortTheLearnWithTypedErrors) {
   WaitFreeBuilderOptions build_options;
   build_options.threads = 2;
   const PotentialTable table = WaitFreeBuilder(build_options).build(data);
-  ChengOptions options;
-  options.ci.threads = 2;
+  ThreadPool pool(2);
+  const ChengLearner learner(ChengOptions{}, pool);
 
   for (const fault::Point point :
        {fault::Point::kLearnCiTest, fault::Point::kLearnSchedule}) {
     fault::ScopedFaultInjection injection;
     fault::arm(point, 1);
-    EXPECT_THROW((void)ChengLearner(options).learn(table), InjectedFault)
+    EXPECT_THROW((void)learner.learn(table), InjectedFault)
         << fault::point_name(point);
     EXPECT_GE(fault::hits(point), 1u) << fault::point_name(point);
   }
@@ -731,16 +729,18 @@ TEST(LearnFaults, RandomSchedulesYieldTypedErrorOrBitIdenticalStructure) {
   // parallel scheduler. The oracle is the scheduler's failure-atomicity
   // contract: either a typed error surfaces — InjectedFault from a fired
   // point, mid-batch, between batches, anywhere — or the learn completes
-  // with a structure bit-identical to the unfaulted reference. A fault may
-  // also degrade the learner-owned pool (spawn/pin points); determinism
-  // across pool widths means even a degraded run must match exactly.
+  // with a structure bit-identical to the unfaulted reference. The learn's
+  // pool is built inside each armed schedule, so a fault may also degrade
+  // it (spawn/pin points); determinism across pool widths means even a
+  // degraded run must match exactly.
   const Dataset data = generate_chain_correlated(8000, 6, 2, 0.8, 0xA1);
   WaitFreeBuilderOptions build_options;
   build_options.threads = 2;
   const PotentialTable table = WaitFreeBuilder(build_options).build(data);
-  ChengOptions options;
-  options.ci.threads = 3;
-  const ChengResult reference = ChengLearner(options).learn(table);
+  const ChengOptions options;
+  ThreadPool reference_pool(3);
+  const ChengResult reference =
+      ChengLearner(options, reference_pool).learn(table);
 
   int completed = 0;
   int faulted = 0;
@@ -749,7 +749,8 @@ TEST(LearnFaults, RandomSchedulesYieldTypedErrorOrBitIdenticalStructure) {
     const std::string schedule = fault::arm_random_schedule(seed);
     SCOPED_TRACE("seed " + std::to_string(seed) + ": " + schedule);
     try {
-      const ChengResult result = ChengLearner(options).learn(table);
+      ThreadPool pool(3);
+      const ChengResult result = ChengLearner(options, pool).learn(table);
       EXPECT_EQ(result.skeleton.edges(), reference.skeleton.edges());
       EXPECT_EQ(result.oriented.edges(), reference.oriented.edges());
       EXPECT_EQ(result.sepsets, reference.sepsets);

@@ -30,12 +30,17 @@ PotentialTable build(const Dataset& data) {
   return builder.build(data);
 }
 
+/// The entry planes of `data`'s table, built on a two-worker pool as a
+/// learner builds them once per learn.
+EntryPlanes planes_of(const Dataset& data) {
+  ThreadPool pool(2);
+  return EntryPlanes(build(data), pool);
+}
+
 TEST(CiTester, DetectsMarginalDependenceOnChainData) {
   const Dataset data = generate_chain_correlated(30000, 4, 2, 0.9, 61);
-  const PotentialTable table = build(data);
-  CiOptions options;
-  options.threads = 2;
-  const CiTester tester(table, options);
+  const EntryPlanes planes = planes_of(data);
+  const CiTester tester(planes, CiOptions{});
   EXPECT_FALSE(tester.test(0, 1, {}).independent);
   EXPECT_FALSE(tester.test(0, 3, {}).independent);  // transitively dependent
   EXPECT_GT(tester.pair_mi(0, 1), tester.pair_mi(0, 3));
@@ -43,8 +48,8 @@ TEST(CiTester, DetectsMarginalDependenceOnChainData) {
 
 TEST(CiTester, DetectsIndependenceOnUniformData) {
   const Dataset data = generate_uniform(30000, 4, 2, 62);
-  const PotentialTable table = build(data);
-  const CiTester tester(table, CiOptions{});
+  const EntryPlanes planes = planes_of(data);
+  const CiTester tester(planes, CiOptions{});
   for (std::size_t i = 0; i < 4; ++i) {
     for (std::size_t j = i + 1; j < 4; ++j) {
       EXPECT_TRUE(tester.test(i, j, {}).independent);
@@ -54,8 +59,8 @@ TEST(CiTester, DetectsIndependenceOnUniformData) {
 
 TEST(CiTester, ConditioningScreensOffChain) {
   const Dataset data = generate_chain_correlated(60000, 3, 2, 0.85, 63);
-  const PotentialTable table = build(data);
-  const CiTester tester(table, CiOptions{});
+  const EntryPlanes planes = planes_of(data);
+  const CiTester tester(planes, CiOptions{});
   const std::size_t middle[] = {1};
   EXPECT_FALSE(tester.test(0, 2, {}).independent);
   EXPECT_TRUE(tester.test(0, 2, middle).independent);
@@ -63,11 +68,11 @@ TEST(CiTester, ConditioningScreensOffChain) {
 
 TEST(CiTester, GTestMethodAgreesOnClearCases) {
   const Dataset data = generate_chain_correlated(60000, 3, 2, 0.85, 64);
-  const PotentialTable table = build(data);
+  const EntryPlanes planes = planes_of(data);
   CiOptions options;
   options.method = CiMethod::kGTest;
   options.alpha = 0.01;
-  const CiTester tester(table, options);
+  const CiTester tester(planes, options);
   const CiDecision dependent = tester.test(0, 1, {});
   EXPECT_FALSE(dependent.independent);
   EXPECT_LT(dependent.p_value, 1e-6);
@@ -87,8 +92,8 @@ TEST(CiTester, ColliderSignatureOnSampledData) {
                     2, {2, 2},
                     {0.95, 0.05, 0.10, 0.90, 0.10, 0.90, 0.95, 0.05}));
   const Dataset data = forward_sample(bn, 80000, 65);
-  const PotentialTable table = build(data);
-  const CiTester tester(table, CiOptions{});
+  const EntryPlanes planes = planes_of(data);
+  const CiTester tester(planes, CiOptions{});
   const std::size_t z[] = {2};
   EXPECT_TRUE(tester.test(0, 1, {}).independent);
   EXPECT_FALSE(tester.test(0, 1, z).independent);
@@ -96,8 +101,8 @@ TEST(CiTester, ColliderSignatureOnSampledData) {
 
 TEST(CiTester, CountsTests) {
   const Dataset data = generate_uniform(1000, 3, 2, 66);
-  const PotentialTable table = build(data);
-  const CiTester tester(table, CiOptions{});
+  const EntryPlanes planes = planes_of(data);
+  const CiTester tester(planes, CiOptions{});
   EXPECT_EQ(tester.tests_performed(), 0u);
   (void)tester.test(0, 1, {});
   (void)tester.test(0, 2, {});
@@ -106,28 +111,28 @@ TEST(CiTester, CountsTests) {
 
 TEST(CiTester, ValidatesArguments) {
   const Dataset data = generate_uniform(1000, 4, 2, 67);
-  const PotentialTable table = build(data);
-  const CiTester tester(table, CiOptions{});
+  const EntryPlanes planes = planes_of(data);
+  const CiTester tester(planes, CiOptions{});
   const std::size_t z_with_x[] = {0};
   EXPECT_THROW((void)tester.test(0, 0, {}), PreconditionError);
   EXPECT_THROW((void)tester.test(0, 1, z_with_x), PreconditionError);
   CiOptions bad;
-  bad.threads = 0;
-  EXPECT_THROW(CiTester(table, bad), PreconditionError);
+  bad.mi_threshold = -1.0;
+  EXPECT_THROW(CiTester(planes, bad), PreconditionError);
   CiOptions bad_alpha;
   bad_alpha.alpha = 1.5;
-  EXPECT_THROW(CiTester(table, bad_alpha), PreconditionError);
+  EXPECT_THROW(CiTester(planes, bad_alpha), PreconditionError);
 }
 
 TEST(CiTester, ThresholdControlsSensitivity) {
   const Dataset data = generate_chain_correlated(30000, 2, 2, 0.6, 68);
-  const PotentialTable table = build(data);
+  const EntryPlanes planes = planes_of(data);
   CiOptions strict;
   strict.mi_threshold = 1.0;  // absurdly high: everything "independent"
-  EXPECT_TRUE(CiTester(table, strict).test(0, 1, {}).independent);
+  EXPECT_TRUE(CiTester(planes, strict).test(0, 1, {}).independent);
   CiOptions loose;
   loose.mi_threshold = 1e-6;
-  EXPECT_FALSE(CiTester(table, loose).test(0, 1, {}).independent);
+  EXPECT_FALSE(CiTester(planes, loose).test(0, 1, {}).independent);
 }
 
 // ---------------------------------------------------------------------------

@@ -54,9 +54,9 @@ TEST(Integration, CsvToLearnedStructure) {
   const Dataset reloaded = read_csv(csv);
 
   ChengOptions options;
-  options.ci.threads = 4;
   options.ci.mi_threshold = 0.0005;
-  const ChengResult result = ChengLearner(options).learn(reloaded);
+  ThreadPool pool(4);
+  const ChengResult result = ChengLearner(options, pool).learn(reloaded);
   const SkeletonMetrics m =
       compare_skeletons(result.skeleton, truth.dag().skeleton());
   EXPECT_GE(m.f1, 0.85);
@@ -83,9 +83,9 @@ TEST(Integration, LearnedAsiaStructureImprovesLikelihoodOverEmpty) {
   const BayesianNetwork truth = load_network(RepositoryNetwork::kAsia);
   const Dataset train = forward_sample(truth, 100000, 780, 4);
   ChengOptions options;
-  options.ci.threads = 4;
   options.ci.mi_threshold = 0.002;
-  const ChengResult result = ChengLearner(options).learn(train);
+  ThreadPool pool(4);
+  const ChengResult result = ChengLearner(options, pool).learn(train);
 
   // Fit CPTs of the learned DAG by counting, then compare held-out average
   // log-likelihood against the empty (independence) model.

@@ -55,12 +55,12 @@ BasicPotentialTable<K> build_table(const Dataset& data) {
 
 TEST(LearnParity, ChengNarrowAndWideAgreeExactly) {
   const Dataset data = chain_data();
-  ChengOptions options;
-  options.ci.threads = 4;
+  const ChengOptions options;
+  ThreadPool pool(4);
   const ChengResult narrow =
-      ChengLearner(options).learn(build_table<Key>(data));
+      ChengLearner(options, pool).learn(build_table<Key>(data));
   const ChengResult wide =
-      WideChengLearner(options).learn(build_table<WideKey>(data));
+      WideChengLearner(options, pool).learn(build_table<WideKey>(data));
   EXPECT_EQ(undirected_edges(narrow.skeleton), undirected_edges(wide.skeleton));
   EXPECT_EQ(directed_edges(narrow.oriented), directed_edges(wide.oriented));
   EXPECT_EQ(narrow.sepsets, wide.sepsets);
@@ -70,12 +70,12 @@ TEST(LearnParity, ChengNarrowAndWideAgreeExactly) {
 TEST(LearnParity, PcStableNarrowAndWideAgreeExactly) {
   const Dataset data = chain_data();
   PcStableOptions options;
-  options.ci.threads = 4;
   options.max_level = 2;
+  ThreadPool pool(4);
   const PcStableResult narrow =
-      PcStableLearner(options).learn(build_table<Key>(data));
+      PcStableLearner(options, pool).learn(build_table<Key>(data));
   const PcStableResult wide =
-      WidePcStableLearner(options).learn(build_table<WideKey>(data));
+      WidePcStableLearner(options, pool).learn(build_table<WideKey>(data));
   EXPECT_EQ(undirected_edges(narrow.skeleton), undirected_edges(wide.skeleton));
   EXPECT_EQ(directed_edges(narrow.oriented), directed_edges(wide.oriented));
   EXPECT_EQ(narrow.sepsets, wide.sepsets);
@@ -94,10 +94,9 @@ TEST(LearnParity, ChowLiuNarrowAndWideAgreeExactly) {
 
 TEST(LearnParity, HillClimbSparseNarrowAndWideAgreeExactly) {
   const Dataset data = generate_chain_correlated(8000, 5, 2, 0.8, 92);
-  HillClimbOptions options;
-  options.threads = 2;
-  const HillClimbResult narrow = hill_climb_sparse(data, 3, options);
-  const HillClimbResult wide = hill_climb_sparse<WideKey>(data, 3, options);
+  ThreadPool pool(2);
+  const HillClimbResult narrow = hill_climb_sparse(data, 3, pool);
+  const HillClimbResult wide = hill_climb_sparse<WideKey>(data, 3, pool);
   EXPECT_EQ(directed_edges(narrow.dag), directed_edges(wide.dag));
   EXPECT_EQ(narrow.score, wide.score);
 }
@@ -109,12 +108,11 @@ TEST(LearnParity, HillClimbSparseNarrowAndWideAgreeExactly) {
 TEST(LearnScheduling, ChengIsBitIdenticalAcrossPoolWidths) {
   const Dataset data = chain_data();
   const PotentialTable table = build_table<Key>(data);
-  ChengOptions p1;
-  p1.ci.threads = 1;
-  ChengOptions p8 = p1;
-  p8.ci.threads = 8;
-  const ChengResult serial = ChengLearner(p1).learn(table);
-  const ChengResult parallel = ChengLearner(p8).learn(table);
+  const ChengOptions options;
+  ThreadPool p1(1);
+  ThreadPool p8(8);
+  const ChengResult serial = ChengLearner(options, p1).learn(table);
+  const ChengResult parallel = ChengLearner(options, p8).learn(table);
   EXPECT_EQ(undirected_edges(serial.skeleton),
             undirected_edges(parallel.skeleton));
   EXPECT_EQ(directed_edges(serial.oriented), directed_edges(parallel.oriented));
@@ -123,18 +121,20 @@ TEST(LearnScheduling, ChengIsBitIdenticalAcrossPoolWidths) {
   EXPECT_EQ(serial.draft_edge_count, parallel.draft_edge_count);
   EXPECT_EQ(serial.thickening_added, parallel.thickening_added);
   EXPECT_EQ(serial.thinning_removed, parallel.thinning_removed);
+  // The borrowed pool actually carried scheduled batches.
+  EXPECT_GT(parallel.schedule.batches, 0u);
+  EXPECT_GT(parallel.schedule.work_items, 0u);
 }
 
 TEST(LearnScheduling, PcStableIsBitIdenticalAcrossPoolWidths) {
   const Dataset data = chain_data();
   const PotentialTable table = build_table<Key>(data);
-  PcStableOptions p1;
-  p1.ci.threads = 1;
-  p1.max_level = 2;
-  PcStableOptions p8 = p1;
-  p8.ci.threads = 8;
-  const PcStableResult serial = PcStableLearner(p1).learn(table);
-  const PcStableResult parallel = PcStableLearner(p8).learn(table);
+  PcStableOptions options;
+  options.max_level = 2;
+  ThreadPool p1(1);
+  ThreadPool p8(8);
+  const PcStableResult serial = PcStableLearner(options, p1).learn(table);
+  const PcStableResult parallel = PcStableLearner(options, p8).learn(table);
   EXPECT_EQ(undirected_edges(serial.skeleton),
             undirected_edges(parallel.skeleton));
   EXPECT_EQ(directed_edges(serial.oriented), directed_edges(parallel.oriented));
@@ -142,29 +142,13 @@ TEST(LearnScheduling, PcStableIsBitIdenticalAcrossPoolWidths) {
   EXPECT_EQ(serial.ci_tests, parallel.ci_tests);
 }
 
-TEST(LearnScheduling, BorrowedPoolMatchesOwnedPool) {
-  const Dataset data = chain_data();
-  const PotentialTable table = build_table<Key>(data);
-  ChengOptions options;
-  options.ci.threads = 4;
-  const ChengResult owned = ChengLearner(options).learn(table);
-  ThreadPool pool(4);
-  const ChengResult borrowed = ChengLearner(options, pool).learn(table);
-  EXPECT_EQ(undirected_edges(owned.skeleton),
-            undirected_edges(borrowed.skeleton));
-  EXPECT_EQ(directed_edges(owned.oriented), directed_edges(borrowed.oriented));
-  EXPECT_EQ(owned.sepsets, borrowed.sepsets);
-  // The borrowed pool actually carried scheduled batches.
-  EXPECT_GT(borrowed.schedule.batches, 0u);
-  EXPECT_GT(borrowed.schedule.work_items, 0u);
-}
-
 TEST(LearnScheduling, SchedulerRunAnswersEveryTaskInSlotOrder) {
   const Dataset data = chain_data();
   const PotentialTable table = build_table<Key>(data);
   CiOptions ci;
-  const CiTester tester(table, ci);
   ThreadPool pool(4);
+  const EntryPlanes planes(table, pool);
+  const CiTester tester(planes, ci);
   CiScheduler scheduler(pool);
   std::vector<CiTask> tasks;
   for (std::size_t x = 0; x + 1 < 7; ++x) {
@@ -173,7 +157,7 @@ TEST(LearnScheduling, SchedulerRunAnswersEveryTaskInSlotOrder) {
   }
   const std::vector<CiDecision> decisions = scheduler.run(tester, tasks);
   ASSERT_EQ(decisions.size(), tasks.size());
-  const CiTester reference(table, ci);
+  const CiTester reference(planes, ci);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const CiDecision expect = reference.test(tasks[i].x, tasks[i].y, tasks[i].z);
     EXPECT_EQ(decisions[i].independent, expect.independent) << "task " << i;
@@ -190,9 +174,9 @@ TEST(LearnScheduling, SchedulerRunAnswersEveryTaskInSlotOrder) {
 TEST(MarginalReuse, CachedLearnSepsetsHoldOnRawRowCounts) {
   const Dataset data = chain_data();
   const PotentialTable table = build_table<Key>(data);
-  ChengOptions options;
-  options.ci.threads = 4;
-  const ChengResult result = ChengLearner(options).learn(table);
+  const ChengOptions options;
+  ThreadPool pool(4);
+  const ChengResult result = ChengLearner(options, pool).learn(table);
   // Every recorded sepset separates its pair on counts taken from the rows.
   ASSERT_FALSE(result.sepsets.empty());
   for (const auto& [pair, z] : result.sepsets) {
@@ -215,8 +199,9 @@ TEST(MarginalReuse, CachedLearnSepsetsHoldOnRawRowCounts) {
 
 TEST(MarginalReuse, TesterStatisticsMatchRawRowCountsOnMissAndHit) {
   const Dataset data = chain_data();
-  const PotentialTable table = build_table<Key>(data);
-  const CiTester cached(table, CiOptions{});
+  ThreadPool pool(2);
+  const EntryPlanes planes(build_table<Key>(data), pool);
+  const CiTester cached(planes, CiOptions{});
   const std::vector<std::size_t> z{2};
   // Twice through the tester: miss then hit, same bits every time.
   const CiDecision first = cached.test(1, 3, z);
@@ -232,8 +217,9 @@ TEST(MarginalReuse, TesterStatisticsMatchRawRowCountsOnMissAndHit) {
 
 TEST(MarginalReuse, SymmetricTestsShareOneMarginalization) {
   const Dataset data = chain_data();
-  const PotentialTable table = build_table<Key>(data);
-  const CiTester tester(table, CiOptions{});
+  ThreadPool pool(2);
+  const EntryPlanes planes(build_table<Key>(data), pool);
+  const CiTester tester(planes, CiOptions{});
   (void)tester.test(1, 2, {});
   (void)tester.test(2, 1, {});  // canonical {1,2} — must hit
   EXPECT_EQ(tester.cache().stats().misses, 1u);
@@ -244,9 +230,9 @@ TEST(MarginalReuse, PcStableLevelsReuseMarginalsAcrossDirections) {
   const Dataset data = chain_data();
   const PotentialTable table = build_table<Key>(data);
   PcStableOptions options;
-  options.ci.threads = 4;
   options.max_level = 2;
-  const PcStableResult result = PcStableLearner(options).learn(table);
+  ThreadPool pool(4);
+  const PcStableResult result = PcStableLearner(options, pool).learn(table);
   // Level 0 alone tests both directions of every pair over the same
   // canonical {x, y} marginal, so reuse is guaranteed.
   EXPECT_GT(result.schedule.cache_hits, 0u);
@@ -262,9 +248,10 @@ TEST(LearnCancellation, PreSetTokenCancelsChengCleanly) {
   const PotentialTable table = build_table<Key>(data);
   std::atomic<bool> cancel{true};
   ChengOptions options;
-  options.ci.threads = 4;
   options.ci.cancel = &cancel;
-  EXPECT_THROW((void)ChengLearner(options).learn(table), OperationCancelled);
+  ThreadPool pool(4);
+  EXPECT_THROW((void)ChengLearner(options, pool).learn(table),
+               OperationCancelled);
 }
 
 TEST(LearnCancellation, PreSetTokenCancelsPcStableCleanly) {
@@ -272,9 +259,9 @@ TEST(LearnCancellation, PreSetTokenCancelsPcStableCleanly) {
   const PotentialTable table = build_table<Key>(data);
   std::atomic<bool> cancel{true};
   PcStableOptions options;
-  options.ci.threads = 2;
   options.ci.cancel = &cancel;
-  EXPECT_THROW((void)PcStableLearner(options).learn(table),
+  ThreadPool pool(2);
+  EXPECT_THROW((void)PcStableLearner(options, pool).learn(table),
                OperationCancelled);
 }
 
@@ -295,9 +282,9 @@ TEST(ServeLearn, LearnStructureAnswersFromPinnedVersion) {
   EXPECT_FALSE(learned.directed_edges.empty());
   EXPECT_GT(learned.ci_tests, 0u);
   // Direct learner on the same table must agree exactly.
-  ChengOptions options;
-  options.ci.threads = 4;
-  const ChengResult direct = ChengLearner(options).learn(build_table<Key>(data));
+  ThreadPool pool(4);
+  const ChengResult direct =
+      ChengLearner(ChengOptions{}, pool).learn(build_table<Key>(data));
   ASSERT_EQ(learned.skeleton_edges.size(),
             undirected_edges(direct.skeleton).size());
   ASSERT_EQ(learned.directed_edges.size(),

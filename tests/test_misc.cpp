@@ -1,12 +1,10 @@
 // Coverage for the smaller API surfaces: affinity helpers, builder stats,
-// orientation-off paths, pinning, and assorted option plumbing.
+// pinning, and assorted option plumbing.
 #include <gtest/gtest.h>
 
 #include "concurrent/affinity.hpp"
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
-#include "learn/cheng.hpp"
-#include "learn/pc_stable.hpp"
 #include "sim/cost_model.hpp"
 #include "util/error.hpp"
 
@@ -52,30 +50,6 @@ TEST(BuildStats, CriticalPathAndAggregates) {
   EXPECT_EQ(stats.total_local_updates() + stats.total_foreign_pushes() +
                 stats.total_combined_rows(),
             20000u);
-}
-
-TEST(Cheng, OrientationCanBeDisabled) {
-  const Dataset data = generate_chain_correlated(20000, 4, 2, 0.8, 703);
-  ChengOptions options;
-  options.ci.threads = 2;
-  options.orient = false;
-  const ChengResult result = ChengLearner(options).learn(data);
-  // Fallback orientation: every edge low → high.
-  for (const Edge& e : result.oriented.edges()) {
-    EXPECT_LT(e.from, e.to);
-  }
-  EXPECT_EQ(result.oriented.edge_count(), result.skeleton.edge_count());
-}
-
-TEST(PcStable, OrientationCanBeDisabled) {
-  const Dataset data = generate_chain_correlated(20000, 4, 2, 0.8, 704);
-  PcStableOptions options;
-  options.ci.threads = 2;
-  options.orient = false;
-  const PcStableResult result = PcStableLearner(options).learn(data);
-  for (const Edge& e : result.oriented.edges()) {
-    EXPECT_LT(e.from, e.to);
-  }
 }
 
 TEST(CostModel, PredictionsValidateInputs) {

@@ -32,6 +32,7 @@
 #include "net/serve_server.hpp"
 #include "net/socket_util.hpp"
 #include "net/wire.hpp"
+#include "scratch_dir.hpp"
 #include "serve/persist/durable_store.hpp"
 #include "serve/serve_engine.hpp"
 #include "serve/table_store.hpp"
@@ -988,10 +989,8 @@ TEST(WideServeServer, EndToEndAtWideKeys) {
 }
 
 TEST(ServeServer, DurableStoreIngestAndFlushOverNetwork) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "wfbn_net_durable";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const testing_support::ScratchDir scratch("wfbn_net_durable");
+  const std::filesystem::path& dir = scratch.path();
 
   const Dataset base = generate_uniform(1000, 8, 2, 0xE6);
   serve::persist::DurableTableStore durable(dir, build(base));
@@ -1025,10 +1024,8 @@ TEST(ServeServer, LearnServedAgainstDurableStoreWhileQueriesFlow) {
   // live DurableTableStore while a second client's interactive queries keep
   // being answered — learn occupies only the admin dispatcher, and its pool
   // is clamped to options.learn_max_threads.
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / "wfbn_net_learn";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const testing_support::ScratchDir scratch("wfbn_net_learn");
+  const std::filesystem::path& dir = scratch.path();
 
   const Dataset data = generate_chain_correlated(20000, 8, 2, 0.8, 0xEA);
   serve::persist::DurableTableStore durable(dir, build(data));

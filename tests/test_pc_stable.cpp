@@ -18,9 +18,9 @@ namespace {
 TEST(PcStable, RecoversChainSkeleton) {
   const Dataset data = generate_chain_correlated(60000, 5, 2, 0.85, 131);
   PcStableOptions options;
-  options.ci.threads = 2;
+  ThreadPool pool(2);
   options.ci.mi_threshold = 0.005;
-  const PcStableResult result = PcStableLearner(options).learn(data);
+  const PcStableResult result = PcStableLearner(options, pool).learn(data);
   UndirectedGraph expected(5);
   for (NodeId v = 0; v + 1 < 5; ++v) expected.add_edge(v, v + 1);
   const SkeletonMetrics m = compare_skeletons(result.skeleton, expected);
@@ -32,8 +32,8 @@ TEST(PcStable, RecoversChainSkeleton) {
 TEST(PcStable, UniformDataGivesEmptyGraph) {
   const Dataset data = generate_uniform(30000, 6, 2, 132);
   PcStableOptions options;
-  options.ci.threads = 2;
-  const PcStableResult result = PcStableLearner(options).learn(data);
+  ThreadPool pool(2);
+  const PcStableResult result = PcStableLearner(options, pool).learn(data);
   EXPECT_EQ(result.skeleton.edge_count(), 0u);
   // Level 0 removes everything; no higher level needed.
   EXPECT_EQ(result.levels_run, 1u);
@@ -46,9 +46,9 @@ TEST(PcStable, RecoversRepositoryNetworks) {
     const BayesianNetwork truth = load_network(which);
     const Dataset data = forward_sample(truth, samples, 133, 4);
     PcStableOptions options;
-    options.ci.threads = 4;
+    ThreadPool pool(4);
     options.ci.mi_threshold = epsilon;
-    const PcStableResult result = PcStableLearner(options).learn(data);
+    const PcStableResult result = PcStableLearner(options, pool).learn(data);
     const SkeletonMetrics m =
         compare_skeletons(result.skeleton, truth.dag().skeleton());
     EXPECT_GE(m.f1, 0.8) << repository_network_name(which)
@@ -59,20 +59,17 @@ TEST(PcStable, RecoversRepositoryNetworks) {
 
 TEST(PcStable, AgreesWithChengOnEasyStructure) {
   const Dataset data = generate_chain_correlated(50000, 5, 2, 0.8, 134);
-  PcStableOptions pc_options;
-  pc_options.ci.threads = 2;
-  ChengOptions cheng_options;
-  cheng_options.ci.threads = 2;
-  const PcStableResult pc = PcStableLearner(pc_options).learn(data);
-  const ChengResult cheng = ChengLearner(cheng_options).learn(data);
+  ThreadPool pool(2);
+  const PcStableResult pc = PcStableLearner(PcStableOptions{}, pool).learn(data);
+  const ChengResult cheng = ChengLearner(ChengOptions{}, pool).learn(data);
   EXPECT_EQ(pc.skeleton.edges(), cheng.skeleton.edges());
 }
 
 TEST(PcStable, SepsetsAreRecorded) {
   const Dataset data = generate_chain_correlated(60000, 3, 2, 0.85, 135);
   PcStableOptions options;
-  options.ci.threads = 2;
-  const PcStableResult result = PcStableLearner(options).learn(data);
+  ThreadPool pool(2);
+  const PcStableResult result = PcStableLearner(options, pool).learn(data);
   const auto it = result.sepsets.find({0, 2});
   ASSERT_NE(it, result.sepsets.end());
   EXPECT_EQ(it->second, std::vector<std::size_t>{1});
@@ -82,9 +79,9 @@ TEST(PcStable, SepsetsAreRecorded) {
 TEST(PcStable, MaxLevelCapsConditioning) {
   const Dataset data = generate_chain_correlated(20000, 5, 2, 0.8, 136);
   PcStableOptions options;
-  options.ci.threads = 2;
+  ThreadPool pool(2);
   options.max_level = 0;  // only marginal tests: transitive links survive
-  const PcStableResult result = PcStableLearner(options).learn(data);
+  const PcStableResult result = PcStableLearner(options, pool).learn(data);
   EXPECT_TRUE(result.skeleton.has_edge(0, 2));  // never screened off
   EXPECT_EQ(result.levels_run, 1u);
 }

@@ -16,6 +16,7 @@
 
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
+#include "scratch_dir.hpp"
 #include "serve/persist/durable_store.hpp"
 #include "serve/persist/format.hpp"
 #include "serve/persist/fs_util.hpp"
@@ -30,12 +31,10 @@ namespace {
 
 namespace persist = serve::persist;
 
-std::filesystem::path fresh_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("wfbn_persist_" + name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
+using testing_support::ScratchDir;
+
+ScratchDir fresh_dir(const std::string& name) {
+  return ScratchDir("wfbn_persist_" + name);
 }
 
 // Width-generic helpers: the crash sweep and round-trips run identically
@@ -103,7 +102,9 @@ void run_round_trip(const std::string& tag, bool section_checksums) {
   const BasicPotentialTable<K> table = build_table<K>(data);
   const serve::BasicSnapshot<K> snap(table, 7);
 
-  const std::filesystem::path dir = fresh_dir(tag);
+  const ScratchDir scratch = fresh_dir(tag);
+
+  const std::filesystem::path& dir = scratch.path();
   persist::WriterOptions options;
   options.section_checksums = section_checksums;
   persist::BasicSnapshotWriter<K> writer(dir, options);
@@ -195,7 +196,9 @@ TEST(SnapshotPersist, NewestValidSegmentWinsOverStaleManifest) {
   const PotentialTable t1 = build_table<Key>(base);
   const PotentialTable t2 = build_table<Key>(more);
 
-  const std::filesystem::path dir = fresh_dir("stale_manifest");
+  const ScratchDir scratch = fresh_dir("stale_manifest");
+
+  const std::filesystem::path& dir = scratch.path();
   persist::SnapshotWriter writer(dir);
   writer.write(serve::Snapshot(t1, 1));           // segment 1 + manifest → 1
   writer.write_segment(serve::Snapshot(t2, 2));   // segment 2, manifest stale
@@ -221,7 +224,8 @@ TEST(SnapshotPersist, NewestValidSegmentWinsOverStaleManifest) {
 TEST(SnapshotPersist, PruneKeepsNewestSegments) {
   const Dataset data = WidthOps<Key>::make_data(1500, 0xD4);
   const PotentialTable table = build_table<Key>(data);
-  const std::filesystem::path dir = fresh_dir("prune");
+  const ScratchDir scratch = fresh_dir("prune");
+  const std::filesystem::path& dir = scratch.path();
   persist::WriterOptions options;
   options.keep_segments = 2;
   persist::SnapshotWriter writer(dir, options);
@@ -272,9 +276,10 @@ void run_crash_sweep(const std::string& tag) {
   for (const CrashConfig& config : kCrashConfigs) {
     SCOPED_TRACE(std::string(fault::point_name(config.point)) + "@" +
                  std::to_string(config.fire_on));
-    const std::filesystem::path dir =
+    const ScratchDir scratch =
         fresh_dir(tag + "_" + fault::point_name(config.point) + "_" +
                   std::to_string(config.fire_on));
+    const std::filesystem::path& dir = scratch.path();
     persist::BasicSnapshotWriter<K> writer(dir);
     writer.write(serve::BasicSnapshot<K>(t1, 1));  // durable baseline
 
@@ -335,7 +340,8 @@ TEST(PersistCrashSweep, WideEveryFaultPointRecoversToDurableFrontier) {
 
 TEST(DurableTableStore, FreshStoreIsDurableFromVersionOne) {
   const Dataset data = WidthOps<Key>::make_data(2000, 0xF1);
-  const std::filesystem::path dir = fresh_dir("fresh_v1");
+  const ScratchDir scratch = fresh_dir("fresh_v1");
+  const std::filesystem::path& dir = scratch.path();
   persist::DurableOptions options;
   options.async = false;
   {
@@ -354,7 +360,8 @@ TEST(DurableTableStore, FreshStoreIsDurableFromVersionOne) {
 TEST(DurableTableStore, IngestFlushReopenResumesVersionSequence) {
   const Dataset base = WidthOps<Key>::make_data(2000, 0xF2);
   const Dataset batch = WidthOps<Key>::make_data(1000, 0xF3);
-  const std::filesystem::path dir = fresh_dir("resume");
+  const ScratchDir scratch = fresh_dir("resume");
+  const std::filesystem::path& dir = scratch.path();
   persist::DurableOptions options;  // async
 
   {
@@ -378,7 +385,8 @@ TEST(DurableTableStore, IngestFlushReopenResumesVersionSequence) {
 }
 
 TEST(DurableTableStore, OpenOnEmptyDirectoryReturnsNull) {
-  const std::filesystem::path dir = fresh_dir("empty_open");
+  const ScratchDir scratch = fresh_dir("empty_open");
+  const std::filesystem::path& dir = scratch.path();
   persist::RecoveryReport report;
   EXPECT_EQ(persist::DurableTableStore::open(dir, {}, &report), nullptr);
   EXPECT_EQ(report.recovered_version, 0u);
@@ -389,7 +397,8 @@ TEST(DurableTableStore, OpenOnEmptyDirectoryReturnsNull) {
 TEST(DurableTableStore, PersistFailureLagsDurabilityAndFlushRetries) {
   const Dataset base = WidthOps<Key>::make_data(2000, 0xF4);
   const Dataset batch = WidthOps<Key>::make_data(1000, 0xF5);
-  const std::filesystem::path dir = fresh_dir("lagging");
+  const ScratchDir scratch = fresh_dir("lagging");
+  const std::filesystem::path& dir = scratch.path();
   persist::DurableOptions options;
   options.async = false;
   persist::DurableTableStore store(dir, build_table<Key>(base), options);
@@ -415,7 +424,8 @@ TEST(DurableTableStore, PersistFailureLagsDurabilityAndFlushRetries) {
 TEST(DurableTableStore, AsyncPersistCoalescesUnderBurst) {
   const Dataset base = WidthOps<Key>::make_data(2000, 0xF6);
   const Dataset batch = WidthOps<Key>::make_data(500, 0xF7);
-  const std::filesystem::path dir = fresh_dir("coalesce");
+  const ScratchDir scratch = fresh_dir("coalesce");
+  const std::filesystem::path& dir = scratch.path();
   persist::DurableTableStore store(dir, build_table<Key>(base));
 
   constexpr int kBursts = 12;

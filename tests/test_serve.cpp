@@ -32,6 +32,7 @@
 #include "core/wait_free_builder.hpp"
 #include "data/generators.hpp"
 #include "raw_rows.hpp"
+#include "scratch_dir.hpp"
 #include "serve/persist/durable_store.hpp"
 #include "serve/persist/format.hpp"
 #include "serve/persist/snapshot_reader.hpp"
@@ -583,16 +584,15 @@ TEST(ResultCache, EvictionReclaimsSupersededVersionsFirst) {
 
 namespace persist = serve::persist;
 
-std::filesystem::path recovery_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("wfbn_serve_" + name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
+using testing_support::ScratchDir;
+
+ScratchDir recovery_dir(const std::string& name) {
+  return ScratchDir("wfbn_serve_" + name);
 }
 
 TEST(ServeRecovery, EmptyStoreDirectoryIsAFreshStartNotAnError) {
-  const std::filesystem::path dir = recovery_dir("empty");
+  const ScratchDir scratch = recovery_dir("empty");
+  const std::filesystem::path& dir = scratch.path();
   const auto recovery = persist::recover_store_dir<Key>(dir);
   EXPECT_FALSE(recovery.table.has_value());
   EXPECT_EQ(recovery.report.recovered_version, 0u);
@@ -609,7 +609,8 @@ TEST(ServeRecovery, EmptyStoreDirectoryIsAFreshStartNotAnError) {
 TEST(ServeRecovery, ManifestNamingMissingSegmentFallsBackToNewestPresent) {
   const Dataset data = generate_chain_correlated(3000, 8, 2, 0.8, 0xC1);
   const PotentialTable table = build(data);
-  const std::filesystem::path dir = recovery_dir("missing_segment");
+  const ScratchDir scratch = recovery_dir("missing_segment");
+  const std::filesystem::path& dir = scratch.path();
   persist::SnapshotWriter writer(dir);
   writer.write(serve::Snapshot(table, 1));
   writer.write(serve::Snapshot(table, 2));  // manifest now names version 2
@@ -632,7 +633,8 @@ TEST(ServeRecovery, BitFlipMidSectionIsRejectedAndFallsBackOneVersion) {
   const Dataset more = generate_chain_correlated(5000, 8, 2, 0.8, 0xC3);
   const PotentialTable t1 = build(base);
   const PotentialTable t2 = build(more);
-  const std::filesystem::path dir = recovery_dir("bit_flip");
+  const ScratchDir scratch = recovery_dir("bit_flip");
+  const std::filesystem::path& dir = scratch.path();
   persist::SnapshotWriter writer(dir);
   writer.write(serve::Snapshot(t1, 1));
   writer.write(serve::Snapshot(t2, 2));
@@ -667,7 +669,8 @@ TEST(ServeRecovery, BitFlipMidSectionIsRejectedAndFallsBackOneVersion) {
 TEST(ServeRecovery, WideKeyRoundTripThroughPersistAndRecover) {
   const Dataset data = generate_chain_correlated(3000, 100, 2, 0.8, 0xC4);
   const WidePotentialTable table = wide_build(data);
-  const std::filesystem::path dir = recovery_dir("wide_rt");
+  const ScratchDir scratch = recovery_dir("wide_rt");
+  const std::filesystem::path& dir = scratch.path();
   persist::WideSnapshotWriter writer(dir);
   writer.write(serve::WideSnapshot(table, 3));
 
@@ -694,7 +697,8 @@ TEST(ServeRecovery, AsyncPersistNeverBlocksWaitFreeReaders) {
   // only ever observe complete, monotonically-versioned snapshots.
   const Dataset base = generate_chain_correlated(2000, 8, 2, 0.8, 0xC5);
   const Dataset batch = generate_chain_correlated(500, 8, 2, 0.8, 0xC6);
-  const std::filesystem::path dir = recovery_dir("readers");
+  const ScratchDir scratch = recovery_dir("readers");
+  const std::filesystem::path& dir = scratch.path();
   persist::DurableTableStore store(dir, build(base));
 
   constexpr int kReaders = 4;
@@ -919,7 +923,8 @@ TYPED_TEST(ServedAnswerOracle, EveryVersionMatchesRawRows) {
   // V ∪ E of 3^8 cells: more than the table's entries, so these sweep.
   const std::vector<OracleQuery> queries =
       oracle_queries(base, {{0, 1, 2, 3, 4, 5, 6, 7}, {9, 8, 7, 6, 5, 4, 3, 2}});
-  const std::filesystem::path dir = recovery_dir("oracle_" + this->width());
+  const ScratchDir scratch = recovery_dir("oracle_" + this->width());
+  const std::filesystem::path& dir = scratch.path();
 
   bool saw_partial_delta = false;
   bool saw_rebuilt_main = false;
@@ -972,9 +977,10 @@ TYPED_TEST(ServedAnswerOracle, OverBudgetTableSweepsEveryQuery) {
   const Dataset base = generate_uniform(1500, cards, 0xD7);
   const std::vector<Dataset> batches = {generate_uniform(200, cards, 0xD8)};
   const std::vector<OracleQuery> queries = oracle_queries(base, {{0, 1, 2, 3}});
-  typename TestFixture::Durable store(
-      recovery_dir("oracle_budget_" + this->width()),
-      TestFixture::build_table(base), TestFixture::durable_options());
+  const ScratchDir scratch = recovery_dir("oracle_budget_" + this->width());
+  typename TestFixture::Durable store(scratch.path(),
+                                      TestFixture::build_table(base),
+                                      TestFixture::durable_options());
   EXPECT_EQ(store.current()->index().layers().main, nullptr);
   EXPECT_EQ(check_every_answer(store.store(), queries, 1, base, batches), 0u);
   const IngestStats stats = store.ingest(batches[0]);
@@ -994,9 +1000,10 @@ TYPED_TEST(ServedAnswerOracle, ReadersDuringPublishesMatchRawRows) {
     batches.push_back(generate_chain_correlated(25, 8, 3, 0.8, 0xDB + b));
   }
   const std::vector<OracleQuery> queries = oracle_queries(base, {});
-  typename TestFixture::Durable store(
-      recovery_dir("oracle_readers_" + this->width()),
-      TestFixture::build_table(base), TestFixture::durable_options());
+  const ScratchDir scratch = recovery_dir("oracle_readers_" + this->width());
+  typename TestFixture::Durable store(scratch.path(),
+                                      TestFixture::build_table(base),
+                                      TestFixture::durable_options());
   typename TestFixture::Engine engine(store.store());
 
   constexpr int kReaders = 3;

@@ -24,7 +24,8 @@ TEST(Smoke, BuildTableComputeMiLearnStructure) {
   // Adjacent chain variables share far more information than distant ones.
   EXPECT_GT(mi.at(0, 1), mi.at(0, 5));
 
-  ChengLearner learner;
+  ThreadPool pool(4);
+  const ChengLearner learner(ChengOptions{}, pool);
   const ChengResult result = learner.learn(table);
   EXPECT_TRUE(result.skeleton.has_edge(2, 3));
 }

@@ -17,7 +17,8 @@ TEST(Umbrella, WholeApiIsUsableFromOneInclude) {
   const MiMatrix mi =
       AllPairsMi(AllPairsOptions{2, AllPairsStrategy::kFused}).compute(table);
   EXPECT_GT(mi.at(0, 1), 0.0);
-  const ChengResult learned = ChengLearner().learn(table);
+  ThreadPool pool(2);
+  const ChengResult learned = ChengLearner(ChengOptions{}, pool).learn(table);
   EXPECT_GE(learned.skeleton.edge_count(), 1u);
   const BayesianNetwork asia = load_network(RepositoryNetwork::kAsia);
   EXPECT_TRUE(asia.validate());
