@@ -16,11 +16,12 @@
 // count), and the bench exits non-zero on a mismatch. Machine-readable
 // output: a BENCH_persist.json datapoint stamped with the host block
 // (nproc, CPU model, SIMD level, THP mode; path configurable with
-// --json-out, empty string disables), plus the same JSON on stdout.
+// --json-out, empty string disables), plus the same JSON on stdout. The
+// segments are written under --dir; its default, wfbn_persist_bench in the
+// temp directory, is removed at exit when the run created it.
 //
 //   ./persist_throughput --samples 200000 --repeat 9
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -61,8 +62,10 @@ struct SweepConfig {
   std::filesystem::path dir;
 };
 
+/// Runs every checksum setting at width K; false when a load diverged from
+/// the snapshot it was saved from.
 template <typename K>
-void run_sweep(const SweepConfig& config, std::vector<ConfigResult>& results) {
+bool run_sweep(const SweepConfig& config, std::vector<ConfigResult>& results) {
   WaitFreeBuilderOptions build_options;
   build_options.threads = config.threads;
   const Dataset data = generate_chain_correlated(
@@ -103,12 +106,13 @@ void run_sweep(const SweepConfig& config, std::vector<ConfigResult>& results) {
       cr.load_mb_per_sec.add(megabytes / timer.seconds());
       if (loaded.table.sample_count() != snap.table().sample_count()) {
         std::fprintf(stderr, "load verification failed\n");
-        std::exit(1);
+        return false;
       }
     }
     results.push_back(cr);
     std::filesystem::remove_all(dir);
   }
+  return true;
 }
 
 void spread(bench::JsonWriter& json, const std::string& name,
@@ -154,19 +158,23 @@ int main(int argc, char** argv) {
   const auto wide_n = static_cast<std::size_t>(cli.get_int("wide-variables"));
   const std::string json_out = cli.get("json-out");
 
+  // The default directory is removed at exit when this run created it; a
+  // --dir the caller names is left as it was found.
   const std::string dir_arg = cli.get("dir");
   config.dir = dir_arg.empty()
                    ? std::filesystem::temp_directory_path() / "wfbn_persist_bench"
                    : std::filesystem::path(dir_arg);
-  std::filesystem::create_directories(config.dir);
+  const bool created = std::filesystem::create_directories(config.dir);
 
   std::vector<ConfigResult> results;
-  run_sweep<Key>(config, results);
-  if (wide_n > 0) {
+  bool verified = run_sweep<Key>(config, results);
+  if (verified && wide_n > 0) {
     SweepConfig wide_config = config;
     wide_config.variables = wide_n;
-    run_sweep<WideKey>(wide_config, results);
+    verified = run_sweep<WideKey>(wide_config, results);
   }
+  if (dir_arg.empty() && created) std::filesystem::remove_all(config.dir);
+  if (!verified) return 1;
 
   TablePrinter table({"width", "checksums", "vars", "keys", "segment MB",
                       "save MB/s [min-max]", "load MB/s [min-max]"});

@@ -177,9 +177,7 @@ MiMatrix BasicAllPairsMi<K>::compute_fused(const Planes& planes,
   const auto heavy_entries = planes.heavy();
   std::vector<std::vector<std::uint64_t>> heavy(workers);
   if (!heavy_entries.empty()) {
-    std::vector<typename Codec::VarLeg> legs;
-    legs.reserve(n);
-    for (std::size_t v = 0; v < n; ++v) legs.push_back(codec.leg_of(v));
+    constexpr std::size_t kTile = Codec::kTileKeys;
     pool.run([&](std::size_t w) {
       Timer timer;
       const auto [lo, hi] =
@@ -187,17 +185,21 @@ MiMatrix BasicAllPairsMi<K>::compute_fused(const Planes& planes,
       if (lo == hi) return;
       std::vector<std::uint64_t>& counts = heavy[w];
       counts.assign(offsets.back(), 0);
-      std::vector<State> states(n);
-      for (std::size_t h = lo; h < hi; ++h) {
-        const K key = heavy_entries[h].key;
-        const std::uint64_t c = heavy_entries[h].count;
-        for (std::size_t v = 0; v < n; ++v) {
-          states[v] = static_cast<State>(Codec::decode_leg(legs[v], key));
-        }
-        for (std::size_t k = 0; k < pairs.size(); ++k) {
-          const auto [i, j] = pairs[k];
-          counts[offsets[k] + states[i] +
-                 static_cast<std::size_t>(codec.cardinality(i)) * states[j]] += c;
+      // Up to 64 heavy keys decoded at once: lanes[v * 64 + e] = x_v.
+      K tile[kTile];
+      std::vector<State> lanes(n * kTile);
+      for (std::size_t base = lo; base < hi; base += kTile) {
+        const std::size_t fill = std::min(kTile, hi - base);
+        for (std::size_t e = 0; e < fill; ++e) tile[e] = heavy_entries[base + e].key;
+        codec.decode_tile(std::span<const K>(tile, fill), lanes.data());
+        for (std::size_t e = 0; e < fill; ++e) {
+          const std::uint64_t c = heavy_entries[base + e].count;
+          for (std::size_t k = 0; k < pairs.size(); ++k) {
+            const auto [i, j] = pairs[k];
+            counts[offsets[k] + lanes[i * kTile + e] +
+                   static_cast<std::size_t>(codec.cardinality(i)) *
+                       lanes[j * kTile + e]] += c;
+          }
         }
       }
       stats_.worker_seconds[w] += timer.seconds();

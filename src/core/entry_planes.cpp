@@ -25,6 +25,9 @@ constexpr double kScatterEntryNs = 1.0;  ///< per light entry: lane reset, add
 constexpr double kScatterBitNs = 1.1;    ///< per set plane bit walked
 constexpr double kHeavyLegNs = 2.0;      ///< per heavy entry and variable
 
+/// States a State byte can hold; planes of higher states stay zero.
+constexpr std::uint32_t kByteStates = 256;
+
 }  // namespace
 
 template <typename K>
@@ -60,13 +63,7 @@ BasicEntryPlanes<K>::BasicEntryPlanes(const Table& table, ThreadPool& pool)
       workers, std::vector<std::uint64_t>(planes + 1, 0));
   std::vector<std::vector<HeavyEntry>> heavy(workers);
 
-  // Decode-of-interest recipes (Eq. 4) for every variable, hoisted out of
-  // the sweep. decode_leg extracts each variable independently of the others
-  // with precomputed reciprocals, so the extractions pipeline instead of
-  // forming decode_all's chain of dependent divisions.
-  std::vector<typename Codec::VarLeg> legs;
-  legs.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) legs.push_back(codec.leg_of(v));
+  static_assert(Codec::kTileKeys == kWordEntries, "a tile fills one plane word");
 
   pool.run([&](std::size_t w) {
     Timer timer;
@@ -77,23 +74,26 @@ BasicEntryPlanes<K>::BasicEntryPlanes(const Table& table, ThreadPool& pool)
     std::size_t word = word_lo[w];
     K tile[kWordEntries];
     std::size_t fill = 0;
-    State lane[kWordEntries];
+    // The tile's states, variable-major: lanes[v * 64 + e] = x_v of entry e.
+    std::vector<State> lanes(n * kWordEntries, 0);
 
+    // One plane word per (v, a >= 1): a byte compare of v's 64 lanes
+    // against a. Lanes at or past `fill` hold an earlier tile's states, so
+    // their bits are masked off. A state is a byte, so planes of a >= 256
+    // stay zero.
     const auto flush_tile = [&] {
-      std::size_t p = 0;  // plane index of (v, a)
+      codec.decode_tile(std::span<const K>(tile, fill), lanes.data());
+      const std::uint64_t filled =
+          fill == kWordEntries ? ~std::uint64_t{0} : (std::uint64_t{1} << fill) - 1;
       for (std::size_t v = 0; v < n; ++v) {
-        const typename Codec::VarLeg& leg = legs[v];
-        for (std::size_t e = 0; e < fill; ++e) {
-          lane[e] = static_cast<State>(Codec::decode_leg(leg, tile[e]));
-        }
-        const std::uint32_t r = codec.cardinality(v);
-        for (std::uint32_t a = 1; a < r; ++a, ++p) {
-          std::uint64_t plane_word = 0;
-          for (std::size_t e = 0; e < fill; ++e) {
-            plane_word |= static_cast<std::uint64_t>(lane[e] == a) << e;
-          }
-          bits[p * words + word] = plane_word;
-          plane_totals[p] += simd_detail::popcount_word(plane_word);
+        const State* const row = lanes.data() + v * kWordEntries;
+        const std::size_t first = plane_of_[v];  // plane of (v, 1)
+        const std::uint32_t top = std::min(codec.cardinality(v), kByteStates);
+        for (std::uint32_t a = 1; a < top; ++a) {
+          const std::uint64_t plane_word =
+              simd_detail::match_word(row, static_cast<State>(a)) & filled;
+          bits[(first + a - 1) * words + word] = plane_word;
+          plane_totals[first + a - 1] += simd_detail::popcount_word(plane_word);
         }
       }
       valid_[word] = static_cast<std::uint8_t>(fill);

@@ -7,7 +7,11 @@
 //   light (count 1)   gathered 64 at a time and transposed into one-hot bit
 //                     planes, one plane per (variable v, state a >= 1): bit e
 //                     of word w of plane (v, a) is set when light entry
-//                     64·w + e has x_v = a. State 0 gets no plane;
+//                     64·w + e has x_v = a. State 0 gets no plane. A tile
+//                     is decoded by the codec's digit-serial decode_tile
+//                     into one 64-byte state row per variable, and each
+//                     plane word is one byte compare of a row against a plus
+//                     a movemask (simd_detail::match_word);
 //   heavy (count > 1) appended to a compact (key, count) list.
 // Worker w owns a 64-bit-aligned word range of every plane, sized from its
 // partitions' populations, so workers write disjoint words of one shared

@@ -10,7 +10,12 @@
 //   l = ceil(log2 d),  m = floor(2^64 (2^l − d) / d) + 1
 //   t = mulhi(m, n),   q = (t + ((n − t) >> 1)) >> (l − 1)
 //
-// exact for every numerator 0 ≤ n < 2^64 and divisor 1 ≤ d < 2^64.
+// exact for every numerator 0 ≤ n < 2^64 and divisor 1 ≤ d < 2^64. The
+// same construction at 32 bits, m32 = floor(2^32 (2^l − d) / d) + 1 with a
+// 32×32 → 64-bit multiply, is exact for n < 2^32 and d < 2^32: the tile
+// decode (BasicKeyCodec::decode_tile) takes it once a key word's remaining
+// digits fit 32 bits, where GCC vectorizes it four lanes to an SSE2
+// register against one lane per 64-bit multiply-high.
 // Powers of two (including d = 1) skip the multiply: q = n >> log2 d.
 #pragma once
 
@@ -37,6 +42,7 @@ class Divisor {
                (static_cast<__uint128_t>(excess) << 64) / d) +
            1;
     shift_ = l - 1;
+    if (l <= 32) mul32_ = static_cast<std::uint32_t>((excess << 32) / d + 1);
   }
 
   [[nodiscard]] constexpr std::uint64_t value() const noexcept { return d_; }
@@ -54,10 +60,19 @@ class Divisor {
     return n - divide(n) * d_;
   }
 
+  /// n / d for n < 2^32, by the 32-bit reciprocal. Precondition: d < 2^32.
+  [[nodiscard]] constexpr std::uint32_t divide32(std::uint32_t n) const noexcept {
+    if (mul_ == 0) return n >> shift_;
+    const auto t = static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(mul32_) * n) >> 32);
+    return (t + ((n - t) >> 1)) >> shift_;
+  }
+
  private:
   std::uint64_t d_ = 1;
   std::uint64_t mul_ = 0;  ///< 0 marks a power of two: divide() is a shift
   unsigned shift_ = 0;
+  std::uint32_t mul32_ = 0;  ///< the 32-bit reciprocal, when d < 2^32
 };
 
 }  // namespace wfbn

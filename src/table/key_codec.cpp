@@ -1,6 +1,7 @@
 #include "table/key_codec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <span>
 #include <string>
@@ -69,6 +70,39 @@ WFBN_SCALAR_LOOP void encode_rows(const State* rows, std::size_t row_count,
     }
   }
 }
+
+/// One step of the tile decode over `count` lanes: out[e] = x % r, then
+/// x /= r, for every lane x — a shift and mask for a power-of-two r, one
+/// reciprocal multiply otherwise, at the lane width (the 32-bit reciprocal
+/// for 32-bit lanes). The radix is copied in, so the byte stores to `out`
+/// cannot alias it.
+template <typename Lane>
+[[gnu::always_inline]] inline void peel_digit(const Divisor radix, Lane* rest,
+                                              std::size_t count,
+                                              State* out) noexcept {
+  const std::uint64_t r = radix.value();
+  if (std::has_single_bit(r)) {
+    const auto mask = static_cast<Lane>(r - 1);
+    const int shift = std::countr_zero(r);
+    for (std::size_t e = 0; e < count; ++e) {
+      const Lane x = rest[e];
+      out[e] = static_cast<State>(x & mask);
+      rest[e] = static_cast<Lane>(x >> shift);
+    }
+    return;
+  }
+  for (std::size_t e = 0; e < count; ++e) {
+    const Lane x = rest[e];
+    Lane q = 0;
+    if constexpr (sizeof(Lane) == 4) {
+      q = radix.divide32(x);
+    } else {
+      q = radix.divide(x);
+    }
+    out[e] = static_cast<State>(x - q * static_cast<Lane>(r));
+    rest[e] = q;
+  }
+}
 }  // namespace
 
 template <typename K>
@@ -95,6 +129,24 @@ BasicKeyCodec<K>::BasicKeyCodec(std::vector<std::uint32_t> cardinalities)
     runs_.back().last = j + 1;
     strides_.push_back(extents_[word]);
     extents_[word] *= r;
+  }
+  // decode_tile's digits, word by word; within a word, index order is
+  // stride order. A digit's remaining range, extent / stride, shrinks digit
+  // by digit, so a word's lanes narrow to 32 bits after its last digit whose
+  // range exceeds 2^32.
+  word_digits_[0] = 0;
+  for (std::size_t w = 0; w < kWords; ++w) {
+    narrow_from_[w] = digits_.size();
+    for (const WordRun& run : runs_) {
+      if (run.word != w) continue;
+      for (std::size_t j = run.first; j < run.last; ++j) {
+        digits_.push_back(Digit{j, Divisor(cardinalities_[j])});
+        if (extents_[w] / strides_[j] > (std::uint64_t{1} << 32)) {
+          narrow_from_[w] = digits_.size();
+        }
+      }
+    }
+    word_digits_[w + 1] = digits_.size();
   }
 }
 
@@ -158,6 +210,33 @@ void BasicKeyCodec<K>::decode_all(K key, std::span<State> out) const noexcept {
     for (std::size_t j = run.first; j < run.last; ++j) {
       out[j] = static_cast<State>(word % cardinalities_[j]);
       word /= cardinalities_[j];
+    }
+  }
+}
+
+template <typename K>
+void BasicKeyCodec<K>::decode_tile(std::span<const K> keys,
+                                   State* states) const noexcept {
+  const std::size_t count = keys.size();
+  // The lanes of the word being peeled: 64-bit until the word's remaining
+  // range fits 32 bits, 32-bit from then on. Both arrays are local and their
+  // addresses never escape, so the byte stores into `states` cannot alias
+  // them and every digit's loop runs over registers.
+  std::uint64_t wide[kTileKeys];
+  std::uint32_t narrow[kTileKeys];
+  for (std::size_t w = 0; w < kWords; ++w) {
+    for (std::size_t e = 0; e < count; ++e) wide[e] = Traits::word(keys[e], w);
+    std::size_t d = word_digits_[w];
+    for (; d < narrow_from_[w]; ++d) {
+      peel_digit(digits_[d].radix, wide, count,
+                 states + digits_[d].variable * kTileKeys);
+    }
+    for (std::size_t e = 0; e < count; ++e) {
+      narrow[e] = static_cast<std::uint32_t>(wide[e]);
+    }
+    for (; d < word_digits_[w + 1]; ++d) {
+      peel_digit(digits_[d].radix, narrow, count,
+                 states + digits_[d].variable * kTileKeys);
     }
   }
 }

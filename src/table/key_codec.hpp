@@ -17,7 +17,10 @@
 // the constant 0, so encode, decode and project select no word; with two,
 // encode and decode_all walk runs of consecutive variables packed into one
 // word, and decode and project read the word from their VarLeg. encode and
-// encode_block run one kernel, a row or a strip at a time.
+// encode_block run one kernel, a row or a strip at a time. decode_tile, the
+// entry planes' full decode, peels each word's digits off 64 keys at once in
+// stride order, in 64-bit lanes and then, once the word's remaining range
+// fits 32 bits, in 32-bit lanes.
 #pragma once
 
 #include <array>
@@ -136,6 +139,18 @@ class BasicKeyCodec {
   /// Decodes the full state string into `out` (out.size() == variable_count()).
   void decode_all(K key, std::span<State> out) const noexcept;
 
+  /// Keys per decode_tile() call: one entry-plane word's worth.
+  static constexpr std::size_t kTileKeys = 64;
+
+  /// Eq. 4 for every variable of up to kTileKeys keys at once: writes
+  /// decode(keys[e], j) to states[j * kTileKeys + e] for e < keys.size()
+  /// (`states` holds variable_count() * kTileKeys bytes; lanes at or past
+  /// keys.size() keep what they held). Digit-serial: each key word's digits
+  /// are peeled off all the keys together, in stride order, by successive
+  /// division — a shift and mask for a power-of-two r_j, one reciprocal
+  /// multiply otherwise — so each step is one independent operation per key.
+  void decode_tile(std::span<const K> keys, State* states) const noexcept;
+
   [[nodiscard]] bool operator==(const BasicKeyCodec& other) const noexcept {
     return cardinalities_ == other.cardinalities_;
   }
@@ -150,10 +165,21 @@ class BasicKeyCodec {
     unsigned word;
   };
 
+  /// One digit of decode_tile(): the variable it writes and its radix r_j.
+  struct Digit {
+    std::size_t variable;
+    Divisor radix;
+  };
+
   std::vector<std::uint32_t> cardinalities_;
   std::vector<std::uint64_t> strides_;  // stride within the variable's word
   std::vector<WordRun> runs_;           // the maximal runs, in index order
   std::array<std::uint64_t, kWords> extents_;  // joint state count per word
+  std::vector<Digit> digits_;  // word by word, each word's in stride order
+  // Word w's digits are [word_digits_[w], word_digits_[w + 1]); those from
+  // narrow_from_[w] on are peeled in 32-bit lanes.
+  std::array<std::size_t, kWords + 1> word_digits_;
+  std::array<std::size_t, kWords> narrow_from_;
 };
 
 /// Precomputed projection of full keys onto the sub-key of a variable subset

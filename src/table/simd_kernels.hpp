@@ -1,5 +1,10 @@
-// Internal AND-popcount kernels of the lattice over the entry planes
-// (core/entry_planes.hpp). Not part of the public API.
+// Internal word kernels of the entry planes (core/entry_planes.hpp): the
+// plane-word build and the AND-popcounts of the lattice. Not part of the
+// public API.
+//
+// match_word() builds one plane word from 64 decoded state bytes: one byte
+// compare and one movemask per 16 lanes at SSE2, which every x86-64 host
+// has, so it has no dispatch level; other targets take a portable loop.
 //
 // and_popcount() returns Σ popcount(a[i] & b[i]) over two bit planes;
 // and_into_popcount() also stores a[i] & b[i] for the next level of the
@@ -19,12 +24,36 @@
 
 #include "util/simd.hpp"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define WFBN_AVX2_KERNELS 1
 #include <immintrin.h>
 #endif
 
 namespace wfbn::simd_detail {
+
+/// Bit e set where lanes[e] == a, over the 64 bytes at `lanes`.
+inline std::uint64_t match_word(const std::uint8_t* lanes,
+                                std::uint8_t a) noexcept {
+  std::uint64_t word = 0;
+#if defined(__SSE2__)
+  const __m128i key = _mm_set1_epi8(static_cast<char>(a));
+  for (unsigned i = 0; i < 4; ++i) {
+    const __m128i bytes =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(lanes + 16 * i));
+    const auto mask = static_cast<std::uint32_t>(
+        _mm_movemask_epi8(_mm_cmpeq_epi8(bytes, key)));
+    word |= static_cast<std::uint64_t>(mask) << (16 * i);
+  }
+#else
+  for (unsigned e = 0; e < 64; ++e) {
+    word |= static_cast<std::uint64_t>(lanes[e] == a) << e;
+  }
+#endif
+  return word;
+}
 
 /// Bits set in `x`, by SWAR: pair, nibble and byte sums, then the byte sums
 /// folded into the low byte. No library call and no POPCNT instruction.

@@ -81,6 +81,50 @@ TEST(Divisor, RandomDivisorsAtEveryWidth) {
   }
 }
 
+// The 32-bit reciprocal of the tile decode's narrow lanes: every radix a
+// State can need (2..256) and a few larger 32-bit divisors, at the edge
+// numerators 0, d − 1, d, the multiples k·d and their neighbours k·d ± 1 up
+// to 2^32 − 1, then 10^6 random 32-bit numerators spread over the radices.
+TEST(Divisor, ThirtyTwoBitReciprocalMatchesHardwareDivision) {
+  constexpr std::uint64_t kTop = std::numeric_limits<std::uint32_t>::max();
+  const auto check = [](const Divisor& divisor, std::uint64_t n) {
+    const std::uint64_t d = divisor.value();
+    const auto x = static_cast<std::uint32_t>(n);
+    const std::uint32_t q = divisor.divide32(x);
+    ASSERT_EQ(q, x / d) << n << " / " << d;
+    ASSERT_EQ(x - q * d, x % d) << n << " % " << d;
+  };
+  std::vector<std::uint64_t> radices;
+  for (std::uint64_t r = 2; r <= 256; ++r) radices.push_back(r);
+  radices.insert(radices.end(), {257, 641, 65535, 65537, 6700417, 2147483647,
+                                 2147483648, 2147483649, 4294967291, kTop});
+  for (const std::uint64_t d : radices) {
+    const Divisor divisor(d);
+    const std::uint64_t top_multiple = kTop / d;
+    std::vector<std::uint64_t> multipliers = {1, 2, 3, top_multiple - 1,
+                                              top_multiple};
+    for (std::uint64_t k = 4; k < top_multiple; k *= 2) {
+      multipliers.push_back(k);
+      multipliers.push_back(k + 1);
+    }
+    for (const std::uint64_t n : {std::uint64_t{0}, d - 1, d, kTop}) {
+      check(divisor, n);
+    }
+    for (const std::uint64_t k : multipliers) {
+      if (k == 0) continue;
+      const std::uint64_t multiple = k * d;
+      check(divisor, multiple - 1);
+      check(divisor, multiple);
+      if (multiple < kTop) check(divisor, multiple + 1);
+    }
+  }
+  Xoshiro256 rng(0x32B17ULL);
+  for (int i = 0; i < 1000000; ++i) {
+    const std::uint64_t d = radices[static_cast<std::size_t>(i) % radices.size()];
+    check(Divisor(d), rng() & kTop);
+  }
+}
+
 TEST(Divisor, OneIsIdentityAndZeroIsRejected) {
   const Divisor one(1);
   EXPECT_EQ(one.value(), 1u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string>
 #include <tuple>
@@ -381,6 +382,70 @@ TEST(WideKeyCodecBlock, AllDispatchLevelsMatchPerRowEncode) {
   std::vector<std::uint32_t> cards(8, 200);
   cards.insert(cards.end(), {5, 3, 7});
   expect_strips_match_rows<WideKey>(cards, 103);
+}
+
+// ---- decode_tile, the plane build's digit-serial decode.
+//
+// For every tile size from 1 to 64 keys, lane e of variable j's row must be
+// decode(keys[e], j), and lanes past the tile must keep what they held.
+
+/// ALARM's 37 cardinalities in repository order: a 54-bit word whose first
+/// digits have remaining ranges above 2^32 and whose last ones fit 32 bits.
+const std::vector<std::uint32_t> kAlarmCardinalities = {
+    3, 3, 2, 3, 3, 3, 3, 3, 3, 3, 3, 2, 4, 4, 4, 3, 2, 2, 2,
+    2, 2, 3, 2, 2, 3, 3, 2, 2, 3, 2, 2, 3, 3, 4, 4, 4, 4};
+
+template <typename K>
+void expect_tiles_match_decode(const std::vector<std::uint32_t>& cards,
+                               std::uint64_t seed) {
+  constexpr std::size_t kTile = BasicKeyCodec<K>::kTileKeys;
+  constexpr State kUntouched = 0xA5;
+  Xoshiro256 rng(seed);
+  const BasicKeyCodec<K> codec(cards);
+  const std::size_t n = cards.size();
+  const std::vector<State> rows = random_rows(rng, cards, kTile);
+  std::vector<K> keys(kTile);
+  codec.encode_block(rows.data(), kTile, keys.data());
+  for (std::size_t count = 1; count <= kTile; ++count) {
+    std::vector<State> lanes(n * kTile, kUntouched);
+    codec.decode_tile(std::span<const K>(keys.data(), count), lanes.data());
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t e = 0; e < kTile; ++e) {
+        const State expected = e < count ? codec.decode(keys[e], j) : kUntouched;
+        ASSERT_EQ(lanes[j * kTile + e], expected)
+            << KeyTraits<K>::kWidthName << " n=" << n << " count=" << count
+            << " variable " << j << " lane " << e;
+      }
+    }
+  }
+}
+
+template <typename K>
+void expect_tiles_match_decode_on_every_codec() {
+  expect_tiles_match_decode<K>(std::vector<std::uint32_t>(30, 2), 201);
+  expect_tiles_match_decode<K>(kAlarmCardinalities, 203);
+  expect_tiles_match_decode<K>({1, 256, 3, 256, 1, 2}, 205);
+  expect_tiles_match_decode<K>(std::vector<std::uint32_t>(10, 4), 207);
+  // Mixed radices over a word of 2^62.5 states.
+  expect_tiles_match_decode<K>({2, 5, 3, 2, 7, 4, 2, 3, 6, 2, 3, 2, 5, 4, 255,
+                                251, 3, 7, 11, 13, 7, 5, 3, 11, 2},
+                               209);
+}
+
+TEST(KeyCodecTile, EveryTileSizeMatchesDecode) {
+  const KeyCodec alarm(kAlarmCardinalities);
+  ASSERT_EQ(std::bit_width(alarm.word_extent(0)), 54);
+  expect_tiles_match_decode_on_every_codec<Key>();
+}
+
+TEST(WideKeyCodecTile, EveryTileSizeMatchesDecode) {
+  expect_tiles_match_decode_on_every_codec<WideKey>();
+  // The codec of FirstFitPackingIsPinned: lo, hi, lo, hi word runs.
+  std::vector<std::uint32_t> cards(8, 200);
+  cards.insert(cards.end(), {5, 3, 7});
+  expect_tiles_match_decode<WideKey>(cards, 211);
+  // 100 binary variables: both words full of power-of-two digits.
+  expect_tiles_match_decode<WideKey>(std::vector<std::uint32_t>(100, 2), 213);
 }
 
 TEST(KeyCodecBlock, ForcedDowngradeCapsResolutionAtScalar) {
