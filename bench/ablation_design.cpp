@@ -1,10 +1,12 @@
 // Ablations over the design decisions DESIGN.md §6 calls out:
-//   ABL-PART   key→owner partition function (modulo vs. contiguous range)
-//              on uniform and skewed key populations;
 //   ABL-MI     all-pairs MI scheduling strategy;
-//   ABL-IMPL   all construction strategies side by side.
+//   ABL-IMPL   all construction strategies side by side;
+//   ABL-WIDE   64-bit vs two-word key codec on the same workload;
+//   ABL-SPARSE MI-based candidate parents for the hill climb.
+// The first line names the host (cores, SIMD level, THP mode).
 #include <cstdio>
 
+#include "../pipeline_e2e/bench_schema.hpp"
 #include "baselines/builders.hpp"
 #include "bench/bench_common.hpp"
 #include "core/all_pairs_mi.hpp"
@@ -21,43 +23,6 @@ namespace {
 
 using namespace wfbn;
 using namespace wfbn::bench;
-
-void run_partition_ablation(const ScalingSimulator& sim, std::size_t samples,
-                            std::uint64_t seed) {
-  TablePrinter table({"data", "scheme", "cores", "max/min partition",
-                      "sim_ms", "sim_speedup"});
-  const std::vector<std::pair<const char*, Dataset>> datasets = [&] {
-    std::vector<std::pair<const char*, Dataset>> out;
-    out.emplace_back("uniform", generate_uniform(samples, 24, 2, seed));
-    out.emplace_back("skewed", generate_skewed(samples, 24, 2, 1e-5, 0.8, seed));
-    return out;
-  }();
-
-  for (const auto& [label, data] : datasets) {
-    for (const PartitionScheme scheme :
-         {PartitionScheme::kModulo, PartitionScheme::kRange}) {
-      double base = 0.0;
-      for (const std::size_t p : {std::size_t{1}, std::size_t{8}, std::size_t{32}}) {
-        WaitFreeBuilderOptions options;
-        options.threads = p;
-        options.scheme = scheme;
-        WaitFreeBuilder builder(options);
-        const PotentialTable pot = builder.build(data);
-        const auto [largest, smallest] = pot.partitions().population_extremes();
-        const double seconds = predict_wait_free_seconds(
-            sim.model(), builder.stats(), data.variable_count());
-        if (p == 1) base = seconds;
-        table.add_row(
-            {label, scheme == PartitionScheme::kModulo ? "modulo" : "range",
-             std::to_string(p),
-             std::to_string(largest) + "/" + std::to_string(smallest),
-             TablePrinter::fmt(seconds * 1e3, 3),
-             TablePrinter::fmt(base > 0 ? base / seconds : 0.0, 2)});
-      }
-    }
-  }
-  table.print("ABL-PART — partition function vs. key skew");
-}
 
 void run_mi_strategy_ablation(std::size_t samples, std::uint64_t seed) {
   const Dataset data = generate_uniform(samples, 24, 2, seed);
@@ -169,8 +134,10 @@ int main(int argc, char** argv) {
   if (samples == 0) samples = cli.get("scale") == "paper" ? 2000000 : 100000;
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
-  const ScalingSimulator sim = make_simulator();
-  run_partition_ablation(sim, samples, seed);
+  const HostInfo host = HostInfo::probe();
+  std::printf("host: %u cores, %s, simd=%s, thp=%s\n", host.nproc,
+              host.cpu_model.c_str(), host.simd_level.c_str(),
+              host.thp_mode.c_str());
   run_mi_strategy_ablation(samples, seed);
   run_builder_ablation(samples, seed);
   run_wide_key_ablation(samples, seed);

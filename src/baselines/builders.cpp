@@ -37,8 +37,7 @@ std::size_t expected_keys(const Dataset& data) {
 template <typename Map>
 PotentialTable wrap_as_potential(const Map& map, const KeyCodec& codec,
                                  std::uint64_t samples) {
-  PartitionedTable table(1, codec.state_space_size(), PartitionScheme::kModulo,
-                         map.size());
+  PartitionedTable table(1, map.size());
   map.for_each([&](Key key, std::uint64_t c) { table.partition(0).increment(key, c); });
   return PotentialTable(codec, std::move(table), samples);
 }
@@ -49,8 +48,7 @@ class SequentialBuilder final : public ITableBuilder {
     stats_ = BuilderRunStats{};
     stats_.worker_seconds.assign(1, 0.0);
     const KeyCodec codec = data.codec();
-    PartitionedTable table(1, codec.state_space_size(), PartitionScheme::kModulo,
-                           expected_keys(data));
+    PartitionedTable table(1, expected_keys(data));
     OpenHashTable& map = table.partition(0);
     Timer timer;
     for (std::size_t i = 0; i < data.sample_count(); ++i) {

@@ -206,8 +206,6 @@ class Stage1Worker {
         ws_(ws),
         inject_(inject),
         parts_(kernel.table.partition_count()),
-        space_(kernel.table.state_space()),
-        scheme_(kernel.table.scheme()),
         key_router_(kernel.keys, w, kernel.workers) {
     if (slice_rows >= kProbeWindowRows) {
       slots_.resize(kProbeSlots);
@@ -252,8 +250,9 @@ class Stage1Worker {
   /// strip before any route-buffer traffic (one pipelined hash/divide pass
   /// instead of per-key detours).
   void route_strip(std::size_t count) {
-    Traits::owner_block(keys_.data(), count, parts_, space_, scheme_,
-                        owners_.data());
+    for (std::size_t r = 0; r < count; ++r) {
+      owners_[r] = Traits::owner(keys_[r], parts_);
+    }
     for (std::size_t r = 0; r < count; ++r) {
       const std::size_t q = owners_[r];
       const std::size_t dst = kernel_.part_owner[q];
@@ -329,7 +328,7 @@ class Stage1Worker {
   /// payload of an uncombined row) or a (key, count) item.
   void evict(K key, std::uint64_t count) {
     ++evicted_;
-    const std::size_t q = Traits::owner(key, parts_, space_, scheme_);
+    const std::size_t q = Traits::owner(key, parts_);
     const std::size_t dst = kernel_.part_owner[q];
     if (dst == w_) {
       kernel_.table.partition(q).increment(key, count);
@@ -347,8 +346,6 @@ class Stage1Worker {
   WorkerStats& ws_;
   bool inject_;
   std::size_t parts_;
-  std::uint64_t space_;
-  PartitionScheme scheme_;
   KeyRouter<typename Kernel<K>::KeyFabric> key_router_;
   std::optional<KeyRouter<typename Kernel<K>::PairFabric>> pair_router_;
   std::array<K, kEncodeStripRows> keys_{};
@@ -464,8 +461,7 @@ BasicPotentialTable<K> BasicWaitFreeBuilder<K>::build(const Dataset& data,
   const std::size_t P = pool.size();
   const Codec codec(data.cardinalities());
   BasicPartitionedTable<K> table(
-      P, codec.state_space_bound(), options_.scheme,
-      expected_entries_per_partition(data, codec, P));
+      P, expected_entries_per_partition(data, codec, P));
   Timer total_timer;
   run_phased(data, codec, table, pool);
   stats_.total_seconds = total_timer.seconds();
@@ -479,23 +475,17 @@ void BasicWaitFreeBuilder<K>::append(const Dataset& data, Table& table) {
   if (data.cardinalities() != table.codec().cardinalities()) {
     throw DataError("batch cardinalities do not match the table's codec");
   }
-  if (table.partitions().rebalanced()) {
-    throw DataError(
-        "table was rebalanced — construction-time ownership no longer holds, "
-        "rebuild instead of appending");
-  }
   const std::size_t parts = table.partitions().partition_count();
   Timer total_timer;
   // A degraded pool (spawn failures) yields fewer workers than partitions;
   // run_phased block-assigns partitions to whatever workers exist.
   ThreadPool pool(parts);
 
-  // Stage the batch into scratch partitions with the same ownership geometry
-  // (same P, scheme, and state space, so owner_of agrees with the table).
-  // Any failure up to and including the kernel leaves `table` untouched.
+  // Stage the batch into scratch partitions with the table's P, so every key
+  // lands in the partition index that owns it in the table too. Any failure
+  // up to and including the kernel leaves `table` untouched.
   BasicPartitionedTable<K> scratch(
-      parts, table.partitions().state_space(), table.partitions().scheme(),
-      expected_entries_per_partition(data, table.codec(), parts));
+      parts, expected_entries_per_partition(data, table.codec(), parts));
   run_phased(data, table.codec(), scratch, pool);
 
   WFBN_FAULT_POINT(fault::Point::kAppendCommit);

@@ -40,7 +40,6 @@ namespace wfbn {
 
 struct WaitFreeBuilderOptions {
   std::size_t threads = 1;
-  PartitionScheme scheme = PartitionScheme::kModulo;
   /// Pin worker p to core p when the OS allows it. A refused pin degrades
   /// (unpinned worker, counted in BuildStats::pin_failures) instead of
   /// failing the build.
@@ -116,9 +115,8 @@ class BasicWaitFreeBuilder {
 
   /// Incremental update: folds additional observations into an existing
   /// table with the same two-stage wait-free procedure (training data often
-  /// arrives in batches). Preconditions (checked): the dataset's
-  /// cardinalities match the table's codec and the table has not been
-  /// rebalance()d (ownership must still hold). Throws
+  /// arrives in batches). Precondition (checked): the dataset's
+  /// cardinalities match the table's codec. Throws
   /// DataError/PreconditionError on violation.
   ///
   /// Strong exception-safety guarantee: the batch is staged into scratch

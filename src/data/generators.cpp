@@ -70,8 +70,9 @@ Dataset generate_skewed(std::size_t samples, std::size_t n, std::uint32_t r,
   const KeyCodec codec = data.codec();
 
   // The hot set is a contiguous prefix of the key space, capped so it can be
-  // enumerated; contiguity is deliberate — it concentrates the hot keys in
-  // one range partition, which is the worst case for range ownership.
+  // enumerated; contiguity is deliberate — contiguous-range ownership would
+  // put every hot key in one partition, which is why key % P is the
+  // ownership rule (results/knob_prune.txt, "Partition function").
   const std::uint64_t space =
       std::min<std::uint64_t>(codec.state_space_size(), 1ULL << 40);
   const std::uint64_t hot_keys = std::max<std::uint64_t>(

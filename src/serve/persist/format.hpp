@@ -24,10 +24,10 @@
 //   sample_count     u64
 //   variable_count   u32
 //   cardinalities    u32 × variable_count
-//   scheme           u32      PartitionScheme as integer
+//   ownership        u32      0: key k lies in partition KeyTraits::owner(k, P)
 //   reserved         u32      zero
-//   partition_count  u64
-//   state_space      u64
+//   partition_count  u64      P
+//   state_space      u64      codec.state_space_bound() of the cardinalities
 //   header_checksum  u64      FNV-1a of every preceding byte (always present)
 //
 // followed by one *section* per partition, in partition order:
@@ -36,6 +36,10 @@
 //   entries          entry_count × (key words, count u64)
 //   section_checksum u64      FNV-1a of the section's preceding bytes
 //                             (only when flags bit 0 is set)
+//
+// The reader rejects an ownership word other than 0, a state-space word
+// other than the cardinalities' bound, and a key stored outside
+// owner(k, P), so every table it loads can be extended by append().
 //
 // The manifest is a fast-path hint, not the source of truth:
 //

@@ -92,7 +92,6 @@ ManifestInfo read_manifest(const std::filesystem::path& dir) {
 
 template <typename K>
 SegmentData<K> parse_segment(const std::vector<std::uint8_t>& bytes) {
-  using Traits = KeyTraits<K>;
   bio::BufferReader reader(bytes.data(), bytes.size(), "snapshot segment");
 
   const std::uint8_t* magic = reader.get_span(4);
@@ -117,14 +116,10 @@ SegmentData<K> parse_segment(const std::vector<std::uint8_t>& bytes) {
   if (variable_count == 0) throw DataError("segment has zero variables");
   std::vector<std::uint32_t> cards(variable_count);
   for (auto& r : cards) r = reader.get<std::uint32_t>();
-  const auto scheme_raw = reader.get<std::uint32_t>();
-  if (scheme_raw > static_cast<std::uint32_t>(PartitionScheme::kRange)) {
-    throw DataError("segment has unknown partition scheme " +
-                    std::to_string(scheme_raw));
-  }
-  const auto scheme = static_cast<PartitionScheme>(scheme_raw);
-  if (!Traits::supports(scheme)) {
-    throw DataError("partition scheme unsupported at this key width");
+  const auto ownership = reader.get<std::uint32_t>();
+  if (ownership != 0) {
+    throw DataError("segment has unknown ownership rule " +
+                    std::to_string(ownership));
   }
   (void)reader.get<std::uint32_t>();  // reserved
   const auto partition_count = reader.get<std::uint64_t>();
@@ -145,8 +140,12 @@ SegmentData<K> parse_segment(const std::vector<std::uint8_t>& bytes) {
   // space within the width's bound) — corrupted schema bytes that survive
   // the checksum still become a typed error here.
   BasicKeyCodec<K> codec(cards);
+  if (state_space != codec.state_space_bound()) {
+    throw DataError("segment state space " + std::to_string(state_space) +
+                    " disagrees with its cardinalities");
+  }
   BasicPartitionedTable<K> partitions(
-      static_cast<std::size_t>(partition_count), state_space, scheme);
+      static_cast<std::size_t>(partition_count));
 
   for (std::uint64_t p = 0; p < partition_count; ++p) {
     const std::uint8_t* section_start = reader.cursor();
@@ -169,6 +168,10 @@ SegmentData<K> parse_segment(const std::vector<std::uint8_t>& bytes) {
       }
       if (!codec.key_in_range(key)) {
         throw DataError("segment key out of state-space range in partition " +
+                        std::to_string(p));
+      }
+      if (partitions.owner_of(key) != p) {
+        throw DataError("segment key outside its owner partition in partition " +
                         std::to_string(p));
       }
       part.increment(key, count);

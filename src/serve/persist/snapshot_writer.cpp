@@ -23,7 +23,6 @@ std::vector<std::uint8_t> BasicSnapshotWriter<K>::serialize(
     const Snapshot& snapshot, bool section_checksums) {
   const auto& table = snapshot.table();
   const auto& cards = table.codec().cardinalities();
-  const auto& partitions = table.partitions();
 
   std::vector<std::uint8_t> buffer;
   // Entries dominate; pre-size for them plus a small header allowance.
@@ -39,10 +38,10 @@ std::vector<std::uint8_t> BasicSnapshotWriter<K>::serialize(
   bio::put_pod(buffer, table.sample_count());
   bio::put_pod(buffer, static_cast<std::uint32_t>(cards.size()));
   for (const std::uint32_t r : cards) bio::put_pod(buffer, r);
-  bio::put_pod(buffer, static_cast<std::uint32_t>(partitions.scheme()));
+  bio::put_pod(buffer, std::uint32_t{0});  // ownership: KeyTraits::owner
   bio::put_pod(buffer, std::uint32_t{0});  // reserved
   bio::put_pod(buffer, static_cast<std::uint64_t>(table.partition_count()));
-  bio::put_pod(buffer, partitions.state_space());
+  bio::put_pod(buffer, table.codec().state_space_bound());
   bio::put_pod(buffer, fnv1a_bytes(buffer.data(), buffer.size()));
 
   for (std::size_t p = 0; p < table.partition_count(); ++p) {

@@ -64,7 +64,7 @@ class BasicTableStore {
   /// version so ingestion resumes the version sequence instead of reissuing
   /// version numbers that already name different snapshots on disk).
   /// `ingest_options` configure the builder the ingestion path uses (worker
-  /// count, scheme, pinning — see WaitFreeBuilderOptions); the index's main
+  /// count, pinning — see WaitFreeBuilderOptions); the index's main
   /// is built on options.threads workers.
   /// Throws PreconditionError when `initial_version` is 0.
   explicit BasicTableStore(Table initial,

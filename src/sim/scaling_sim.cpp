@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "concurrent/thread_pool.hpp"
 #include "core/wait_free_builder.hpp"
 #include "util/error.hpp"
 
@@ -68,18 +69,15 @@ ScalingCurve ScalingSimulator::all_pairs_mi(
   const std::size_t n = data.variable_count();
   const double pair_sweeps =
       static_cast<double>(n) * static_cast<double>(n - 1) / 2.0;
+  const std::size_t distinct = WaitFreeBuilder().build(data).distinct_keys();
   ScalingCurve curve{std::move(label), {}};
   for (const std::size_t p : cores) {
-    WaitFreeBuilderOptions options;
-    options.threads = p;
-    WaitFreeBuilder builder(options);
-    PotentialTable table = builder.build(data);
-    // Algorithm 3 runs one core per partition; rebalance first, as §IV-C
-    // prescribes for unbalanced tables.
-    table.partitions().rebalance();
+    // Algorithm 3 runs one core per partition; the cores sweep the distinct
+    // keys evened out over them, as §IV-C allows.
     std::vector<std::uint64_t> per_core_entries(p, 0);
     for (std::size_t part = 0; part < p; ++part) {
-      per_core_entries[part] = table.partitions().partition(part).size();
+      const auto [lo, hi] = ThreadPool::block_range(distinct, p, part);
+      per_core_entries[part] = hi - lo;
     }
     const double seconds =
         predict_sweep_seconds(model_, per_core_entries, 2, pair_sweeps);

@@ -48,10 +48,11 @@ class ScalingSimulator {
       const std::vector<std::size_t>& cores,
       std::string label = "atomic-cas") const;
 
-  /// All-pairs MI curve (Fig. 5): builds the table with P partitions per
-  /// point and predicts the pair sweeps from partition populations. It
-  /// prices Algorithm 4's per-pair sweep (kPairParallel), not the fused
-  /// column kernel, so it overestimates kFused on uncompressed tables.
+  /// All-pairs MI curve (Fig. 5): builds the table once and predicts each
+  /// point's pair sweeps from its distinct keys split evenly over P cores
+  /// (ThreadPool::block_range). It prices Algorithm 4's per-pair sweep
+  /// (kPairParallel), not the fused column kernel, so it overestimates
+  /// kFused on uncompressed tables.
   [[nodiscard]] ScalingCurve all_pairs_mi(
       const Dataset& data, const std::vector<std::size_t>& cores,
       std::string label = "all-pairs-mi") const;

@@ -11,7 +11,7 @@
 //   from_words()         reading one word / assembling a key from its words
 //   empty_key()          the hashtable's reserved empty-slot sentinel
 //   slot_hash()          hash for open-addressing slot selection
-//   supports()/owner()   which partition schemes exist and who owns a key
+//   owner()              which partition owns a key (paper Alg. 1, line 9)
 //   kWidthName           "narrow" / "wide", for messages and bench output
 //
 // The Eq. 3/4 encoding itself is written once over kWords in
@@ -42,13 +42,6 @@ struct WideKey {
   h *= 0xBF58476D1CE4E5B9ULL;
   return h ^ (h >> 29);
 }
-
-/// How encoded keys map to owning partitions.
-enum class PartitionScheme {
-  kModulo,  ///< owner = key % P (paper Algorithm 1, line 9)
-  kRange,   ///< owner = floor(key * P / state_space) — contiguous key ranges
-            ///< (narrow keys only: wide keys have no usable total order)
-};
 
 template <typename K>
 struct KeyTraits;
@@ -82,36 +75,9 @@ struct KeyTraits<Key> {
     for (std::size_t i = 0; i < count; ++i) out[i] = slot_hash(keys[i]);
   }
 
-  static constexpr bool supports(PartitionScheme) noexcept { return true; }
-
-  static std::size_t owner(Key key, std::size_t partitions,
-                           std::uint64_t state_space,
-                           PartitionScheme scheme) noexcept {
-    if (scheme == PartitionScheme::kModulo) {
-      return static_cast<std::size_t>(key % partitions);
-    }
-    // Range partitioning via 128-bit multiply avoids a per-key division by a
-    // runtime state-space value.
-    return static_cast<std::size_t>(
-        (static_cast<__uint128_t>(key) * partitions) / state_space);
-  }
-
-  /// owner() over a whole strip: out[i] = owner(keys[i], ...). Hoists the
-  /// scheme branch out of the per-key loop so stage 1 can compute a block's
-  /// destinations before touching any route buffer.
-  static void owner_block(const Key* keys, std::size_t count,
-                          std::size_t partitions, std::uint64_t state_space,
-                          PartitionScheme scheme, std::size_t* out) noexcept {
-    if (scheme == PartitionScheme::kModulo) {
-      for (std::size_t i = 0; i < count; ++i) {
-        out[i] = static_cast<std::size_t>(keys[i] % partitions);
-      }
-      return;
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = static_cast<std::size_t>(
-          (static_cast<__uint128_t>(keys[i]) * partitions) / state_space);
-    }
+  /// The partition that owns `key`: key % P (paper Algorithm 1, line 9).
+  static std::size_t owner(Key key, std::size_t partitions) noexcept {
+    return static_cast<std::size_t>(key % partitions);
   }
 };
 
@@ -144,28 +110,10 @@ struct KeyTraits<WideKey> {
     for (std::size_t i = 0; i < count; ++i) out[i] = slot_hash(keys[i]);
   }
 
-  /// Wide keys have no usable total order over the joint space, so
-  /// contiguous-range ownership is not defined for them.
-  static constexpr bool supports(PartitionScheme scheme) noexcept {
-    return scheme == PartitionScheme::kModulo;
-  }
-
-  static std::size_t owner(WideKey key, std::size_t partitions,
-                           std::uint64_t /*state_space*/,
-                           PartitionScheme /*scheme*/) noexcept {
+  /// The partition that owns `key`: wide_key_hash(key) % P, so both words
+  /// decide the owner.
+  static std::size_t owner(WideKey key, std::size_t partitions) noexcept {
     return static_cast<std::size_t>(wide_key_hash(key) % partitions);
-  }
-
-  /// Batched owner: one hash pass over the strip, then the modulo. See
-  /// KeyTraits<Key>::owner_block.
-  static void owner_block(const WideKey* keys, std::size_t count,
-                          std::size_t partitions,
-                          std::uint64_t /*state_space*/,
-                          PartitionScheme /*scheme*/,
-                          std::size_t* out) noexcept {
-    for (std::size_t i = 0; i < count; ++i) {
-      out[i] = static_cast<std::size_t>(wide_key_hash(keys[i]) % partitions);
-    }
   }
 };
 

@@ -1,19 +1,14 @@
 // The paper's distributed potential-table representation: P single-writer
 // hashtables, each owning a disjoint slice of the key space.
 //
-// Ownership during construction follows a partition function (paper Alg. 1
-// uses key % P; contiguous-range ownership is provided as an ablation — see
-// DESIGN.md §6.1). After construction the ownership invariant is only needed
-// by further wait-free updates; marginalization treats the partitions as an
-// arbitrary disjoint cover, which is why rebalance() (paper §IV-C) is legal.
-//
-// The table is a template over the key type: KeyTraits<K> supplies the
-// ownership function (narrow keys support modulo and contiguous-range
-// schemes; wide keys hash-partition and reject kRange at construction).
+// One ownership rule holds for a table's whole life: key k lives in
+// partition KeyTraits<K>::owner(k, P) — k % P for narrow keys (paper Alg. 1,
+// line 9), wide_key_hash(k) % P for wide ones. The builder routes by it,
+// append() extends a table by it, count() looks keys up by it, and the
+// snapshot reader rejects a segment that breaks it.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "table/key_traits.hpp"
@@ -27,26 +22,19 @@ class BasicPartitionedTable {
   using Traits = KeyTraits<K>;
   using Table = BasicOpenHashTable<K>;
 
-  /// `partitions` = P. `state_space` is the codec's joint state-space size
-  /// (needed for range partitioning; saturated for wide keys — see
-  /// KeyTraits::state_space_bound). `expected_entries_per_partition`
-  /// pre-sizes each hashtable. Throws PreconditionError when the key width
-  /// does not support `scheme`.
-  BasicPartitionedTable(std::size_t partitions, std::uint64_t state_space,
-                        PartitionScheme scheme = PartitionScheme::kModulo,
-                        std::size_t expected_entries_per_partition = 16);
+  /// `partitions` = P. `expected_entries_per_partition` pre-sizes each
+  /// hashtable.
+  explicit BasicPartitionedTable(std::size_t partitions,
+                                 std::size_t expected_entries_per_partition = 16);
 
   [[nodiscard]] std::size_t partition_count() const noexcept {
     return tables_.size();
   }
 
-  /// Which partition owns `key` under the construction-time scheme.
+  /// Which partition owns `key`.
   [[nodiscard]] std::size_t owner_of(K key) const noexcept {
-    return Traits::owner(key, tables_.size(), state_space_, scheme_);
+    return Traits::owner(key, tables_.size());
   }
-
-  [[nodiscard]] PartitionScheme scheme() const noexcept { return scheme_; }
-  [[nodiscard]] std::uint64_t state_space() const noexcept { return state_space_; }
 
   [[nodiscard]] Table& partition(std::size_t p) { return tables_[p]; }
   [[nodiscard]] const Table& partition(std::size_t p) const {
@@ -62,14 +50,10 @@ class BasicPartitionedTable {
   /// invariant.
   [[nodiscard]] std::uint64_t total_count() const noexcept;
 
-  /// Count of one key, routed via the ownership function. Only valid while
-  /// the ownership invariant holds (i.e. before rebalance()).
+  /// Count of one key, looked up in the partition that owns it.
   [[nodiscard]] std::uint64_t count(K key) const noexcept {
     return tables_[owner_of(key)].count(key);
   }
-
-  /// Count of one key regardless of which partition holds it.
-  [[nodiscard]] std::uint64_t count_anywhere(K key) const noexcept;
 
   /// Visits all (key, count) pairs across all partitions (single-threaded).
   template <typename Fn>
@@ -80,26 +64,8 @@ class BasicPartitionedTable {
   /// True while every key is stored in the partition owner_of(key) names.
   [[nodiscard]] bool ownership_invariant_holds() const;
 
-  /// Moves entries between partitions so that distinct-key populations differ
-  /// by at most one (paper §IV-C: marginalization does not need the ownership
-  /// invariant, so unbalanced tables may be rebalanced for better load
-  /// balance). Returns the number of moved entries.
-  std::size_t rebalance();
-
-  /// True once rebalance() has run: the construction-time ownership function
-  /// may no longer route keys to their partitions, so further wait-free
-  /// updates (WaitFreeBuilder::append) are rejected.
-  [[nodiscard]] bool rebalanced() const noexcept { return rebalanced_; }
-
-  /// Largest / smallest partition populations — the load-imbalance measure
-  /// driving the simulator's makespan.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> population_extremes() const;
-
  private:
   std::vector<Table> tables_;
-  std::uint64_t state_space_;
-  PartitionScheme scheme_;
-  bool rebalanced_ = false;
 };
 
 extern template class BasicPartitionedTable<Key>;

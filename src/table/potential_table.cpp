@@ -17,7 +17,7 @@ template <typename K>
 std::uint64_t BasicPotentialTable<K>::count_of(
     std::span<const State> states) const {
   const K key = codec_.encode_checked(states);
-  return partitions_.count_anywhere(key);
+  return partitions_.count(key);
 }
 
 template <typename K>
@@ -27,7 +27,7 @@ bool BasicPotentialTable<K>::validate() const {
   partitions_.for_each([&](K key, std::uint64_t count) {
     if (!codec_.key_in_range(key) || count == 0) in_range = false;
   });
-  return in_range;
+  return in_range && partitions_.ownership_invariant_holds();
 }
 
 template class BasicPotentialTable<Key>;

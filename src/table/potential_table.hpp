@@ -74,8 +74,9 @@ class BasicPotentialTable {
   /// Occurrence count of a full state string.
   [[nodiscard]] std::uint64_t count_of(std::span<const State> states) const;
 
-  /// Internal consistency checks (counts sum to m; keys within state space).
-  /// Used by tests and debug assertions; O(#entries).
+  /// Internal consistency checks (counts sum to m; keys within state space;
+  /// every key in the partition that owns it). Used by tests and debug
+  /// assertions; O(#entries).
   [[nodiscard]] bool validate() const;
 
  private:

@@ -24,7 +24,6 @@ struct FuzzConfig {
   std::size_t samples;
   std::vector<std::uint32_t> cardinalities;
   std::size_t build_threads;
-  PartitionScheme scheme;
   std::uint64_t data_seed;
 };
 
@@ -37,8 +36,7 @@ FuzzConfig random_config(Xoshiro256& rng) {
     r = 2 + static_cast<std::uint32_t>(rng.bounded(4));
   }
   config.build_threads = 1 + rng.bounded(12);
-  config.scheme = rng.bounded(2) == 0 ? PartitionScheme::kModulo
-                                      : PartitionScheme::kRange;
+  (void)rng.bounded(2);  // keeps the draws of every later configuration
   config.data_seed = rng();
   return config;
 }
@@ -57,7 +55,6 @@ TEST(Fuzz, PipelineInvariantsHoldForRandomConfigurations) {
     // ---- construction is exact.
     WaitFreeBuilderOptions options;
     options.threads = config.build_threads;
-    options.scheme = config.scheme;
     WaitFreeBuilder builder(options);
     const PotentialTable table = builder.build(data);
     ASSERT_EQ(table.partitions().total_count(), config.samples);
@@ -147,7 +144,7 @@ TEST(Fuzz, AppendMatchesMonolithicBuildForRandomSplits) {
     ASSERT_EQ(incremental.distinct_keys(), monolithic.distinct_keys());
     bool all_match = true;
     monolithic.partitions().for_each([&](Key key, std::uint64_t c) {
-      if (incremental.partitions().count_anywhere(key) != c) all_match = false;
+      if (incremental.partitions().count(key) != c) all_match = false;
     });
     ASSERT_TRUE(all_match);
   }
@@ -190,8 +187,7 @@ TEST(Fuzz, RandomFaultSchedulesYieldTypedErrorOrExactBuild) {
 
     WaitFreeBuilderOptions options;
     options.threads = 1 + meta_rng.bounded(8);
-    options.scheme = meta_rng.bounded(2) == 0 ? PartitionScheme::kModulo
-                                              : PartitionScheme::kRange;
+    (void)meta_rng.bounded(2);  // keeps the draws of every later round
 
     fault::ScopedFaultInjection injection;
     const std::string schedule = fault::arm_random_schedule(meta_rng());

@@ -93,19 +93,6 @@ INSTANTIATE_TEST_SUITE_P(ThreadSweep, MarginalizerThreads,
                            return std::to_string(param_info.param) + "threads";
                          });
 
-TEST(Marginalizer, WorksAfterRebalance) {
-  const Dataset data = generate_skewed(20000, 12, 2, 1e-4, 0.9, 25);
-  PotentialTable table = build_table(data, 8);
-  const std::size_t vars[] = {0, 5};
-  const Marginalizer marginalizer(8);
-  const MarginalTable before = marginalizer.marginalize(table, vars);
-  // Rebalancing may break construction-time ownership, which marginalization
-  // does not rely on (paper §IV-C).
-  table.partitions().rebalance();
-  const MarginalTable after = marginalizer.marginalize(table, vars);
-  expect_same(before, after);
-}
-
 TEST(Marginalizer, FullJointRecoversAllCounts) {
   const Dataset data = generate_uniform(5000, 4, 3, 26);
   const PotentialTable table = build_table(data);

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "serve/persist/snapshot_reader.hpp"
 #include "serve/persist/snapshot_writer.hpp"
 #include "serve/snapshot.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 
@@ -81,8 +83,6 @@ void expect_tables_identical(const BasicPotentialTable<K>& a,
   ASSERT_EQ(a.sample_count(), b.sample_count());
   ASSERT_EQ(a.partition_count(), b.partition_count());
   ASSERT_EQ(a.codec().cardinalities(), b.codec().cardinalities());
-  ASSERT_EQ(a.partitions().scheme(), b.partitions().scheme());
-  ASSERT_EQ(a.partitions().state_space(), b.partitions().state_space());
   for (std::size_t p = 0; p < a.partition_count(); ++p) {
     ASSERT_EQ(a.partition(p).size(), b.partition(p).size()) << "partition " << p;
     bool equal = true;
@@ -138,11 +138,12 @@ TEST(SnapshotPersist, RoundTripWithoutSectionChecksumsStillValidates) {
   run_round_trip<Key>("nochecksum_rt", false);
 }
 
-// Literal pin of a persisted key record: the round trips above write and
-// read with the same code, so they cannot see a format change. A one-row
-// table serializes to the header, one entry count and one record, which
-// ends the segment: the key's words (lo before hi) and the count, native
-// byte order. The width code is the header's third u32.
+// Literal pin of a persisted segment: the round trips above write and read
+// with the same code, so they cannot see a format change. A one-row table
+// serializes to the header, one entry count and one record, which ends the
+// segment. The header is pinned from the magic through its checksum, and
+// the record is the key's words (lo before hi) and the count, native byte
+// order.
 template <typename K>
 std::vector<std::uint8_t> one_record_segment(std::vector<std::uint32_t> cards,
                                              std::vector<State> row) {
@@ -162,12 +163,30 @@ TEST(SnapshotPersist, KeyRecordBytesArePinnedAtBothWidths) {
   // Narrow: 8 variables of r = 200, key 0x016d6576f1876e51.
   const std::vector<std::uint8_t> narrow = one_record_segment<Key>(
       std::vector<std::uint32_t>(8, 200), {1, 2, 3, 4, 5, 6, 7, 8});
+  const std::vector<std::uint8_t> narrow_header = {
+      0x57, 0x46, 0x53, 0x53,                           // magic "WFSS"
+      0x01, 0x00, 0x00, 0x00,                           // format
+      0x01, 0x00, 0x00, 0x00,                           // width: narrow
+      0x00, 0x00, 0x00, 0x00,                           // flags
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,   // snapshot version
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,   // sample count
+      0x08, 0x00, 0x00, 0x00,                           // variable count
+      0xc8, 0x00, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00,   // cardinalities
+      0xc8, 0x00, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00,
+      0xc8, 0x00, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00,
+      0xc8, 0x00, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00,                           // ownership: owner()
+      0x00, 0x00, 0x00, 0x00,                           // reserved
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,   // partition count
+      0x00, 0x00, 0x00, 0xc1, 0x6f, 0xf2, 0x86, 0x23,   // state space 200^8
+      0x28, 0xff, 0xda, 0x22, 0x00, 0x4a, 0xc5, 0x42};  // header checksum
   const std::vector<std::uint8_t> narrow_record = {
       0x51, 0x6e, 0x87, 0xf1, 0x76, 0x65, 0x6d, 0x01,   // key
       0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};  // count
-  ASSERT_GE(narrow.size(), 12 + narrow_record.size());
-  EXPECT_EQ(std::vector<std::uint8_t>(narrow.begin() + 8, narrow.begin() + 12),
-            (std::vector<std::uint8_t>{1, 0, 0, 0}));
+  ASSERT_EQ(narrow.size(), narrow_header.size() + 8 + narrow_record.size());
+  // Everything before the entry count and the record is header.
+  EXPECT_EQ(std::vector<std::uint8_t>(narrow.begin(), narrow.end() - 24),
+            narrow_header);
   EXPECT_EQ(std::vector<std::uint8_t>(narrow.end() - 16, narrow.end()),
             narrow_record);
 
@@ -177,14 +196,127 @@ TEST(SnapshotPersist, KeyRecordBytesArePinnedAtBothWidths) {
   cards.insert(cards.end(), {5, 3, 7});
   const std::vector<std::uint8_t> wide = one_record_segment<WideKey>(
       cards, {1, 2, 3, 4, 5, 6, 7, 8, 4, 2, 6});
+  const std::vector<std::uint8_t> wide_header = {
+      0x57, 0x46, 0x53, 0x53,                           // magic "WFSS"
+      0x01, 0x00, 0x00, 0x00,                           // format
+      0x02, 0x00, 0x00, 0x00,                           // width: wide
+      0x00, 0x00, 0x00, 0x00,                           // flags
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,   // snapshot version
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,   // sample count
+      0x0b, 0x00, 0x00, 0x00,                           // variable count
+      0xc8, 0x00, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00,   // cardinalities
+      0xc8, 0x00, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00,
+      0xc8, 0x00, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00,
+      0xc8, 0x00, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00,
+      0x05, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x07, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00,                           // ownership: owner()
+      0x00, 0x00, 0x00, 0x00,                           // reserved
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,   // partition count
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,   // state space, saturated
+      0xbc, 0xff, 0xc4, 0xf7, 0x12, 0xcf, 0x43, 0x5f};  // header checksum
   const std::vector<std::uint8_t> wide_record = {
       0x51, 0x6e, 0x87, 0x73, 0x56, 0x4a, 0x7b, 0x48,   // lo
       0x22, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,   // hi
       0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};  // count
-  ASSERT_GE(wide.size(), 12 + wide_record.size());
-  EXPECT_EQ(std::vector<std::uint8_t>(wide.begin() + 8, wide.begin() + 12),
-            (std::vector<std::uint8_t>{2, 0, 0, 0}));
+  ASSERT_EQ(wide.size(), wide_header.size() + 8 + wide_record.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(wide.begin(), wide.end() - 32),
+            wide_header);
   EXPECT_EQ(std::vector<std::uint8_t>(wide.end() - 24, wide.end()), wide_record);
+}
+
+// ------------------------------------------------------ ownership rejections
+//
+// A segment whose header checksum is sound can still break the ownership
+// rule: an ownership word other than 0, a state-space word the cardinalities
+// do not give, or a key stored outside owner(k, P). Each must fail the
+// strict read and send recovery back one version.
+
+// Offsets of header words in a segment with `vars` cardinalities
+// (format.hpp's layout).
+std::size_t ownership_offset(std::size_t vars) { return 36 + 4 * vars; }
+std::size_t state_space_offset(std::size_t vars) { return 52 + 4 * vars; }
+std::size_t header_checksum_offset(std::size_t vars) { return 60 + 4 * vars; }
+
+/// Overwrites the header word at `offset` and reseals the header checksum,
+/// so only the reader's semantic checks can catch the edit.
+template <typename Word>
+void rewrite_header_word(std::vector<std::uint8_t>& bytes, std::size_t vars,
+                         std::size_t offset, Word value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+  const std::size_t sealed = header_checksum_offset(vars);
+  const std::uint64_t checksum = fnv1a_bytes(bytes.data(), sealed);
+  std::memcpy(bytes.data() + sealed, &checksum, sizeof checksum);
+}
+
+/// `bad` is segment version 2. Alone in a directory it must throw from
+/// read_segment and recover to no table; behind a valid version 1 it must
+/// send recovery back to version 1. Either way the rejection names
+/// `defect`.
+void expect_segment_rejected(const std::string& tag,
+                             const std::vector<std::uint8_t>& bad,
+                             const std::string& defect) {
+  const auto expect_rejection = [&](const persist::RecoveryReport& report) {
+    ASSERT_EQ(report.rejected.size(), 1u);
+    EXPECT_EQ(report.rejected[0].version, 2u);
+    EXPECT_NE(report.rejected[0].reason.find(defect), std::string::npos)
+        << report.rejected[0].reason;
+  };
+  {
+    const ScratchDir scratch = fresh_dir(tag + "_alone");
+    const std::filesystem::path& dir = scratch.path();
+    persist::write_file_atomic(dir, persist::segment_name(2), bad, false);
+    EXPECT_THROW((void)persist::read_segment<Key>(dir / persist::segment_name(2)),
+                 DataError);
+    const auto recovered = persist::recover_store_dir<Key>(dir);
+    EXPECT_FALSE(recovered.table.has_value());
+    EXPECT_EQ(recovered.report.recovered_version, 0u);
+    expect_rejection(recovered.report);
+  }
+  {
+    const ScratchDir scratch = fresh_dir(tag + "_fallback");
+    const std::filesystem::path& dir = scratch.path();
+    const PotentialTable v1 =
+        build_table<Key>(WidthOps<Key>::make_data(1000, 0xD5));
+    persist::SnapshotWriter(dir).write(serve::Snapshot(v1, 1));
+    persist::write_file_atomic(dir, persist::segment_name(2), bad, false);
+    const auto recovered = persist::recover_store_dir<Key>(dir);
+    ASSERT_TRUE(recovered.table.has_value());
+    EXPECT_EQ(recovered.report.recovered_version, 1u);
+    expect_rejection(recovered.report);
+    expect_tables_identical(v1, *recovered.table);
+  }
+}
+
+/// A sound 8-variable binary segment at version 2, for the header edits.
+std::vector<std::uint8_t> sound_segment() {
+  const PotentialTable table =
+      build_table<Key>(WidthOps<Key>::make_data(1000, 0xD6));
+  return persist::SnapshotWriter::serialize(serve::Snapshot(table, 2), true);
+}
+
+TEST(SnapshotPersist, RejectsUnknownOwnershipWord) {
+  std::vector<std::uint8_t> bytes = sound_segment();
+  rewrite_header_word(bytes, 8, ownership_offset(8), std::uint32_t{1});
+  expect_segment_rejected("ownership_word", bytes, "ownership");
+}
+
+TEST(SnapshotPersist, RejectsStateSpaceThatDisagreesWithCardinalities) {
+  std::vector<std::uint8_t> bytes = sound_segment();
+  // 8 binary variables: the cardinalities give 2^8.
+  rewrite_header_word(bytes, 8, state_space_offset(8), std::uint64_t{257});
+  expect_segment_rejected("state_space_word", bytes, "state space");
+}
+
+TEST(SnapshotPersist, RejectsKeyOutsideItsOwnerPartition) {
+  // Key 5 belongs to partition 5 % 2 = 1; this table holds it in 0, where
+  // owner-routed count() and append() would never find it.
+  PartitionedTable parts(2);
+  parts.partition(0).increment(5, 2);
+  const PotentialTable misplaced(KeyCodec({2, 2, 2}), std::move(parts), 2);
+  const std::vector<std::uint8_t> bytes = persist::SnapshotWriter::serialize(
+      serve::Snapshot(misplaced, 2), true);
+  expect_segment_rejected("misplaced_key", bytes, "owner partition");
 }
 
 TEST(SnapshotPersist, NewestValidSegmentWinsOverStaleManifest) {

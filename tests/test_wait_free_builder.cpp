@@ -1,7 +1,6 @@
 // Correctness tests for the wait-free table-construction primitive
 // (Algorithms 1–2): the parallel build must produce exactly the counts a
-// sequential scan produces, for every thread count, partition scheme and
-// data shape.
+// sequential scan produces, for every thread count and data shape.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -50,20 +49,19 @@ TEST(WaitFreeBuilder, SingleThreadMatchesReference) {
   EXPECT_TRUE(table.validate());
 }
 
-// The central property, swept over thread counts × schemes.
+// The central property, swept over thread counts.
 struct BuilderConfig {
   std::size_t threads;
-  PartitionScheme scheme;
+  std::uint64_t data_seed;
 };
 
 class BuilderEquivalence : public ::testing::TestWithParam<BuilderConfig> {};
 
 TEST_P(BuilderEquivalence, ParallelBuildEqualsSequentialCounts) {
   const BuilderConfig config = GetParam();
-  const Dataset data = generate_uniform(20000, 12, 3, 77);
+  const Dataset data = generate_uniform(20000, 12, 3, config.data_seed);
   WaitFreeBuilderOptions options;
   options.threads = config.threads;
-  options.scheme = config.scheme;
   WaitFreeBuilder builder(options);
   const PotentialTable table = builder.build(data);
 
@@ -95,20 +93,11 @@ TEST_P(BuilderEquivalence, ParallelBuildEqualsSequentialCounts) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BuilderEquivalence,
-    ::testing::Values(
-        BuilderConfig{1, PartitionScheme::kModulo},
-        BuilderConfig{2, PartitionScheme::kModulo},
-        BuilderConfig{3, PartitionScheme::kModulo},
-        BuilderConfig{8, PartitionScheme::kModulo},
-        BuilderConfig{32, PartitionScheme::kModulo},
-        BuilderConfig{2, PartitionScheme::kRange},
-        BuilderConfig{8, PartitionScheme::kRange},
-        BuilderConfig{32, PartitionScheme::kRange}),
+    ::testing::Values(BuilderConfig{1, 77}, BuilderConfig{2, 77},
+                      BuilderConfig{3, 77}, BuilderConfig{8, 77},
+                      BuilderConfig{32, 77}),
     [](const auto& param_info) {
-      return std::to_string(param_info.param.threads) + "threads_" +
-             (param_info.param.scheme == PartitionScheme::kModulo ? "modulo"
-                                                            : "range") +
-             "_phased";
+      return std::to_string(param_info.param.threads) + "threads_modulo_phased";
     });
 
 TEST(WaitFreeBuilder, SkewedDataStillExact) {
@@ -252,16 +241,6 @@ TEST(WaitFreeBuilder, AppendRejectsMismatchedCardinalities) {
   WaitFreeBuilder builder(options);
   PotentialTable table = builder.build(base);
   EXPECT_THROW(builder.append(bad, table), DataError);
-}
-
-TEST(WaitFreeBuilder, AppendRejectsRebalancedTable) {
-  const Dataset base = generate_uniform(5000, 8, 2, 17);
-  WaitFreeBuilderOptions options;
-  options.threads = 4;
-  WaitFreeBuilder builder(options);
-  PotentialTable table = builder.build(base);
-  table.partitions().rebalance();
-  EXPECT_THROW(builder.append(base, table), DataError);
 }
 
 TEST(WaitFreeBuilder, InvalidOptionsRejected) {
